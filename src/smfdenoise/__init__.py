@@ -31,7 +31,6 @@ from .sampler import (
     DenoiseResult,
     denoise,
     get_binary_image,
-    sample_field,
     sample_gamma,
     sample_kappas,
 )

@@ -92,8 +92,7 @@ def read_corpus(corpus_dir) -> list[tuple[Raster, Raster]]:
     return pairs
 
 
-def run_method(method: str, noisy: Raster, hp: HyperParams, fc: FilterConfig,
-               image_index: int = 0) -> Raster:
+def run_method(method: str, noisy: Raster, hp: HyperParams, fc: FilterConfig) -> Raster:
     """Denoise one raster with a named method."""
     if method == "ga":
         return baselines.gaussian_filter(noisy, fc.gaussian_sigma, fc.gaussian_size)
@@ -124,7 +123,7 @@ def run_bench(pairs: list[tuple[Raster, Raster]], methods: list[str],
             if method in external:
                 estimate = external[method][k]
             else:
-                estimate = run_method(method, noisy, hp, fc, image_index=k)
+                estimate = run_method(method, noisy, hp, fc)
             wall_ms = (time.perf_counter() - t0) * 1e3
             rows.append(BenchRow(
                 image=k,

@@ -75,6 +75,14 @@ def _parse_crop(spec: str, n1: int, n2: int):
     return r0, c0, h, w
 
 
+def _too_small(y: Raster) -> bool:
+    """The field prior couples pixel pairs, so a lattice needs two pixels."""
+    if y.n1 * y.n2 >= 2:
+        return False
+    _err(f"input is {y.n1}x{y.n2}; need at least 2 pixels")
+    return True
+
+
 def cmd_denoise(args) -> int:
     try:
         hp, fc, sc = _load_configs(args)
@@ -93,6 +101,8 @@ def cmd_denoise(args) -> int:
             _err(str(exc))
             return EXIT_USAGE
         y = Raster.from_2d(y.to_2d()[r0:r0 + h, c0:c0 + w])
+    if _too_small(y):
+        return EXIT_USAGE
     result = denoise(y, hp, variant=args.variant)
     echo = effective_config_lines(hp, fc, sc) + [f"variant={args.variant}"]
     try:
@@ -164,6 +174,8 @@ def cmd_diagnose(args) -> int:
     except (OSError, ValueError) as exc:
         _err(f"cannot read {args.input}: {exc}")
         return EXIT_IO
+    if _too_small(y):
+        return EXIT_USAGE
     kl_traces = []
     kf_traces = []
     for c in range(args.chains):

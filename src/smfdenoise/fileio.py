@@ -70,6 +70,8 @@ def read_pgm16(path) -> Raster:
     if not m:
         raise ValueError(f"{path}: not a binary PGM")
     n2, n1, maxval = (int(g) for g in m.groups())
+    if not 1 <= maxval <= PGM_MAXVAL:
+        raise ValueError(f"{path}: maxval {maxval} outside 1..{PGM_MAXVAL}")
     data = blob[m.end():]
     dtype = ">u2" if maxval > 255 else "u1"
     arr = np.frombuffer(data, dtype=dtype, count=n1 * n2)

@@ -109,22 +109,17 @@ class LatticeWeights:
 class PrecisionMatrix:
     """Symmetric PSD sparse precision matrix Q = D^T D for a lattice field.
 
-    ``d_op`` keeps the difference operator D used to build Q; the sampler's
-    sparse path needs it for perturbation sampling.
+    ``d_op`` keeps the difference operator D used to build Q; the field draw
+    needs it for perturbation sampling.
     """
 
-    def __init__(self, matrix: sparse.csr_matrix, d_op: sparse.csr_matrix | None = None):
+    def __init__(self, matrix: sparse.csr_matrix, d_op: sparse.csr_matrix):
         matrix = sparse.csr_matrix(matrix)
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("precision matrix must be square")
         self.n = matrix.shape[0]
         self.matrix = matrix
         self.d_op = d_op
-
-    def to_dense(self) -> np.ndarray:
-        if self.n > 4096:
-            raise ValueError(f"dense conversion refused for order {self.n} > 4096")
-        return self.matrix.toarray()
 
     def quad_form(self, f: np.ndarray) -> float:
         """f^T Q f (clipped at 0 against round-off)."""

@@ -1,22 +1,16 @@
-"""Observation model: trend design matrix, hyper-parameters and the
-marginalized observation covariance Phi with its rank-3 inverse."""
+"""Observation model: trend design matrix and hyper-parameters."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
-
-from .lattice import PrecisionMatrix, Raster
 
 __all__ = [
     "HyperParams",
     "DesignMatrix",
     "NoiseParams",
     "make_design",
-    "phi_inverse_apply",
-    "log_prior_field",
 ]
 
 
@@ -106,38 +100,3 @@ def make_design(n1: int, n2: int) -> DesignMatrix:
     ccoord = cols / (n2 - 1) if n2 > 1 else np.zeros(n1 * n2)
     z = np.column_stack([np.ones(n1 * n2), rcoord, ccoord])
     return DesignMatrix(n1, n2, z)
-
-
-def trend_gram(design: DesignMatrix, kappa_l: float, gamma_precision: float) -> np.ndarray:
-    """The 3x3 system M = Q_gamma + kappa_l Z^T Z."""
-    z = design.matrix
-    return gamma_precision * np.eye(3) + kappa_l * (z.T @ z)
-
-
-def phi_inverse_apply(v: np.ndarray, kappa_l: float, design: DesignMatrix,
-                      gamma_precision: float) -> np.ndarray:
-    """Apply the inverse of Phi = kappa_l^-1 I + Z Q_gamma^-1 Z^T to a vector.
-
-    Uses the rank-3 identity Phi^-1 = kappa_l I - kappa_l^2 Z M^-1 Z^T with
-    M = Q_gamma + kappa_l Z^T Z, so no n x n matrix is formed.
-    """
-    if kappa_l <= 0:
-        raise ValueError(f"kappa_l must be positive, got {kappa_l}")
-    v = np.asarray(v, dtype=np.float64).ravel()
-    z = design.matrix
-    if v.size != z.shape[0]:
-        raise ValueError(f"vector length {v.size} does not match design rows {z.shape[0]}")
-    m = trend_gram(design, kappa_l, gamma_precision)
-    try:
-        c = linalg.cho_factor(m, lower=True)
-    except linalg.LinAlgError as exc:  # cannot occur for gamma_precision > 0
-        raise RuntimeError("trend system M is singular") from exc
-    return kappa_l * v - kappa_l ** 2 * (z @ linalg.cho_solve(c, z.T @ v))
-
-
-def log_prior_field(f: Raster | np.ndarray, q_f: PrecisionMatrix, kappa_f: float) -> float:
-    """Unnormalized log density of the field prior, -0.5 kappa_f f^T Q f."""
-    vec = f.data if isinstance(f, Raster) else np.asarray(f, dtype=np.float64).ravel()
-    if vec.size != q_f.n:
-        raise ValueError(f"field length {vec.size} does not match precision order {q_f.n}")
-    return -0.5 * kappa_f * float(vec @ (q_f.matrix @ vec))

@@ -23,15 +23,13 @@ from .lattice import (
     build_higmrf_precision,
     build_igmrf_precision,
 )
-from .model import DesignMatrix, HyperParams, NoiseParams, make_design, phi_inverse_apply, trend_gram
+from .model import DesignMatrix, HyperParams, NoiseParams, make_design
 
 __all__ = [
-    "ChainState",
     "DenoiseResult",
     "SamplerNumericalError",
     "sample_gamma",
     "sample_kappas",
-    "sample_field",
     "sample_field_given_gamma",
     "get_binary_image",
     "denoise",
@@ -39,8 +37,6 @@ __all__ = [
 
 IGMRF = "igmrf"
 HIGMRF = "higmrf"
-
-DENSE_LIMIT = 4096
 
 
 class SamplerNumericalError(RuntimeError):
@@ -50,18 +46,6 @@ class SamplerNumericalError(RuntimeError):
         super().__init__(f"{msg} (n={n}, kappa_l={noise.kappa_l}, kappa_f={noise.kappa_f})")
         self.n = n
         self.noise = noise
-
-
-@dataclass
-class ChainState:
-    """One chain's current draw; mutated in place by the sweep."""
-
-    f: np.ndarray
-    gamma: np.ndarray
-    noise: NoiseParams
-    mask: SpotMask
-    precision: PrecisionMatrix
-    iteration: int
 
 
 @dataclass
@@ -103,82 +87,6 @@ def sample_kappas(y: np.ndarray, f: np.ndarray, gamma: np.ndarray, design: Desig
     return NoiseParams(kappa_l=kappa_l, kappa_f=kappa_f)
 
 
-def _field_precision_dense(noise: NoiseParams, precision: PrecisionMatrix,
-                           design: DesignMatrix, gamma_precision: float) -> np.ndarray:
-    """Dense P = Phi^-1 + kappa_f Q = kappa_l I + kappa_f Q - kappa_l^2 Z M^-1 Z^T."""
-    n = precision.n
-    z = design.matrix
-    m = trend_gram(design, noise.kappa_l, gamma_precision)
-    w = linalg.solve(m, z.T, assume_a="pos")
-    p = noise.kappa_f * precision.to_dense()
-    p[np.diag_indices(n)] += noise.kappa_l
-    p -= noise.kappa_l ** 2 * (z @ w)
-    return p
-
-
-def sample_field(y: np.ndarray, noise: NoiseParams, precision: PrecisionMatrix,
-                 design: DesignMatrix, gamma_precision: float,
-                 rng: np.random.Generator, method: str = "auto") -> np.ndarray:
-    """Draw the field from the trend-marginalized conditional.
-
-    The Gaussian has precision P = Phi^-1 + kappa_f Q and mean mu solving
-    P mu = Phi^-1 y.  Lattices up to DENSE_LIMIT pixels use a dense Cholesky
-    of P; larger ones factor the sparse part A = kappa_l I + kappa_f Q and
-    apply the rank-3 Woodbury correction.
-    """
-    n = precision.n
-    if method == "auto":
-        method = "dense" if n <= DENSE_LIMIT else "sparse"
-    b = phi_inverse_apply(y, noise.kappa_l, design, gamma_precision)
-    if method == "dense":
-        p = _field_precision_dense(noise, precision, design, gamma_precision)
-        try:
-            c = linalg.cho_factor(p, lower=True)
-        except linalg.LinAlgError as exc:
-            raise SamplerNumericalError("field precision factorization failed",
-                                        n, noise) from exc
-        mu = linalg.cho_solve(c, b)
-        xi = rng.standard_normal(n)
-        return mu + linalg.solve_triangular(c[0], xi, lower=True, trans="T")
-    if method != "sparse":
-        raise ValueError(f"unknown method {method!r}")
-    return _sample_field_sparse(y, b, noise, precision, design, gamma_precision, rng)
-
-
-def _sample_field_sparse(y, b, noise, precision, design, gamma_precision, rng):
-    """Woodbury path: P = A - U M^-1 U^T with A = kappa_l I + kappa_f Q, U = kappa_l Z."""
-    n = precision.n
-    if precision.d_op is None:
-        raise SamplerNumericalError("sparse sampling needs the difference operator",
-                                    n, noise)
-    z = design.matrix
-    a = (noise.kappa_f * precision.matrix + noise.kappa_l * sparse.identity(n)).tocsc()
-    try:
-        lu = splu(a)
-    except RuntimeError as exc:
-        raise SamplerNumericalError("sparse factorization failed", n, noise) from exc
-    u = noise.kappa_l * z
-    ainv_u = lu.solve(u)
-    m = trend_gram(design, noise.kappa_l, gamma_precision)
-    g = m - u.T @ ainv_u  # 3x3 capacitance, PD because P is PD
-    try:
-        lg = linalg.cho_factor(g, lower=True)
-    except linalg.LinAlgError as exc:
-        raise SamplerNumericalError("capacitance factorization failed", n, noise) from exc
-    # mean: P^-1 b via Woodbury
-    ainv_b = lu.solve(b)
-    mu = ainv_b + ainv_u @ linalg.cho_solve(lg, u.T @ ainv_b)
-    # draw: N(0, A^-1) by perturbation, plus independent rank-3 correction
-    # Cov = A^-1 + (A^-1 U) G^-1 (A^-1 U)^T = P^-1
-    xi1 = rng.standard_normal(n)
-    xi2 = rng.standard_normal(n)
-    x0 = lu.solve(np.sqrt(noise.kappa_l) * xi1
-                  + np.sqrt(noise.kappa_f) * (precision.d_op.T @ xi2))
-    xi3 = rng.standard_normal(3)
-    x1 = ainv_u @ linalg.solve_triangular(lg[0], xi3, lower=True, trans="T")
-    return mu + x0 + x1
-
-
 def sample_field_given_gamma(y: np.ndarray, gamma: np.ndarray, noise: NoiseParams,
                              precision: PrecisionMatrix, design: DesignMatrix,
                              rng: np.random.Generator) -> np.ndarray:
@@ -189,9 +97,6 @@ def sample_field_given_gamma(y: np.ndarray, gamma: np.ndarray, noise: NoiseParam
     perturbation solve with the difference operator.
     """
     n = precision.n
-    if precision.d_op is None:
-        raise SamplerNumericalError("conditional sampling needs the difference operator",
-                                    n, noise)
     a = (noise.kappa_f * precision.matrix + noise.kappa_l * sparse.identity(n)).tocsc()
     try:
         lu = splu(a)
@@ -248,8 +153,7 @@ def _normalize(y: np.ndarray) -> tuple[np.ndarray, float, float]:
     return np.zeros_like(y), lo, 0.0
 
 
-def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF,
-            rng: np.random.Generator | None = None) -> DenoiseResult:
+def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
     """Run the full Gibbs chain on an observed raster.
 
     The input is affinely mapped to [0, 1] (the threshold h is calibrated on
@@ -265,8 +169,7 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF,
     if variant not in (IGMRF, HIGMRF):
         raise ValueError(f"unknown variant {variant!r}")
     hp.validate()
-    if rng is None:
-        rng = np.random.default_rng(hp.seed)
+    rng = np.random.default_rng(hp.seed)
     n1, n2 = y.n1, y.n2
     yn, offset, scale = _normalize(y.data)
 

@@ -28,7 +28,7 @@ from smfdenoise.model import HyperParams, NoiseParams, make_design
 from smfdenoise.sampler import (
     denoise,
     get_binary_image,
-    sample_field,
+    sample_field_given_gamma,
     sample_gamma,
     sample_kappas,
 )
@@ -133,13 +133,13 @@ class TestCriterion3PrecisionOracle:
             oracle = dense_precision_oracle(n1, n2, mask2d, lam)
             got = build_higmrf_precision(
                 n1, n2, SpotMask.from_2d(mask2d), LatticeWeights(lam)
-            ).to_dense()
+            ).matrix.toarray()
             worst = max(worst, float(np.abs(got - oracle).max()))
             checked += 1
         all_spot = build_higmrf_precision(
             5, 5, SpotMask(5, 5, np.ones(25, dtype=np.int8)), LatticeWeights(lam)
-        ).to_dense()
-        igmrf_match = np.array_equal(all_spot, build_igmrf_precision(5, 5).to_dense())
+        ).matrix.toarray()
+        igmrf_match = np.array_equal(all_spot, build_igmrf_precision(5, 5).matrix.toarray())
         ok = worst <= 1e-12 and igmrf_match
         verdict(3, ok, f"{checked} random masks on 2x2..8x8, max |diff|={worst:.2e}; "
                        f"all-spot == homogeneous: {igmrf_match}")
@@ -156,15 +156,17 @@ class TestCriterion4ConditionalOracle:
         rng = np.random.default_rng(71)
         y = rng.standard_normal(n)
 
-        # dense oracle for the trend-marginalized field conditional
+        # dense oracle for the field conditional the chain draws from:
+        # N(A^-1 kappa_l (y - Z gamma), A^-1) with A = kappa_l I + kappa_f Q
         z = design.matrix
-        phi_inv = np.linalg.inv(np.eye(n) / noise.kappa_l + z @ z.T / gp)
-        sigma = np.linalg.inv(phi_inv + noise.kappa_f * precision.to_dense())
-        mu = sigma @ (phi_inv @ y)
+        gamma0 = np.array([0.4, -0.3, 0.2])
+        a = noise.kappa_l * np.eye(n) + noise.kappa_f * precision.matrix.toarray()
+        sigma = np.linalg.inv(a)
+        mu = sigma @ (noise.kappa_l * (y - z @ gamma0))
 
         m_draws = 10000
         draws = np.array([
-            sample_field(y, noise, precision, design, gp, rng)
+            sample_field_given_gamma(y, gamma0, noise, precision, design, rng)
             for _ in range(m_draws)
         ])
         se = np.sqrt(np.diag(sigma) / m_draws)

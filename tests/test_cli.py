@@ -90,6 +90,14 @@ class TestDenoise:
         assert self.run(tmp_path, noisy_csv, fast_cfg, "--crop", "9,9,9,9") == EXIT_USAGE
         assert self.run(tmp_path, noisy_csv, fast_cfg, "--crop", "1,1") == EXIT_USAGE
 
+    def test_single_pixel_is_usage_error(self, tmp_path, noisy_csv, fast_cfg, capsys):
+        one = tmp_path / "one.csv"
+        write_raster_csv(one, Raster(1, 1, [0.5]))
+        assert self.run(tmp_path, str(one), fast_cfg) == EXIT_USAGE
+        assert self.run(tmp_path, noisy_csv, fast_cfg, "--crop", "3,4,1,1") == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(l.startswith("smfdenoise: ") for l in err)
+
     def test_missing_input_is_io_error(self, tmp_path, fast_cfg):
         rc = self.run(tmp_path, str(tmp_path / "ghost.csv"), fast_cfg)
         assert rc == EXIT_IO
@@ -147,6 +155,14 @@ class TestDiagnose:
         data = [l for l in lines if l and not l.startswith("#")]
         assert data[0] == "parameter,psrf,converged"
         assert {l.split(",")[0] for l in data[1:]} == {"kappa_l", "kappa_f"}
+
+    def test_single_pixel_is_usage_error(self, tmp_path, fast_cfg, capsys):
+        one = tmp_path / "one.csv"
+        write_raster_csv(one, Raster(1, 1, [0.5]))
+        rc = main(["diagnose", "--input", str(one), "--config", fast_cfg,
+                   "--report", str(tmp_path / "r.csv")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("smfdenoise: ")
 
     def test_single_chain_rejected(self, tmp_path, noisy_csv, fast_cfg):
         rc = main(["diagnose", "--input", noisy_csv, "--config", fast_cfg,

@@ -85,6 +85,13 @@ class TestPgm:
         with pytest.raises(ValueError):
             read_pgm16(path)
 
+    @pytest.mark.parametrize("maxval", [0, 65536])
+    def test_maxval_out_of_range_rejected(self, tmp_path, maxval):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n2 2\n%d\n" % maxval + bytes(8))
+        with pytest.raises(ValueError):
+            read_pgm16(path)
+
 
 class TestLoadRaster:
     def test_dispatch_on_suffix(self, tmp_path):

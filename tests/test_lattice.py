@@ -103,17 +103,17 @@ class TestNeighbors:
 class TestIgmrfPrecision:
     def test_2x2_first_row(self):
         # D rows on 2x2: diag -2, two +1 entries; Q = D^T D.
-        q = build_igmrf_precision(2, 2).to_dense()
+        q = build_igmrf_precision(2, 2).matrix.toarray()
         np.testing.assert_allclose(q[0], [6.0, -4.0, -4.0, 2.0])
 
     def test_matches_dense_oracle(self):
         for n1, n2 in [(2, 2), (3, 4), (5, 3), (1, 6)]:
             d = dense_difference_oracle(n1, n2)
-            q = build_igmrf_precision(n1, n2).to_dense()
+            q = build_igmrf_precision(n1, n2).matrix.toarray()
             np.testing.assert_allclose(q, d.T @ d, atol=1e-12)
 
     def test_symmetric_psd_with_constant_null_space(self):
-        q = build_igmrf_precision(4, 5).to_dense()
+        q = build_igmrf_precision(4, 5).matrix.toarray()
         np.testing.assert_array_equal(q, q.T)
         eigs = np.linalg.eigvalsh(q)
         assert eigs.min() > -1e-10
@@ -132,8 +132,8 @@ class TestHigmrfPrecision:
 
     def test_all_spots_reduces_to_igmrf(self):
         mask = SpotMask(3, 3, np.ones(9, dtype=np.int8))
-        q_het = build_higmrf_precision(3, 3, mask, LatticeWeights(50.0)).to_dense()
-        q_hom = build_igmrf_precision(3, 3).to_dense()
+        q_het = build_higmrf_precision(3, 3, mask, LatticeWeights(50.0)).matrix.toarray()
+        q_hom = build_igmrf_precision(3, 3).matrix.toarray()
         np.testing.assert_array_equal(q_het, q_hom)
 
     def test_matches_dense_oracle_random_masks(self):
@@ -146,19 +146,19 @@ class TestHigmrfPrecision:
             d = dense_difference_oracle(n1, n2, mask2d, lam)
             q = build_higmrf_precision(
                 n1, n2, SpotMask.from_2d(mask2d), LatticeWeights(lam)
-            ).to_dense()
+            ).matrix.toarray()
             np.testing.assert_allclose(q, d.T @ d, atol=1e-12)
 
     def test_rows_sum_to_zero(self):
         rng = np.random.default_rng(7)
         mask = SpotMask.from_2d(rng.integers(0, 2, size=(4, 4)).astype(np.int8))
-        q = build_higmrf_precision(4, 4, mask, LatticeWeights(50.0)).to_dense()
+        q = build_higmrf_precision(4, 4, mask, LatticeWeights(50.0)).matrix.toarray()
         np.testing.assert_allclose(q.sum(axis=1), 0.0, atol=1e-10)
 
     def test_background_coupling_grows_with_lam(self):
         mask = SpotMask.zeros(3, 3)
-        q1 = build_higmrf_precision(3, 3, mask, LatticeWeights(10.0)).to_dense()
-        q2 = build_higmrf_precision(3, 3, mask, LatticeWeights(100.0)).to_dense()
+        q1 = build_higmrf_precision(3, 3, mask, LatticeWeights(10.0)).matrix.toarray()
+        q2 = build_higmrf_precision(3, 3, mask, LatticeWeights(100.0)).matrix.toarray()
         assert q2[0, 0] > q1[0, 0]
 
     def test_mask_shape_mismatch(self):
@@ -171,11 +171,6 @@ class TestHigmrfPrecision:
 
 
 class TestPrecisionMatrix:
-    def test_dense_conversion_refused_above_limit(self):
-        big = PrecisionMatrix(sparse.identity(4097, format="csr"))
-        with pytest.raises(ValueError):
-            big.to_dense()
-
     def test_quad_form_near_zero_for_constant_field(self):
         q = build_igmrf_precision(3, 3)
         assert 0.0 <= q.quad_form(np.full(9, 3.7)) < 1e-10
@@ -189,4 +184,5 @@ class TestPrecisionMatrix:
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            PrecisionMatrix(sparse.csr_matrix(np.ones((2, 3))))
+            PrecisionMatrix(sparse.csr_matrix(np.ones((2, 3))),
+                            d_op=sparse.csr_matrix(np.ones((2, 2))))

@@ -1,17 +1,9 @@
-"""Tests for the trend design, hyper-parameters and the rank-3 inverse."""
+"""Tests for the trend design and hyper-parameters."""
 
 import numpy as np
 import pytest
 
-from smfdenoise.lattice import build_igmrf_precision
-from smfdenoise.model import (
-    HyperParams,
-    NoiseParams,
-    log_prior_field,
-    make_design,
-    phi_inverse_apply,
-    trend_gram,
-)
+from smfdenoise.model import HyperParams, NoiseParams, make_design
 
 
 class TestHyperParams:
@@ -68,51 +60,3 @@ class TestNoiseParams:
         with pytest.raises(ValueError):
             NoiseParams(kappa_l=1.0, kappa_f=np.inf)
 
-
-class TestPhiInverse:
-    def test_matches_dense_inverse(self):
-        # Phi = kappa_l^-1 I + Z Q_gamma^-1 Z^T, applied inverse vs numpy.
-        design = make_design(4, 5)
-        z = design.matrix
-        kappa_l, gp = 3.0, 0.7
-        phi = np.eye(20) / kappa_l + z @ z.T / gp
-        rng = np.random.default_rng(1)
-        v = rng.standard_normal(20)
-        expected = np.linalg.solve(phi, v)
-        np.testing.assert_allclose(
-            phi_inverse_apply(v, kappa_l, design, gp), expected, atol=1e-8
-        )
-
-    def test_trend_gram_value(self):
-        design = make_design(2, 2)
-        z = design.matrix
-        m = trend_gram(design, 2.0, 0.5)
-        np.testing.assert_allclose(m, 0.5 * np.eye(3) + 2.0 * z.T @ z)
-
-    def test_rejects_bad_kappa(self):
-        design = make_design(2, 2)
-        with pytest.raises(ValueError):
-            phi_inverse_apply(np.zeros(4), 0.0, design, 1.0)
-
-    def test_rejects_length_mismatch(self):
-        design = make_design(2, 2)
-        with pytest.raises(ValueError):
-            phi_inverse_apply(np.zeros(5), 1.0, design, 1.0)
-
-
-class TestLogPriorField:
-    def test_constant_field_has_zero_energy(self):
-        q = build_igmrf_precision(3, 3)
-        assert log_prior_field(np.full(9, 2.0), q, 5.0) == 0.0
-
-    def test_matches_quadratic_form(self):
-        q = build_igmrf_precision(2, 3)
-        rng = np.random.default_rng(2)
-        f = rng.standard_normal(6)
-        expected = -0.5 * 4.0 * f @ (q.to_dense() @ f)
-        np.testing.assert_allclose(log_prior_field(f, q, 4.0), expected, rtol=1e-12)
-
-    def test_rejects_size_mismatch(self):
-        q = build_igmrf_precision(2, 2)
-        with pytest.raises(ValueError):
-            log_prior_field(np.zeros(5), q, 1.0)

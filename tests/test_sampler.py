@@ -16,7 +16,6 @@ from smfdenoise.sampler import (
     IGMRF,
     denoise,
     get_binary_image,
-    sample_field,
     sample_field_given_gamma,
     sample_gamma,
     sample_kappas,
@@ -28,22 +27,6 @@ class ZeroRng:
 
     def standard_normal(self, n):
         return np.zeros(n)
-
-
-def dense_phi_inverse(n, kappa_l, design, gp):
-    z = design.matrix
-    phi = np.eye(n) / kappa_l + z @ z.T / gp
-    return np.linalg.inv(phi)
-
-
-def dense_field_posterior(y, noise, precision, design, gp):
-    """Oracle (mu*, Sigma*) of the trend-marginalized field conditional."""
-    n = y.size
-    phi_inv = dense_phi_inverse(n, noise.kappa_l, design, gp)
-    p = phi_inv + noise.kappa_f * precision.to_dense()
-    sigma = np.linalg.inv(p)
-    mu = sigma @ (phi_inv @ y)
-    return mu, sigma
 
 
 class TestSampleGamma:
@@ -107,60 +90,6 @@ class TestSampleKappas:
         assert abs(draws.mean() - expected) / expected < 0.02
 
 
-class TestSampleField:
-    def setup_method(self):
-        self.design = make_design(3, 3)
-        self.precision = build_igmrf_precision(3, 3)
-        rng = np.random.default_rng(12)
-        self.y = rng.standard_normal(9)
-        self.noise = NoiseParams(kappa_l=1.0, kappa_f=1.0)
-        self.gp = 1.0
-
-    def test_mean_matches_dense_oracle(self):
-        mu, _ = dense_field_posterior(self.y, self.noise, self.precision,
-                                      self.design, self.gp)
-        got = sample_field(self.y, self.noise, self.precision, self.design,
-                           self.gp, ZeroRng(), method="dense")
-        np.testing.assert_allclose(got, mu, atol=1e-8)
-
-    def test_sparse_path_mean_matches_dense_path(self):
-        mu_dense = sample_field(self.y, self.noise, self.precision, self.design,
-                                self.gp, ZeroRng(), method="dense")
-        mu_sparse = sample_field(self.y, self.noise, self.precision, self.design,
-                                 self.gp, ZeroRng(), method="sparse")
-        np.testing.assert_allclose(mu_sparse, mu_dense, atol=1e-8)
-
-    def test_vanishing_field_precision_returns_data(self):
-        noise = NoiseParams(kappa_l=1.0, kappa_f=1e-12)
-        got = sample_field(self.y, noise, self.precision, self.design,
-                           self.gp, ZeroRng())
-        np.testing.assert_allclose(got, self.y, atol=1e-6)
-
-    def test_deterministic_under_fixed_seed(self):
-        a = sample_field(self.y, self.noise, self.precision, self.design,
-                         self.gp, np.random.default_rng(9))
-        b = sample_field(self.y, self.noise, self.precision, self.design,
-                         self.gp, np.random.default_rng(9))
-        np.testing.assert_array_equal(a, b)
-
-    def test_sparse_draw_covariance(self):
-        _, sigma = dense_field_posterior(self.y, self.noise, self.precision,
-                                         self.design, self.gp)
-        rng = np.random.default_rng(13)
-        draws = np.array([
-            sample_field(self.y, self.noise, self.precision, self.design,
-                         self.gp, rng, method="sparse")
-            for _ in range(8000)
-        ])
-        err = np.linalg.norm(np.cov(draws.T) - sigma) / np.linalg.norm(sigma)
-        assert err < 0.05
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            sample_field(self.y, self.noise, self.precision, self.design,
-                         self.gp, ZeroRng(), method="magic")
-
-
 class TestSampleFieldGivenGamma:
     def test_mean_matches_dense_solve(self):
         design = make_design(3, 3)
@@ -169,7 +98,7 @@ class TestSampleFieldGivenGamma:
         rng = np.random.default_rng(14)
         y = rng.standard_normal(9)
         gamma = rng.standard_normal(3) * 0.1
-        a = noise.kappa_l * np.eye(9) + noise.kappa_f * precision.to_dense()
+        a = noise.kappa_l * np.eye(9) + noise.kappa_f * precision.matrix.toarray()
         expected = np.linalg.solve(a, noise.kappa_l * (y - design.matrix @ gamma))
         got = sample_field_given_gamma(y, gamma, noise, precision, design, ZeroRng())
         np.testing.assert_allclose(got, expected, atol=1e-10)
@@ -179,7 +108,7 @@ class TestSampleFieldGivenGamma:
         precision = build_igmrf_precision(2, 2)
         noise = NoiseParams(kappa_l=2.0, kappa_f=1.5)
         y = np.array([0.3, -0.2, 0.1, 0.4])
-        a = noise.kappa_l * np.eye(4) + noise.kappa_f * precision.to_dense()
+        a = noise.kappa_l * np.eye(4) + noise.kappa_f * precision.matrix.toarray()
         sigma = np.linalg.inv(a)
         rng = np.random.default_rng(15)
         draws = np.array([
