@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .lattice import Raster
 
@@ -57,10 +56,36 @@ def gaussian_kernel(sigma: float, size: int) -> np.ndarray:
     return g / g.sum()
 
 
+def _weighted_window_sums(xp: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """sum over (a, b) of k[a, b] * xp[a:a + m1, b:b + m2] for every window of
+    xp that lies inside it.  For a symmetric k on an edge-padded image this is
+    the convolution with edge-replicated borders."""
+    m1 = xp.shape[0] - k.shape[0] + 1
+    m2 = xp.shape[1] - k.shape[1] + 1
+    out = np.zeros((m1, m2))
+    for a in range(k.shape[0]):
+        for b in range(k.shape[1]):
+            out += k[a, b] * xp[a:a + m1, b:b + m2]
+    return out
+
+
+def _box_sums(xp: np.ndarray, size: int) -> np.ndarray:
+    """Sums of xp over every size x size window that lies inside it."""
+    m1 = xp.shape[0] - size + 1
+    m2 = xp.shape[1] - size + 1
+    rows = xp[:m1].copy()
+    for a in range(1, size):
+        rows += xp[a:a + m1]
+    out = rows[:, :m2].copy()
+    for b in range(1, size):
+        out += rows[:, b:b + m2]
+    return out
+
+
 def gaussian_filter(y: Raster, sigma: float = 1.0, size: int = 5) -> Raster:
     """Convolution with a normalized Gaussian kernel, edge-replicated borders."""
     k = gaussian_kernel(sigma, size)
-    out = ndimage.convolve(y.to_2d(), k, mode="nearest")
+    out = _weighted_window_sums(np.pad(y.to_2d(), size // 2, mode="edge"), k)
     return Raster.from_2d(out)
 
 
@@ -68,7 +93,7 @@ def average_filter(y: Raster, size: int = 3) -> Raster:
     """Convolution with a uniform kernel, edge-replicated borders."""
     _check_odd(size)
     k = np.full((size, size), 1.0 / (size * size))
-    out = ndimage.convolve(y.to_2d(), k, mode="nearest")
+    out = _weighted_window_sums(np.pad(y.to_2d(), size // 2, mode="edge"), k)
     return Raster.from_2d(out)
 
 
@@ -82,8 +107,9 @@ def wiener_filter(y: Raster, size: int = 5) -> Raster:
     """
     _check_odd(size)
     x = y.to_2d()
-    mu = ndimage.uniform_filter(x, size, mode="nearest")
-    m2 = ndimage.uniform_filter(x * x, size, mode="nearest")
+    xp = np.pad(x, size // 2, mode="edge")
+    mu = _box_sums(xp, size) / (size * size)
+    m2 = _box_sums(xp * xp, size) / (size * size)
     var = np.maximum(m2 - mu * mu, 0.0)
     floor = var.mean()
     denom = np.maximum(var, floor)
@@ -120,8 +146,7 @@ def nlm_filter(y: Raster, patch: int = 5, search: int = 11, h: float = 0.1) -> R
         for dc in range(-sh, sh + 1):
             shifted = xp[sh + dr:sh + dr + n1 + 2 * ph, sh + dc:sh + dc + n2 + 2 * ph]
             diff2 = (base - shifted) ** 2
-            ssd = ndimage.uniform_filter(diff2, patch, mode="constant")[ph:ph + n1, ph:ph + n2]
-            ssd *= patch * patch
+            ssd = _box_sums(diff2, patch)
             w = np.exp(-ssd / h2)
             num += w * shifted[ph:ph + n1, ph:ph + n2]
             den += w

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -15,7 +14,7 @@ from .fileio import read_raster_csv, write_raster_csv
 from .lattice import Raster
 from .model import HyperParams
 from .sampler import HIGMRF, IGMRF, denoise
-from .synth import SynthConfig, SynthPair, generate_corpus
+from .synth import SynthPair
 
 __all__ = [
     "UnknownMethodError",

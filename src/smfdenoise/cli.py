@@ -2,7 +2,7 @@
 
 Subcommands: synth (corpus generation), denoise, bench, diagnose.  Exit
 codes: 0 ok, 2 usage or bad configuration, 3 I/O failure, 4 missing external
-data, 5 not converged, 6 degenerate traces.
+data, 5 not converged, 6 degenerate traces, 7 numerical failure in the sampler.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .diagnostics import (
 )
 from .fileio import load_raster, write_raster_csv
 from .lattice import Raster
-from .sampler import HIGMRF, IGMRF, denoise
+from .sampler import HIGMRF, IGMRF, SamplerNumericalError, denoise
 from .synth import generate_corpus
 
 EXIT_OK = 0
@@ -32,6 +32,7 @@ EXIT_IO = 3
 EXIT_MISSING = 4
 EXIT_NOT_CONVERGED = 5
 EXIT_DEGENERATE = 6
+EXIT_NUMERICAL = 7
 
 
 def _err(msg: str) -> None:
@@ -103,7 +104,11 @@ def cmd_denoise(args) -> int:
         y = Raster.from_2d(y.to_2d()[r0:r0 + h, c0:c0 + w])
     if _too_small(y):
         return EXIT_USAGE
-    result = denoise(y, hp, variant=args.variant)
+    try:
+        result = denoise(y, hp, variant=args.variant)
+    except SamplerNumericalError as exc:
+        _err(str(exc))
+        return EXIT_NUMERICAL
     echo = effective_config_lines(hp, fc, sc) + [f"variant={args.variant}"]
     try:
         write_raster_csv(args.out_mean, result.posterior_mean, echo)
@@ -151,6 +156,9 @@ def cmd_bench(args) -> int:
     except bench_mod.MissingExternalError as exc:
         _err(str(exc))
         return EXIT_MISSING
+    except SamplerNumericalError as exc:
+        _err(str(exc))
+        return EXIT_NUMERICAL
     try:
         bench_mod.write_report(args.report, rows, methods,
                                effective_config_lines(hp, fc, sc))
@@ -180,7 +188,11 @@ def cmd_diagnose(args) -> int:
     kf_traces = []
     for c in range(args.chains):
         hp_c = type(hp)(**{**hp.__dict__, "seed": hp.seed + c})
-        res = denoise(y, hp_c, variant=args.variant)
+        try:
+            res = denoise(y, hp_c, variant=args.variant)
+        except SamplerNumericalError as exc:
+            _err(str(exc))
+            return EXIT_NUMERICAL
         post = res.theta_trace[hp.burn_in:]
         kl_traces.append(post[:, 0])
         kf_traces.append(post[:, 1])

@@ -10,6 +10,7 @@ another background pixel carry weight ``lam`` (> 1), all others weight 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -141,50 +142,101 @@ def neighbors(i: int, j: int, n1: int, n2: int) -> list[tuple[int, int]]:
     ]
 
 
-def _neighbor_pairs(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
-    """All directed (center, neighbour) flat-index pairs of the 4-neighbour stencil."""
-    idx = np.arange(n1 * n2).reshape(n1, n2)
-    centers = []
-    neighbs = []
-    # vertical pairs, both directions
-    centers.append(idx[:-1, :].ravel())
-    neighbs.append(idx[1:, :].ravel())
-    centers.append(idx[1:, :].ravel())
-    neighbs.append(idx[:-1, :].ravel())
-    # horizontal pairs, both directions
-    centers.append(idx[:, :-1].ravel())
-    neighbs.append(idx[:, 1:].ravel())
-    centers.append(idx[:, 1:].ravel())
-    neighbs.append(idx[:, :-1].ravel())
-    return np.concatenate(centers), np.concatenate(neighbs)
+# The entries of row r of D, in column order: up, left, r itself, right, down.
+_SLOTS = ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0))
+_SELF = 2
 
 
-def _difference_from_weights(n: int, centers: np.ndarray, neighbs: np.ndarray,
-                             w: np.ndarray) -> sparse.csr_matrix:
-    # Row m of D: +w on each neighbour, -(sum of w) on the diagonal.
-    diag = np.zeros(n)
-    np.add.at(diag, centers, w)
-    rows = np.concatenate([centers, np.arange(n)])
-    cols = np.concatenate([neighbs, np.arange(n)])
-    vals = np.concatenate([w, -diag])
-    return sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+class _Stencil:
+    """Fixed sparsity pattern of D and of Q = D^T D on one n1 x n2 lattice.
+
+    Only the edge weights change between builds, so the index arrays are
+    computed once per lattice and each build fills in values.  The arrays are
+    read-only because every D and Q of the lattice shares them.
+    """
+
+    def __init__(self, n1: int, n2: int):
+        n = n1 * n2
+        i, j = np.divmod(np.arange(n), n2)
+        cols = np.full((n, len(_SLOTS)), -1)
+        for s, (di, dj) in enumerate(_SLOTS):
+            ok = (i + di >= 0) & (i + di < n1) & (j + dj >= 0) & (j + dj < n2)
+            cols[ok, s] = (i[ok] + di) * n2 + j[ok] + dj
+        valid = cols >= 0
+        pos = np.full(cols.shape, -1)
+        pos[valid] = np.arange(np.count_nonzero(valid))  # index into D's data
+
+        self.n = n
+        self.d_indices = cols[valid]
+        self.d_indptr = np.concatenate([[0], np.cumsum(valid.sum(axis=1))])
+        off = valid.copy()
+        off[:, _SELF] = False
+        self.edge_pos = pos[off]
+        self.edge_row = np.nonzero(off)[0]
+        self.edge_col = cols[off]
+        self.diag_pos = pos[:, _SELF]
+
+        # Q[a, b] = sum_r D[r, a] D[r, b]: each pair of slots s <= t of row r
+        # adds one product to the upper-triangle entry (cols[r, s], cols[r, t]).
+        left, right, keys = [], [], []
+        for s in range(len(_SLOTS)):
+            for t in range(s, len(_SLOTS)):
+                r = np.flatnonzero(valid[:, s] & valid[:, t])
+                left.append(pos[r, s])
+                right.append(pos[r, t])
+                keys.append(cols[r, s] * n + cols[r, t])
+        self.prod_left = np.concatenate(left)
+        self.prod_right = np.concatenate(right)
+        upper, self.prod_entry = np.unique(np.concatenate(keys), return_inverse=True)
+        self.n_upper = upper.size
+        # Q[a, b] and Q[b, a] both read the sum of entry (a, b), so Q is
+        # symmetric bit for bit.
+        a, b = np.divmod(upper, n)
+        below = np.flatnonzero(a < b)
+        rows = np.concatenate([a, b[below]])
+        qcols = np.concatenate([b, a[below]])
+        entry = np.concatenate([np.arange(upper.size), below])
+        order = np.lexsort((qcols, rows))
+        self.q_entry = entry[order]
+        self.q_indices = qcols[order]
+        self.q_indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+
+        # scipy and SuperLU take 32-bit sparse indices without a copy
+        for name in ("d_indices", "d_indptr", "q_indices", "q_indptr"):
+            setattr(self, name, getattr(self, name).astype(np.int32))
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+
+    def difference(self, w: np.ndarray) -> sparse.csr_matrix:
+        """D with weight ``w[e]`` on edge e (``edge_row`` -> ``edge_col``)
+        and minus the row's weight sum on the diagonal."""
+        data = np.empty(self.d_indices.size)
+        data[self.edge_pos] = w
+        data[self.diag_pos] = -np.bincount(self.edge_row, weights=w, minlength=self.n)
+        return sparse.csr_matrix((data, self.d_indices, self.d_indptr), shape=(self.n, self.n))
+
+    def precision(self, d_op: sparse.csr_matrix) -> PrecisionMatrix:
+        """Q = D^T D for a D built by ``difference``."""
+        d = d_op.data
+        sums = np.bincount(self.prod_entry, weights=d[self.prod_left] * d[self.prod_right],
+                           minlength=self.n_upper)
+        q = sparse.csr_matrix((sums[self.q_entry], self.q_indices, self.q_indptr),
+                              shape=(self.n, self.n))
+        return PrecisionMatrix(q, d_op=d_op)
 
 
-def _precision_from_difference(d_op: sparse.csr_matrix) -> PrecisionMatrix:
-    q = (d_op.T @ d_op).tocsr()
-    # enforce bit-exact symmetry of stored entries
-    q = ((q + q.T) * 0.5).tocsr()
-    q.sum_duplicates()
-    return PrecisionMatrix(q, d_op=d_op)
+@lru_cache(maxsize=8)
+def _stencil(n1: int, n2: int) -> _Stencil:
+    if n1 * n2 < 2:
+        raise ValueError("lattice must have at least 2 pixels")
+    return _Stencil(n1, n2)
 
 
 def igmrf_difference(n1: int, n2: int) -> sparse.csr_matrix:
     """Unweighted first-order difference operator D on an n1 x n2 lattice."""
-    if n1 * n2 < 2:
-        raise ValueError("lattice must have at least 2 pixels")
-    centers, neighbs = _neighbor_pairs(n1, n2)
-    w = np.ones(centers.size)
-    return _difference_from_weights(n1 * n2, centers, neighbs, w)
+    st = _stencil(n1, n2)
+    return st.difference(np.ones(st.edge_pos.size))
 
 
 def higmrf_difference(n1: int, n2: int, mask: SpotMask,
@@ -195,25 +247,22 @@ def higmrf_difference(n1: int, n2: int, mask: SpotMask,
     the difference towards a background neighbour has weight lam, towards a
     spot neighbour weight 1.
     """
-    if n1 * n2 < 2:
-        raise ValueError("lattice must have at least 2 pixels")
     if (mask.n1, mask.n2) != (n1, n2):
         raise ValueError(
             f"mask is {mask.n1}x{mask.n2}, lattice is {n1}x{n2}"
         )
-    centers, neighbs = _neighbor_pairs(n1, n2)
+    st = _stencil(n1, n2)
     e = mask.data
-    w = np.where(e[centers] == 1, 1.0,
-                 np.where(e[neighbs] == 0, weights.lam, 1.0))
-    return _difference_from_weights(n1 * n2, centers, neighbs, w)
+    background = (e[st.edge_row] == 0) & (e[st.edge_col] == 0)
+    return st.difference(np.where(background, weights.lam, 1.0))
 
 
 def build_igmrf_precision(n1: int, n2: int) -> PrecisionMatrix:
     """Q = D^T D for the homogeneous first-order prior."""
-    return _precision_from_difference(igmrf_difference(n1, n2))
+    return _stencil(n1, n2).precision(igmrf_difference(n1, n2))
 
 
 def build_higmrf_precision(n1: int, n2: int, mask: SpotMask,
                            weights: LatticeWeights) -> PrecisionMatrix:
     """Q = D^T D for the mask-weighted heterogeneous prior."""
-    return _precision_from_difference(higmrf_difference(n1, n2, mask, weights))
+    return _stencil(n1, n2).precision(higmrf_difference(n1, n2, mask, weights))

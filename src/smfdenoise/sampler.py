@@ -31,6 +31,8 @@ __all__ = [
     "sample_gamma",
     "sample_kappas",
     "sample_field_given_gamma",
+    "SpectralSolver",
+    "SuperLUSolver",
     "get_binary_image",
     "denoise",
 ]
@@ -87,26 +89,83 @@ def sample_kappas(y: np.ndarray, f: np.ndarray, gamma: np.ndarray, design: Desig
     return NoiseParams(kappa_l=kappa_l, kappa_f=kappa_f)
 
 
+def _path_laplacian(n: int) -> np.ndarray:
+    """Graph Laplacian of a path of n pixels (free ends)."""
+    adj = np.diag(np.ones(n - 1), 1)
+    adj += adj.T
+    return np.diag(adj.sum(axis=1)) - adj
+
+
+class SpectralSolver:
+    """Exact solve of A x = b, A = kappa_l I + kappa_f Q, for the homogeneous Q.
+
+    That Q is L^2, where L = L1 (x) I + I (x) L2 is the free-boundary grid
+    Laplacian and L1, L2 are the Laplacians of the lattice's two paths.  The
+    product of their eigenbases U1, U2 (the DCT-II basis; Rue & Held 2005,
+    section 2.6) diagonalizes Q with eigenvalues (l1_i + l2_j)^2, so a solve is
+    two small matmuls in, one division and two matmuls out, with no factor.
+    """
+
+    def __init__(self, n1: int, n2: int):
+        l1, self._u1 = np.linalg.eigh(_path_laplacian(n1))
+        l2, self._u2 = np.linalg.eigh(_path_laplacian(n2))
+        self._q_eigs = (l1[:, None] + l2[None, :]) ** 2
+
+    def solve(self, precision: PrecisionMatrix, noise: NoiseParams,
+              b: np.ndarray) -> np.ndarray:
+        """Solve for the homogeneous ``precision`` of this lattice; its
+        values are known in closed form, so they are not read."""
+        c = self._u1.T @ b.reshape(self._q_eigs.shape) @ self._u2
+        c /= noise.kappa_l + noise.kappa_f * self._q_eigs
+        return (self._u1 @ c @ self._u2.T).ravel()
+
+
+class SuperLUSolver:
+    """Sparse direct solve of A x = b, A = kappa_l I + kappa_f Q, for any Q.
+
+    A is symmetric positive definite, so SuperLU orders on A + A^T and keeps
+    the diagonal pivots.  Every Q of one lattice has the same sparsity
+    pattern, so the diagonal's positions are read once, from the chain's
+    first precision.
+    """
+
+    def __init__(self, precision: PrecisionMatrix):
+        q = precision.matrix
+        rows = np.repeat(np.arange(precision.n), np.diff(q.indptr))
+        self._diag = np.flatnonzero(q.indices == rows)
+
+    def solve(self, precision: PrecisionMatrix, noise: NoiseParams,
+              b: np.ndarray) -> np.ndarray:
+        q = precision.matrix
+        data = noise.kappa_f * q.data
+        data[self._diag] += noise.kappa_l
+        # Q is symmetric, so its CSR arrays are also its CSC arrays.
+        a = sparse.csc_matrix((data, q.indices, q.indptr), shape=q.shape)
+        try:
+            lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                      options={"SymmetricMode": True})
+        except RuntimeError as exc:
+            raise SamplerNumericalError("sparse factorization failed", precision.n, noise) from exc
+        return lu.solve(b)
+
+
 def sample_field_given_gamma(y: np.ndarray, gamma: np.ndarray, noise: NoiseParams,
                              precision: PrecisionMatrix, design: DesignMatrix,
-                             rng: np.random.Generator) -> np.ndarray:
+                             rng: np.random.Generator,
+                             solver: SpectralSolver | SuperLUSolver) -> np.ndarray:
     """Draw the field conditional on the current trend draw.
 
     The Gaussian has precision A = kappa_l I + kappa_f Q and mean
-    A^-1 kappa_l (y - Z gamma).  A is sparse, so the draw uses a
-    perturbation solve with the difference operator.
+    A^-1 kappa_l (y - Z gamma).  The draw is one solve of A with a perturbed
+    right-hand side built from the difference operator (Papandreou & Yuille
+    2010); ``solver`` is the chain's solver for this lattice.
     """
     n = precision.n
-    a = (noise.kappa_f * precision.matrix + noise.kappa_l * sparse.identity(n)).tocsc()
-    try:
-        lu = splu(a)
-    except RuntimeError as exc:
-        raise SamplerNumericalError("sparse factorization failed", n, noise) from exc
     resid = noise.kappa_l * (y - design.matrix @ gamma)
     xi1 = rng.standard_normal(n)
     xi2 = rng.standard_normal(n)
     perturb = np.sqrt(noise.kappa_l) * xi1 + np.sqrt(noise.kappa_f) * (precision.d_op.T @ xi2)
-    return lu.solve(resid + perturb)
+    return solver.solve(precision, noise, resid + perturb)
 
 
 def _clipped_window_sums(x: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,6 +236,7 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
     weights = LatticeWeights(hp.lam)
     mask = SpotMask.zeros(n1, n2)
     precision = build_igmrf_precision(n1, n2)
+    solver = SpectralSolver(n1, n2) if variant == IGMRF else SuperLUSolver(precision)
 
     f = yn.copy()
     noise = NoiseParams(kappa_l=hp.alpha_l * hp.beta_l, kappa_f=hp.alpha_f * hp.beta_f)
@@ -188,7 +248,7 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
     for t in range(1, hp.n_iter + 1):
         gamma = sample_gamma(yn, f, noise.kappa_l, design, hp.gamma_precision, rng)
         noise = sample_kappas(yn, f, gamma, design, precision, hp, rng)
-        f = sample_field_given_gamma(yn, gamma, noise, precision, design, rng)
+        f = sample_field_given_gamma(yn, gamma, noise, precision, design, rng, solver)
         if variant == HIGMRF:
             mask = get_binary_image(Raster(n1, n2, f), hp.h, hp.window)
             precision = build_higmrf_precision(n1, n2, mask, weights)

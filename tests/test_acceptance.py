@@ -26,6 +26,8 @@ from smfdenoise.lattice import (
 from smfdenoise.metrics import kld, psnr, rmse, ssim
 from smfdenoise.model import HyperParams, NoiseParams, make_design
 from smfdenoise.sampler import (
+    SpectralSolver,
+    SuperLUSolver,
     denoise,
     get_binary_image,
     sample_field_given_gamma,
@@ -145,6 +147,29 @@ class TestCriterion3PrecisionOracle:
                        f"all-spot == homogeneous: {igmrf_match}")
 
 
+def field_draw_moments(y, precision, solver, rng, m_draws=10000):
+    """Field draws at a fixed gamma against the dense conditional the chain
+    draws from, N(A^-1 kappa_l (y - Z gamma), A^-1) with
+    A = kappa_l I + kappa_f Q: (mean within 3 SE, max z, covariance error)."""
+    n1 = n2 = 4
+    n = n1 * n2
+    design = make_design(n1, n2)
+    noise = NoiseParams(kappa_l=2.0, kappa_f=1.0)
+    gamma0 = np.array([0.4, -0.3, 0.2])
+    a = noise.kappa_l * np.eye(n) + noise.kappa_f * precision.matrix.toarray()
+    sigma = np.linalg.inv(a)
+    mu = sigma @ (noise.kappa_l * (y - design.matrix @ gamma0))
+    draws = np.array([
+        sample_field_given_gamma(y, gamma0, noise, precision, design, rng, solver)
+        for _ in range(m_draws)
+    ])
+    se = np.sqrt(np.diag(sigma) / m_draws)
+    z_mean = float(np.abs(draws.mean(axis=0) - mu).max() / se.max())
+    mean_ok = bool(np.all(np.abs(draws.mean(axis=0) - mu) <= 3.0 * se))
+    cov_err = np.linalg.norm(np.cov(draws.T) - sigma) / np.linalg.norm(sigma)
+    return mean_ok, z_mean, cov_err
+
+
 class TestCriterion4ConditionalOracle:
     def test_gibbs_conditional_moments(self):
         n1 = n2 = 4
@@ -155,24 +180,12 @@ class TestCriterion4ConditionalOracle:
         gp = 1.0
         rng = np.random.default_rng(71)
         y = rng.standard_normal(n)
-
-        # dense oracle for the field conditional the chain draws from:
-        # N(A^-1 kappa_l (y - Z gamma), A^-1) with A = kappa_l I + kappa_f Q
         z = design.matrix
-        gamma0 = np.array([0.4, -0.3, 0.2])
-        a = noise.kappa_l * np.eye(n) + noise.kappa_f * precision.matrix.toarray()
-        sigma = np.linalg.inv(a)
-        mu = sigma @ (noise.kappa_l * (y - z @ gamma0))
-
         m_draws = 10000
-        draws = np.array([
-            sample_field_given_gamma(y, gamma0, noise, precision, design, rng)
-            for _ in range(m_draws)
-        ])
-        se = np.sqrt(np.diag(sigma) / m_draws)
-        z_mean = float(np.abs(draws.mean(axis=0) - mu).max() / se.max())
-        mean_ok = np.all(np.abs(draws.mean(axis=0) - mu) <= 3.0 * se)
-        cov_err = np.linalg.norm(np.cov(draws.T) - sigma) / np.linalg.norm(sigma)
+
+        # homogeneous field conditional, on the solver igmrf chains use
+        mean_ok, z_mean, cov_err = field_draw_moments(
+            y, precision, SpectralSolver(n1, n2), rng, m_draws)
 
         # trend-coefficient conditional
         f = rng.standard_normal(n) * 0.3
@@ -203,6 +216,19 @@ class TestCriterion4ConditionalOracle:
                 f"field mean max-z={z_mean:.2f} (<=3), cov err {cov_err:.3f} (<0.05); "
                 f"trend cov err {g_cov_err:.3f}; kappa means off by "
                 f"{kl_err:.3%}/{kf_err:.3%} (<2%)")
+
+    def test_heterogeneous_field_conditional(self):
+        # the field conditional higmrf chains draw from, on their solver
+        rng = np.random.default_rng(74)
+        mask = SpotMask.from_2d(rng.integers(0, 2, size=(4, 4)).astype(np.int8))
+        precision = build_higmrf_precision(4, 4, mask, LatticeWeights(50.0))
+        y = rng.standard_normal(16)
+        mean_ok, z_mean, cov_err = field_draw_moments(
+            y, precision, SuperLUSolver(precision), rng)
+        ok = mean_ok and cov_err < 0.05
+        verdict(4, ok,
+                f"heterogeneous field ({int(mask.data.sum())}/16 spot pixels, lam=50): "
+                f"mean max-z={z_mean:.2f} (<=3), cov err {cov_err:.3f} (<0.05)")
 
 
 class TestCriterion5MetricGoldenValues:

@@ -1,11 +1,19 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import smfdenoise
+from smfdenoise import sampler
 from smfdenoise.cli import (
     EXIT_IO,
     EXIT_MISSING,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
     main,
@@ -168,3 +176,45 @@ class TestDiagnose:
         rc = main(["diagnose", "--input", noisy_csv, "--config", fast_cfg,
                    "--chains", "1", "--report", str(tmp_path / "r.csv")])
         assert rc == EXIT_USAGE
+
+
+class TestNumericalFailure:
+    @pytest.fixture(autouse=True)
+    def failing_factor(self, monkeypatch):
+        def splu(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+        monkeypatch.setattr(sampler, "splu", splu)
+
+    def check(self, rc, capsys):
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("smfdenoise: ")
+
+    def test_denoise(self, tmp_path, noisy_csv, fast_cfg, capsys):
+        rc = TestDenoise().run(tmp_path, noisy_csv, fast_cfg)
+        self.check(rc, capsys)
+
+    def test_bench(self, tmp_path, fast_cfg, capsys):
+        corpus = TestBench().make_corpus(tmp_path, fast_cfg)
+        capsys.readouterr()
+        rc = main(["bench", "--corpus", str(corpus), "--methods", "higmrf",
+                   "--config", fast_cfg, "--report", str(tmp_path / "r.csv")])
+        self.check(rc, capsys)
+
+    def test_diagnose(self, tmp_path, noisy_csv, fast_cfg, capsys):
+        rc = main(["diagnose", "--input", noisy_csv, "--config", fast_cfg,
+                   "--report", str(tmp_path / "r.csv")])
+        self.check(rc, capsys)
+
+
+def test_cli_import_skips_ndimage_and_fft():
+    # both cost start-up time on every CLI call and no CLI path needs them
+    src = str(Path(smfdenoise.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, smfdenoise.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.ndimage', 'scipy.fft'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -12,7 +12,6 @@ from smfdenoise.lattice import (
     build_higmrf_precision,
     build_igmrf_precision,
     higmrf_difference,
-    igmrf_difference,
     neighbors,
 )
 

@@ -14,6 +14,8 @@ from smfdenoise.model import HyperParams, NoiseParams, make_design
 from smfdenoise.sampler import (
     HIGMRF,
     IGMRF,
+    SpectralSolver,
+    SuperLUSolver,
     denoise,
     get_binary_image,
     sample_field_given_gamma,
@@ -90,33 +92,56 @@ class TestSampleKappas:
         assert abs(draws.mean() - expected) / expected < 0.02
 
 
+def random_mask_precision(n1, n2, seed):
+    rng = np.random.default_rng(seed)
+    mask = SpotMask.from_2d(rng.integers(0, 2, size=(n1, n2)).astype(np.int8))
+    return build_higmrf_precision(n1, n2, mask, LatticeWeights(50.0))
+
+
 class TestSampleFieldGivenGamma:
-    def test_mean_matches_dense_solve(self):
-        design = make_design(3, 3)
-        precision = build_igmrf_precision(3, 3)
+    def check_mean(self, n1, n2, precision, solver):
+        n = n1 * n2
+        design = make_design(n1, n2)
         noise = NoiseParams(kappa_l=2.0, kappa_f=0.5)
         rng = np.random.default_rng(14)
-        y = rng.standard_normal(9)
+        y = rng.standard_normal(n)
         gamma = rng.standard_normal(3) * 0.1
-        a = noise.kappa_l * np.eye(9) + noise.kappa_f * precision.matrix.toarray()
+        a = noise.kappa_l * np.eye(n) + noise.kappa_f * precision.matrix.toarray()
         expected = np.linalg.solve(a, noise.kappa_l * (y - design.matrix @ gamma))
-        got = sample_field_given_gamma(y, gamma, noise, precision, design, ZeroRng())
+        got = sample_field_given_gamma(y, gamma, noise, precision, design, ZeroRng(), solver)
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
-    def test_draw_covariance_is_inverse_system(self):
-        design = make_design(2, 2)
-        precision = build_igmrf_precision(2, 2)
+    def check_covariance(self, n1, n2, precision, solver):
+        n = n1 * n2
+        design = make_design(n1, n2)
         noise = NoiseParams(kappa_l=2.0, kappa_f=1.5)
-        y = np.array([0.3, -0.2, 0.1, 0.4])
-        a = noise.kappa_l * np.eye(4) + noise.kappa_f * precision.matrix.toarray()
+        y = np.linspace(-0.3, 0.4, n)
+        a = noise.kappa_l * np.eye(n) + noise.kappa_f * precision.matrix.toarray()
         sigma = np.linalg.inv(a)
         rng = np.random.default_rng(15)
         draws = np.array([
-            sample_field_given_gamma(y, np.zeros(3), noise, precision, design, rng)
+            sample_field_given_gamma(y, np.zeros(3), noise, precision, design, rng, solver)
             for _ in range(20000)
         ])
         err = np.linalg.norm(np.cov(draws.T) - sigma) / np.linalg.norm(sigma)
         assert err < 0.05
+
+    def test_mean_matches_dense_solve(self):
+        # spectral path, including single-row and single-column lattices
+        for n1, n2 in [(1, 5), (5, 1), (2, 2), (3, 7), (8, 8)]:
+            self.check_mean(n1, n2, build_igmrf_precision(n1, n2), SpectralSolver(n1, n2))
+
+    def test_superlu_mean_matches_dense_solve(self):
+        for n1, n2, seed in [(1, 5, 1), (4, 4, 2), (3, 7, 3), (8, 8, 4)]:
+            precision = random_mask_precision(n1, n2, seed)
+            self.check_mean(n1, n2, precision, SuperLUSolver(precision))
+
+    def test_draw_covariance_is_inverse_system(self):
+        self.check_covariance(2, 2, build_igmrf_precision(2, 2), SpectralSolver(2, 2))
+
+    def test_superlu_draw_covariance_is_inverse_system(self):
+        precision = random_mask_precision(2, 3, 8)
+        self.check_covariance(2, 3, precision, SuperLUSolver(precision))
 
 
 class TestGetBinaryImage:
@@ -233,6 +258,7 @@ class TestSweepStationarity:
                          gamma_precision=1.0)
         design = make_design(2, 2)
         precision = build_igmrf_precision(2, 2)
+        solver = SpectralSolver(2, 2)
         rng = np.random.default_rng(123)
         gamma = rng.standard_normal(3)
         noise = NoiseParams(rng.gamma(hp.alpha_l, hp.beta_l),
@@ -243,7 +269,7 @@ class TestSweepStationarity:
             y = design.matrix @ gamma + f + rng.standard_normal(4) / np.sqrt(noise.kappa_l)
             gamma = sample_gamma(y, f, noise.kappa_l, design, hp.gamma_precision, rng)
             noise = sample_kappas(y, f, gamma, design, precision, hp, rng)
-            f = sample_field_given_gamma(y, gamma, noise, precision, design, rng)
+            f = sample_field_given_gamma(y, gamma, noise, precision, design, rng, solver)
             kl.append(noise.kappa_l)
             kf.append(noise.kappa_f)
         kl_mean = np.mean(kl[1000:])
