@@ -14,26 +14,10 @@ from .baselines import (
     wiener_filter,
 )
 from .diagnostics import ConvergenceReport, TraceSet, convergence_report, psrf
-from .lattice import (
-    LatticeWeights,
-    PrecisionMatrix,
-    Raster,
-    SpotMask,
-    build_higmrf_precision,
-    build_igmrf_precision,
-    neighbors,
-)
+from .lattice import Raster, SpotMask
 from .metrics import MetricsReport, evaluate, kld, psnr, rmse, ssim
-from .model import DesignMatrix, HyperParams, NoiseParams, make_design
-from .sampler import (
-    HIGMRF,
-    IGMRF,
-    DenoiseResult,
-    denoise,
-    get_binary_image,
-    sample_gamma,
-    sample_kappas,
-)
+from .model import HyperParams, NoiseParams
+from .sampler import HIGMRF, IGMRF, DenoiseResult, denoise
 from .synth import SynthConfig, SynthPair, add_noise, generate_corpus, generate_truth
 
 __version__ = "0.1.0"

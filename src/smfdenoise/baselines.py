@@ -30,13 +30,13 @@ class FilterConfig:
 
     def validate(self):
         for name in ("gaussian_size", "average_size", "wiener_size", "nlm_patch", "nlm_search"):
-            v = getattr(self, name)
-            if v < 3 or v % 2 == 0:
-                raise ValueError(f"{name} must be odd and >= 3, got {v}")
+            _check_odd(getattr(self, name), name)
         for name in ("gaussian_sigma", "nlm_h"):
             v = getattr(self, name)
             if not (v > 0):
                 raise ValueError(f"{name} must be positive, got {v}")
+            if not np.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         return self
 
 
@@ -48,7 +48,7 @@ def _check_odd(size: int, name: str = "size"):
 def gaussian_kernel(sigma: float, size: int) -> np.ndarray:
     """Normalized sampled isotropic Gaussian on a size x size grid."""
     _check_odd(size)
-    if sigma <= 0:
+    if not (sigma > 0):
         raise ValueError(f"sigma must be positive, got {sigma}")
     half = size // 2
     ax = np.arange(-half, half + 1, dtype=np.float64)
@@ -129,7 +129,7 @@ def nlm_filter(y: Raster, patch: int = 5, search: int = 11, h: float = 0.1) -> R
     """
     _check_odd(patch, "patch")
     _check_odd(search, "search")
-    if h <= 0:
+    if not (h > 0):
         raise ValueError(f"h must be positive, got {h}")
     x = y.to_2d()
     n1, n2 = x.shape

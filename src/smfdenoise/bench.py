@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,6 @@ __all__ = [
     "run_method",
     "run_bench",
     "write_report",
-    "aggregate",
 ]
 
 BASELINE_METHODS = ("ga", "av", "wi", "nlm")
@@ -102,7 +101,7 @@ def run_method(method: str, noisy: Raster, hp: HyperParams, fc: FilterConfig) ->
     if method == "nlm":
         return baselines.nlm_filter(noisy, fc.nlm_patch, fc.nlm_search, fc.nlm_h)
     if method in SAMPLER_METHODS:
-        return denoise(noisy, replace(hp), variant=method).posterior_mean
+        return denoise(noisy, hp, variant=method).posterior_mean
     raise UnknownMethodError(f"unknown method {method!r}")
 
 
@@ -172,15 +171,3 @@ def write_report(path, rows: list[BenchRow], methods: list[str],
     lines.extend(std_lines)
     Path(path).write_text("\n".join(lines) + "\n")
 
-
-def aggregate(rows: list[BenchRow], method: str) -> dict[str, float]:
-    """Corpus means of each metric for one method."""
-    sub = [r for r in rows if r.method == method]
-    if not sub:
-        raise ValueError(f"no rows for method {method!r}")
-    return {
-        "rmse": float(np.mean([r.report.rmse for r in sub])),
-        "psnr_db": float(np.mean([r.report.psnr_db for r in sub])),
-        "kld": float(np.mean([r.report.kld for r in sub])),
-        "ssim": float(np.mean([r.report.ssim for r in sub])),
-    }

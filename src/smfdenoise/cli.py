@@ -2,13 +2,15 @@
 
 Subcommands: synth (corpus generation), denoise, bench, diagnose.  Exit
 codes: 0 ok, 2 usage or bad configuration, 3 I/O failure, 4 missing external
-data, 5 not converged, 6 degenerate traces, 7 numerical failure in the sampler.
+data, 5 not converged, 6 degenerate traces, 7 numerical failure in the sampler,
+8 a quality metric undefined for a bench output.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,9 @@ from .diagnostics import (
 )
 from .fileio import load_raster, write_raster_csv
 from .lattice import Raster
-from .sampler import HIGMRF, IGMRF, SamplerNumericalError, denoise
+from .metrics import MetricInstabilityError
+from .model import SamplerNumericalError
+from .sampler import HIGMRF, IGMRF, denoise
 from .synth import generate_corpus
 
 EXIT_OK = 0
@@ -33,6 +37,18 @@ EXIT_MISSING = 4
 EXIT_NOT_CONVERGED = 5
 EXIT_DEGENERATE = 6
 EXIT_NUMERICAL = 7
+EXIT_METRIC = 8
+
+# The exit code of each failure a command lets propagate; it is reported as
+# one "smfdenoise:" line.  No class here subclasses another.
+_EXIT_CODES = {
+    ConfigError: EXIT_USAGE,
+    bench_mod.UnknownMethodError: EXIT_USAGE,
+    bench_mod.MissingExternalError: EXIT_MISSING,
+    DegenerateTraceError: EXIT_DEGENERATE,
+    SamplerNumericalError: EXIT_NUMERICAL,
+    MetricInstabilityError: EXIT_METRIC,
+}
 
 
 def _err(msg: str) -> None:
@@ -47,11 +63,7 @@ def _load_configs(args):
 
 
 def cmd_synth(args) -> int:
-    try:
-        hp, fc, sc = _load_configs(args)
-    except ConfigError as exc:
-        _err(str(exc))
-        return EXIT_USAGE
+    hp, fc, sc = _load_configs(args)
     out_dir = Path(args.out)
     if not out_dir.is_dir():
         _err(f"output directory {out_dir} does not exist")
@@ -77,7 +89,8 @@ def _parse_crop(spec: str, n1: int, n2: int):
 
 
 def _too_small(y: Raster) -> bool:
-    """The field prior couples pixel pairs, so a lattice needs two pixels."""
+    """The field prior couples pixel pairs; a lone pixel has none and would
+    come back unchanged, so an input needs two pixels."""
     if y.n1 * y.n2 >= 2:
         return False
     _err(f"input is {y.n1}x{y.n2}; need at least 2 pixels")
@@ -85,11 +98,7 @@ def _too_small(y: Raster) -> bool:
 
 
 def cmd_denoise(args) -> int:
-    try:
-        hp, fc, sc = _load_configs(args)
-    except ConfigError as exc:
-        _err(str(exc))
-        return EXIT_USAGE
+    hp, fc, sc = _load_configs(args)
     try:
         y = load_raster(args.input)
     except (OSError, ValueError) as exc:
@@ -104,11 +113,7 @@ def cmd_denoise(args) -> int:
         y = Raster.from_2d(y.to_2d()[r0:r0 + h, c0:c0 + w])
     if _too_small(y):
         return EXIT_USAGE
-    try:
-        result = denoise(y, hp, variant=args.variant)
-    except SamplerNumericalError as exc:
-        _err(str(exc))
-        return EXIT_NUMERICAL
+    result = denoise(y, hp, variant=args.variant)
     echo = effective_config_lines(hp, fc, sc) + [f"variant={args.variant}"]
     try:
         write_raster_csv(args.out_mean, result.posterior_mean, echo)
@@ -134,11 +139,7 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        hp, fc, sc = _load_configs(args)
-    except ConfigError as exc:
-        _err(str(exc))
-        return EXIT_USAGE
+    hp, fc, sc = _load_configs(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         _err("no methods requested")
@@ -148,17 +149,7 @@ def cmd_bench(args) -> int:
     except (OSError, ValueError) as exc:
         _err(f"cannot read corpus: {exc}")
         return EXIT_IO
-    try:
-        rows = bench_mod.run_bench(pairs, methods, hp, fc)
-    except bench_mod.UnknownMethodError as exc:
-        _err(str(exc))
-        return EXIT_USAGE
-    except bench_mod.MissingExternalError as exc:
-        _err(str(exc))
-        return EXIT_MISSING
-    except SamplerNumericalError as exc:
-        _err(str(exc))
-        return EXIT_NUMERICAL
+    rows = bench_mod.run_bench(pairs, methods, hp, fc)
     try:
         bench_mod.write_report(args.report, rows, methods,
                                effective_config_lines(hp, fc, sc))
@@ -172,11 +163,7 @@ def cmd_diagnose(args) -> int:
     if args.chains < 2:
         _err("need at least 2 chains")
         return EXIT_USAGE
-    try:
-        hp, fc, sc = _load_configs(args)
-    except ConfigError as exc:
-        _err(str(exc))
-        return EXIT_USAGE
+    hp, fc, sc = _load_configs(args)
     try:
         y = load_raster(args.input)
     except (OSError, ValueError) as exc:
@@ -187,23 +174,14 @@ def cmd_diagnose(args) -> int:
     kl_traces = []
     kf_traces = []
     for c in range(args.chains):
-        hp_c = type(hp)(**{**hp.__dict__, "seed": hp.seed + c})
-        try:
-            res = denoise(y, hp_c, variant=args.variant)
-        except SamplerNumericalError as exc:
-            _err(str(exc))
-            return EXIT_NUMERICAL
+        res = denoise(y, replace(hp, seed=hp.seed + c), variant=args.variant)
         post = res.theta_trace[hp.burn_in:]
         kl_traces.append(post[:, 0])
         kf_traces.append(post[:, 1])
-    try:
-        report = convergence_report({
-            "kappa_l": TraceSet(np.array(kl_traces)),
-            "kappa_f": TraceSet(np.array(kf_traces)),
-        })
-    except DegenerateTraceError as exc:
-        _err(str(exc))
-        return EXIT_DEGENERATE
+    report = convergence_report({
+        "kappa_l": TraceSet(np.array(kl_traces)),
+        "kappa_f": TraceSet(np.array(kf_traces)),
+    })
     lines = [f"# {c}" for c in effective_config_lines(hp, fc, sc)]
     lines.append(f"# chains={args.chains} variant={args.variant} threshold={PSRF_THRESHOLD}")
     lines.append("parameter,psrf,converged")
@@ -262,9 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except tuple(_EXIT_CODES) as exc:
+        _err(str(exc))
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

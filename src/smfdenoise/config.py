@@ -74,7 +74,7 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _apply(obj, keymap, raw: dict[str, str], consumed: set[str]):
+def _apply(obj, keymap, raw: dict[str, str]):
     for key, sval in raw.items():
         if key not in keymap:
             continue
@@ -83,7 +83,6 @@ def _apply(obj, keymap, raw: dict[str, str], consumed: set[str]):
             setattr(obj, attr, typ(sval))
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: cannot parse {sval!r} as {typ.__name__}") from exc
-        consumed.add(key)
 
 
 def load_config(path=None, overrides: dict[str, str] | None = None,
@@ -104,13 +103,12 @@ def load_config(path=None, overrides: dict[str, str] | None = None,
         if key not in known:
             raise ConfigError(f"unknown configuration key {key!r}")
 
-    consumed: set[str] = set()
     hp = HyperParams()
     fc = FilterConfig()
     sc = SynthConfig()
-    _apply(hp, _HYPER_KEYS, raw, consumed)
-    _apply(fc, _FILTER_KEYS, raw, consumed)
-    _apply(sc, _SYNTH_KEYS, raw, consumed)
+    _apply(hp, _HYPER_KEYS, raw)
+    _apply(fc, _FILTER_KEYS, raw)
+    _apply(sc, _SYNTH_KEYS, raw)
     # burn_in tracks T unless set explicitly
     if "T" in raw and "burn_in" not in raw:
         hp.burn_in = hp.n_iter // 2

@@ -43,14 +43,6 @@ class TraceSet:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.values.shape[1]
-
 
 def psrf(traces: TraceSet) -> float:
     """Potential scale reduction factor (1 - 1/L) + B / (L W).
@@ -76,9 +68,9 @@ class ConvergenceReport:
     all_converged: bool
 
 
-def convergence_report(traces: dict[str, TraceSet],
-                       threshold: float = PSRF_THRESHOLD) -> ConvergenceReport:
-    """PSRF per named parameter; converged iff every value is below threshold."""
+def convergence_report(traces: dict[str, TraceSet]) -> ConvergenceReport:
+    """PSRF per named parameter; converged iff every value is below
+    PSRF_THRESHOLD."""
     values: dict[str, float] = {}
     passed: dict[str, bool] = {}
     for name, t in traces.items():
@@ -87,7 +79,7 @@ def convergence_report(traces: dict[str, TraceSet],
         except DegenerateTraceError as exc:
             raise DegenerateTraceError(f"parameter {name!r}: {exc}") from exc
         values[name] = r
-        passed[name] = bool(r < threshold)
+        passed[name] = bool(r < PSRF_THRESHOLD)
     return ConvergenceReport(
         psrf_values=values,
         passed=passed,

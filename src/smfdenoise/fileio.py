@@ -17,7 +17,6 @@ from .lattice import Raster
 __all__ = [
     "write_raster_csv",
     "read_raster_csv",
-    "write_pgm16",
     "read_pgm16",
     "load_raster",
 ]
@@ -48,19 +47,6 @@ def read_raster_csv(path) -> Raster:
     if len(widths) != 1:
         raise ValueError(f"{path}: ragged rows, widths {sorted(widths)}")
     return Raster.from_2d(np.array(rows))
-
-
-def write_pgm16(path, raster: Raster):
-    """Binary PGM, maxval 65535, big-endian, intensities mapped from [min, max]."""
-    x = raster.to_2d()
-    lo = x.min()
-    hi = x.max()
-    if hi > lo:
-        q = np.round((x - lo) / (hi - lo) * PGM_MAXVAL).astype(">u2")
-    else:
-        q = np.zeros_like(x, dtype=">u2")
-    header = f"P5\n{raster.n2} {raster.n1}\n{PGM_MAXVAL}\n".encode("ascii")
-    Path(path).write_bytes(header + q.tobytes())
 
 
 def read_pgm16(path) -> Raster:

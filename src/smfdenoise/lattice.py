@@ -18,11 +18,7 @@ from scipy import sparse
 __all__ = [
     "Raster",
     "SpotMask",
-    "LatticeWeights",
     "PrecisionMatrix",
-    "neighbors",
-    "igmrf_difference",
-    "higmrf_difference",
     "build_igmrf_precision",
     "build_higmrf_precision",
 ]
@@ -96,17 +92,6 @@ class SpotMask:
         return self.data.reshape(self.n1, self.n2)
 
 
-@dataclass(frozen=True)
-class LatticeWeights:
-    """Coupling weight between pairs of background pixels."""
-
-    lam: float = 50.0
-
-    def __post_init__(self):
-        if not (self.lam > 1.0):
-            raise ValueError(f"lam must be > 1, got {self.lam}")
-
-
 class PrecisionMatrix:
     """Symmetric PSD sparse precision matrix Q = D^T D for a lattice field.
 
@@ -115,9 +100,6 @@ class PrecisionMatrix:
     """
 
     def __init__(self, matrix: sparse.csr_matrix, d_op: sparse.csr_matrix):
-        matrix = sparse.csr_matrix(matrix)
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("precision matrix must be square")
         self.n = matrix.shape[0]
         self.matrix = matrix
         self.d_op = d_op
@@ -126,20 +108,6 @@ class PrecisionMatrix:
         """f^T Q f (clipped at 0 against round-off)."""
         f = np.asarray(f, dtype=np.float64).ravel()
         return max(float(f @ (self.matrix @ f)), 0.0)
-
-
-_OFFSETS = ((-1, 0), (1, 0), (0, -1), (0, 1))
-
-
-def neighbors(i: int, j: int, n1: int, n2: int) -> list[tuple[int, int]]:
-    """In-lattice subset of the 4 nearest neighbours of pixel (i, j)."""
-    if not (0 <= i < n1 and 0 <= j < n2):
-        raise ValueError(f"pixel ({i},{j}) outside {n1}x{n2} lattice")
-    return [
-        (i + di, j + dj)
-        for di, dj in _OFFSETS
-        if 0 <= i + di < n1 and 0 <= j + dj < n2
-    ]
 
 
 # The entries of row r of D, in column order: up, left, r itself, right, down.
@@ -226,43 +194,23 @@ class _Stencil:
         return PrecisionMatrix(q, d_op=d_op)
 
 
-@lru_cache(maxsize=8)
-def _stencil(n1: int, n2: int) -> _Stencil:
-    if n1 * n2 < 2:
-        raise ValueError("lattice must have at least 2 pixels")
-    return _Stencil(n1, n2)
-
-
-def igmrf_difference(n1: int, n2: int) -> sparse.csr_matrix:
-    """Unweighted first-order difference operator D on an n1 x n2 lattice."""
-    st = _stencil(n1, n2)
-    return st.difference(np.ones(st.edge_pos.size))
-
-
-def higmrf_difference(n1: int, n2: int, mask: SpotMask,
-                      weights: LatticeWeights) -> sparse.csr_matrix:
-    """Mask-weighted difference operator.
-
-    From a spot pixel every difference has weight 1; from a background pixel
-    the difference towards a background neighbour has weight lam, towards a
-    spot neighbour weight 1.
-    """
-    if (mask.n1, mask.n2) != (n1, n2):
-        raise ValueError(
-            f"mask is {mask.n1}x{mask.n2}, lattice is {n1}x{n2}"
-        )
-    st = _stencil(n1, n2)
-    e = mask.data
-    background = (e[st.edge_row] == 0) & (e[st.edge_col] == 0)
-    return st.difference(np.where(background, weights.lam, 1.0))
+_stencil = lru_cache(maxsize=8)(_Stencil)
 
 
 def build_igmrf_precision(n1: int, n2: int) -> PrecisionMatrix:
-    """Q = D^T D for the homogeneous first-order prior."""
-    return _stencil(n1, n2).precision(igmrf_difference(n1, n2))
+    """Q = D^T D for the homogeneous first-order prior (every weight 1)."""
+    st = _stencil(n1, n2)
+    return st.precision(st.difference(np.ones(st.edge_pos.size)))
 
 
-def build_higmrf_precision(n1: int, n2: int, mask: SpotMask,
-                           weights: LatticeWeights) -> PrecisionMatrix:
-    """Q = D^T D for the mask-weighted heterogeneous prior."""
-    return _stencil(n1, n2).precision(higmrf_difference(n1, n2, mask, weights))
+def build_higmrf_precision(n1: int, n2: int, mask: SpotMask, lam: float) -> PrecisionMatrix:
+    """Q = D^T D for the mask-weighted heterogeneous prior.
+
+    ``mask`` lies on the same n1 x n2 lattice.  From a spot pixel every
+    difference has weight 1; from a background pixel the difference towards a
+    background neighbour has weight lam, towards a spot neighbour weight 1.
+    """
+    st = _stencil(n1, n2)
+    e = mask.data
+    background = (e[st.edge_row] == 0) & (e[st.edge_col] == 0)
+    return st.precision(st.difference(np.where(background, lam, 1.0)))

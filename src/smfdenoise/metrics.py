@@ -19,11 +19,14 @@ __all__ = [
     "evaluate",
 ]
 
-DEFAULT_KLD_BINS = 10
+KLD_BINS = 10
+# |UQI denominator| at or below this makes the index meaningless
+UQI_DENOM_TOL = 1e-12
 
 
 class MetricInstabilityError(ArithmeticError):
-    """UQI denominator too close to zero to be meaningful."""
+    """A measure is undefined for this pair: a non-positive PSNR peak, or a
+    UQI denominator too close to zero to be meaningful."""
 
 
 @dataclass(frozen=True)
@@ -60,25 +63,23 @@ def psnr(estimate: Raster, truth: Raster) -> float:
     if err == 0.0:
         return math.inf
     if peak <= 0.0:
-        raise ValueError(f"maximum of estimate must be positive, got {peak}")
+        raise MetricInstabilityError(f"maximum of estimate must be positive, got {peak}")
     return 20.0 * math.log10(peak / err)
 
 
-def kld(estimate: Raster, truth: Raster, n_bins: int = DEFAULT_KLD_BINS) -> float:
+def kld(estimate: Raster, truth: Raster) -> float:
     """Discrete KL divergence of the truth histogram from the estimate histogram.
 
-    Both images are binned into n_bins equal-width bins spanning their joint
+    Both images are binned into KLD_BINS equal-width bins spanning their joint
     range; every bin mass is smoothed by one pixel's worth (1/N) before
     normalization so the divergence stays finite.
     """
-    if n_bins < 2:
-        raise ValueError(f"n_bins must be >= 2, got {n_bins}")
     a, b = _pair(estimate, truth)
     lo = min(a.min(), b.min())
     hi = max(a.max(), b.max())
     if hi == lo:
         return 0.0
-    edges = np.linspace(lo, hi, n_bins + 1)
+    edges = np.linspace(lo, hi, KLD_BINS + 1)
     n = a.size
     p = np.histogram(b, bins=edges)[0] / n + 1.0 / n  # truth
     q = np.histogram(a, bins=edges)[0] / n + 1.0 / n  # estimate
@@ -87,11 +88,11 @@ def kld(estimate: Raster, truth: Raster, n_bins: int = DEFAULT_KLD_BINS) -> floa
     return float(np.sum(p * np.log(p / q)))
 
 
-def ssim(estimate: Raster, truth: Raster, denom_tol: float = 1e-12) -> float:
+def ssim(estimate: Raster, truth: Raster) -> float:
     """Global universal quality index (SSIM with both stabilizers at zero).
 
     Population statistics over the whole image; raises when the denominator
-    is within denom_tol of zero, where the index is unstable.
+    is within UQI_DENOM_TOL of zero, where the index is unstable.
     """
     a, b = _pair(estimate, truth)
     mu_a = a.mean()
@@ -100,19 +101,18 @@ def ssim(estimate: Raster, truth: Raster, denom_tol: float = 1e-12) -> float:
     var_b = ((b - mu_b) ** 2).mean()
     cov = ((a - mu_a) * (b - mu_b)).mean()
     denom = (mu_a ** 2 + mu_b ** 2) * (var_a + var_b)
-    if abs(denom) <= denom_tol:
+    if abs(denom) <= UQI_DENOM_TOL:
         raise MetricInstabilityError(
-            f"UQI denominator {denom} within {denom_tol} of zero"
+            f"UQI denominator {denom} within {UQI_DENOM_TOL} of zero"
         )
     return float((2 * mu_a * mu_b) * (2 * cov) / denom)
 
 
-def evaluate(estimate: Raster, truth: Raster,
-             n_bins: int = DEFAULT_KLD_BINS) -> MetricsReport:
+def evaluate(estimate: Raster, truth: Raster) -> MetricsReport:
     """All four measures in one report."""
     return MetricsReport(
         rmse=rmse(estimate, truth),
         psnr_db=psnr(estimate, truth),
-        kld=kld(estimate, truth, n_bins),
+        kld=kld(estimate, truth),
         ssim=ssim(estimate, truth),
     )

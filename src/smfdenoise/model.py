@@ -1,4 +1,4 @@
-"""Observation model: trend design matrix and hyper-parameters."""
+"""Observation model: trend design matrix, hyper-parameters and precisions."""
 
 from __future__ import annotations
 
@@ -8,10 +8,15 @@ import numpy as np
 
 __all__ = [
     "HyperParams",
-    "DesignMatrix",
     "NoiseParams",
+    "SamplerNumericalError",
     "make_design",
 ]
+
+
+class SamplerNumericalError(RuntimeError):
+    """The chain left the numerically valid range: a precision draw that is
+    not positive and finite, or a linear system that cannot be factored."""
 
 
 @dataclass
@@ -46,6 +51,10 @@ class HyperParams:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
         if not (self.lam > 1.0):
             raise ValueError(f"lam must be > 1, got {self.lam}")
+        for name in ("lam", "h"):
+            v = getattr(self, name)
+            if not np.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if self.n_iter < 1:
             raise ValueError(f"n_iter must be positive, got {self.n_iter}")
         if not (0 < self.burn_in < self.n_iter):
@@ -60,23 +69,6 @@ class HyperParams:
 
 
 @dataclass(frozen=True)
-class DesignMatrix:
-    """Pixel-wise trend basis: intercept, normalized row and column coordinate."""
-
-    n1: int
-    n2: int
-    matrix: np.ndarray  # shape (n1*n2, 3)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.shape != (self.n1 * self.n2, 3):
-            raise ValueError(f"design matrix has shape {m.shape}, expected ({self.n1 * self.n2}, 3)")
-        m = np.ascontiguousarray(m)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
 class NoiseParams:
     """Observation precision kappa_l and field precision kappa_f."""
 
@@ -87,16 +79,16 @@ class NoiseParams:
         for name in ("kappa_l", "kappa_f"):
             v = getattr(self, name)
             if not (v > 0 and np.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
+                raise SamplerNumericalError(f"{name} must be positive and finite, got {v}")
 
 
-def make_design(n1: int, n2: int) -> DesignMatrix:
-    """Build the 3-column trend basis over an n1 x n2 lattice."""
-    if n1 < 1 or n2 < 1:
-        raise ValueError("lattice dimensions must be positive")
+def make_design(n1: int, n2: int) -> np.ndarray:
+    """Pixel-wise trend basis over an n1 x n2 lattice, read-only, shape
+    (n1*n2, 3): intercept, normalized row and column coordinate."""
     rows = np.repeat(np.arange(n1, dtype=np.float64), n2)
     cols = np.tile(np.arange(n2, dtype=np.float64), n1)
     rcoord = rows / (n1 - 1) if n1 > 1 else np.zeros(n1 * n2)
     ccoord = cols / (n2 - 1) if n2 > 1 else np.zeros(n1 * n2)
     z = np.column_stack([np.ones(n1 * n2), rcoord, ccoord])
-    return DesignMatrix(n1, n2, z)
+    z.flags.writeable = False
+    return z

@@ -16,18 +16,16 @@ from scipy import linalg, sparse
 from scipy.sparse.linalg import splu
 
 from .lattice import (
-    LatticeWeights,
     PrecisionMatrix,
     Raster,
     SpotMask,
     build_higmrf_precision,
     build_igmrf_precision,
 )
-from .model import DesignMatrix, HyperParams, NoiseParams, make_design
+from .model import HyperParams, NoiseParams, SamplerNumericalError, make_design
 
 __all__ = [
     "DenoiseResult",
-    "SamplerNumericalError",
     "sample_gamma",
     "sample_kappas",
     "sample_field_given_gamma",
@@ -41,15 +39,6 @@ IGMRF = "igmrf"
 HIGMRF = "higmrf"
 
 
-class SamplerNumericalError(RuntimeError):
-    """Factorization failure; carries the lattice size and precisions."""
-
-    def __init__(self, msg: str, n: int, noise: NoiseParams):
-        super().__init__(f"{msg} (n={n}, kappa_l={noise.kappa_l}, kappa_f={noise.kappa_f})")
-        self.n = n
-        self.noise = noise
-
-
 @dataclass
 class DenoiseResult:
     posterior_mean: Raster
@@ -59,29 +48,28 @@ class DenoiseResult:
     accepted_iterations: int
 
 
-def sample_gamma(y: np.ndarray, f: np.ndarray, kappa_l: float, design: DesignMatrix,
+def sample_gamma(y: np.ndarray, f: np.ndarray, kappa_l: float, z: np.ndarray,
                  gamma_precision: float, rng: np.random.Generator) -> np.ndarray:
     """Draw the trend coefficients from N(m, C) with
     C = (kappa_l Z^T Z + Q_gamma)^-1 and m = kappa_l C Z^T (y - f)."""
-    z = design.matrix
     a = kappa_l * (z.T @ z) + gamma_precision * np.eye(3)
     try:
         c = linalg.cho_factor(a, lower=True)
     except linalg.LinAlgError as exc:
-        raise RuntimeError("trend posterior system not positive definite") from exc
+        raise SamplerNumericalError("trend posterior system not positive definite") from exc
     m = kappa_l * linalg.cho_solve(c, z.T @ (y - f))
     # x = m + L^-T xi has covariance (L L^T)^-1 = C
     xi = rng.standard_normal(3)
     return m + linalg.solve_triangular(c[0], xi, lower=True, trans="T")
 
 
-def sample_kappas(y: np.ndarray, f: np.ndarray, gamma: np.ndarray, design: DesignMatrix,
+def sample_kappas(y: np.ndarray, f: np.ndarray, gamma: np.ndarray, design: np.ndarray,
                   precision: PrecisionMatrix, hp: HyperParams,
                   rng: np.random.Generator) -> NoiseParams:
     """Draw the two precisions from their conjugate gamma conditionals
     (shape-scale convention, mean alpha * beta)."""
     n = y.size
-    r = y - design.matrix @ gamma - f
+    r = y - design @ gamma - f
     beta_l_star = 1.0 / (0.5 * float(r @ r) + 1.0 / hp.beta_l)
     beta_f_star = 1.0 / (0.5 * precision.quad_form(f) + 1.0 / hp.beta_f)
     kappa_l = rng.gamma(shape=0.5 * n + hp.alpha_l, scale=beta_l_star)
@@ -145,12 +133,14 @@ class SuperLUSolver:
             lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                       options={"SymmetricMode": True})
         except RuntimeError as exc:
-            raise SamplerNumericalError("sparse factorization failed", precision.n, noise) from exc
+            raise SamplerNumericalError(
+                f"sparse factorization failed (n={precision.n}, "
+                f"kappa_l={noise.kappa_l}, kappa_f={noise.kappa_f})") from exc
         return lu.solve(b)
 
 
 def sample_field_given_gamma(y: np.ndarray, gamma: np.ndarray, noise: NoiseParams,
-                             precision: PrecisionMatrix, design: DesignMatrix,
+                             precision: PrecisionMatrix, design: np.ndarray,
                              rng: np.random.Generator,
                              solver: SpectralSolver | SuperLUSolver) -> np.ndarray:
     """Draw the field conditional on the current trend draw.
@@ -161,7 +151,7 @@ def sample_field_given_gamma(y: np.ndarray, gamma: np.ndarray, noise: NoiseParam
     2010); ``solver`` is the chain's solver for this lattice.
     """
     n = precision.n
-    resid = noise.kappa_l * (y - design.matrix @ gamma)
+    resid = noise.kappa_l * (y - design @ gamma)
     xi1 = rng.standard_normal(n)
     xi2 = rng.standard_normal(n)
     perturb = np.sqrt(noise.kappa_l) * xi1 + np.sqrt(noise.kappa_f) * (precision.d_op.T @ xi2)
@@ -187,15 +177,14 @@ def _clipped_window_sums(x: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarr
     return box(c1), box(c2), cnt
 
 
-def get_binary_image(f: Raster, h: float = 0.1, window: int = 7) -> SpotMask:
+def get_binary_image(f: Raster, h: float, window: int) -> SpotMask:
     """Local-threshold spot classification.
 
     Pixel (i, j) is a spot iff f >= mu_local + h * sigma_local over the
     window x window patch centred there (clipped at boundaries; population
-    standard deviation).
+    standard deviation).  ``window`` is odd, as ``HyperParams.validate``
+    checks.
     """
-    if window < 3 or window % 2 == 0:
-        raise ValueError(f"window must be odd and >= 3, got {window}")
     x = f.to_2d()
     s1, s2, cnt = _clipped_window_sums(x, window // 2)
     mu = s1 / cnt
@@ -233,7 +222,6 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
     yn, offset, scale = _normalize(y.data)
 
     design = make_design(n1, n2)
-    weights = LatticeWeights(hp.lam)
     mask = SpotMask.zeros(n1, n2)
     precision = build_igmrf_precision(n1, n2)
     solver = SpectralSolver(n1, n2) if variant == IGMRF else SuperLUSolver(precision)
@@ -251,11 +239,11 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
         f = sample_field_given_gamma(yn, gamma, noise, precision, design, rng, solver)
         if variant == HIGMRF:
             mask = get_binary_image(Raster(n1, n2, f), hp.h, hp.window)
-            precision = build_higmrf_precision(n1, n2, mask, weights)
+            precision = build_higmrf_precision(n1, n2, mask, hp.lam)
         theta_trace[t - 1] = (noise.kappa_l, noise.kappa_f)
         gamma_trace[t - 1] = gamma
         if t > hp.burn_in:
-            accum += design.matrix @ gamma + f
+            accum += design @ gamma + f
             accepted += 1
 
     mean_norm = accum / accepted

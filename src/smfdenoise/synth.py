@@ -46,6 +46,10 @@ class SynthConfig:
             raise ValueError("psf_sigma must be positive")
         if self.snr_db_min > self.snr_db_max:
             raise ValueError("need snr_db_min <= snr_db_max")
+        for name in ("amplitude_min", "amplitude_max", "psf_sigma", "snr_db_min", "snr_db_max"):
+            v = getattr(self, name)
+            if not np.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         return self
 
 
@@ -79,8 +83,8 @@ def render_spots(n1: int, n2: int, spots: list[Spot] | tuple[Spot, ...],
 
 
 def generate_truth(cfg: SynthConfig, rng: np.random.Generator) -> tuple[Raster, list[Spot]]:
-    """Gaussian bumps at uniform continuous positions inside the lattice."""
-    cfg.validate()
+    """Gaussian bumps at uniform continuous positions inside the lattice;
+    ``cfg`` has passed ``SynthConfig.validate``."""
     count = int(rng.integers(cfg.spots_min, cfg.spots_max + 1))
     spots = [
         Spot(

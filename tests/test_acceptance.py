@@ -9,19 +9,18 @@ import time
 
 import numpy as np
 import pytest
+from conftest import dense_difference_oracle
 
 from smfdenoise.baselines import FilterConfig
-from smfdenoise.bench import aggregate, run_bench, write_corpus
+from smfdenoise.bench import run_bench, write_corpus, write_report
 from smfdenoise.cli import EXIT_OK, main
 from smfdenoise.diagnostics import TraceSet, psrf
 from smfdenoise.fileio import read_raster_csv, write_raster_csv
 from smfdenoise.lattice import (
-    LatticeWeights,
     Raster,
     SpotMask,
     build_higmrf_precision,
     build_igmrf_precision,
-    neighbors,
 )
 from smfdenoise.metrics import kld, psnr, rmse, ssim
 from smfdenoise.model import HyperParams, NoiseParams, make_design
@@ -51,13 +50,21 @@ def corpus():
 
 
 @pytest.fixture(scope="module")
-def ranking(corpus):
+def ranking(corpus, tmp_path_factory):
     pairs = [(p.truth, p.noisy) for p in corpus]
+    methods = list(BASELINES) + ["igmrf", "higmrf"]
     t0 = time.perf_counter()
-    rows = run_bench(pairs, list(BASELINES) + ["igmrf", "higmrf"],
-                     HyperParams(), FilterConfig())
+    rows = run_bench(pairs, methods, HyperParams(), FilterConfig())
     elapsed = time.perf_counter() - t0
-    return {m: aggregate(rows, m) for m in BASELINES + ("igmrf", "higmrf")}, elapsed
+    # the gate reads the corpus means users read: the report's mean rows
+    report = tmp_path_factory.mktemp("criterion1") / "report.csv"
+    write_report(report, rows, methods, [])
+    table = {}
+    for line in report.read_text().splitlines():
+        if line.startswith("mean,"):
+            _, method, *values = line.split(",")
+            table[method] = dict(zip(("rmse", "psnr_db", "kld", "ssim"), map(float, values)))
+    return table, elapsed
 
 
 class TestCriterion1MethodRanking:
@@ -103,25 +110,6 @@ class TestCriterion2Convergence:
         verdict(2, ok, f"PSRF kappa_l={r_l:.4f}, kappa_f={r_f:.4f} (threshold 1.2)")
 
 
-def dense_precision_oracle(n1, n2, mask2d, lam):
-    n = n1 * n2
-    d = np.zeros((n, n))
-    for i in range(n1):
-        for j in range(n2):
-            p = i * n2 + j
-            for (k, l) in neighbors(i, j, n1, n2):
-                q = k * n2 + l
-                if mask2d[i, j] == 1:
-                    w = 1.0
-                elif mask2d[k, l] == 0:
-                    w = lam
-                else:
-                    w = 1.0
-                d[p, q] += w
-                d[p, p] -= w
-    return d.T @ d
-
-
 class TestCriterion3PrecisionOracle:
     def test_sparse_equals_dense_brute_force(self):
         rng = np.random.default_rng(70)
@@ -132,14 +120,13 @@ class TestCriterion3PrecisionOracle:
         while checked < 100:
             n1, n2 = sizes[checked % len(sizes)]
             mask2d = rng.integers(0, 2, size=(n1, n2)).astype(np.int8)
-            oracle = dense_precision_oracle(n1, n2, mask2d, lam)
-            got = build_higmrf_precision(
-                n1, n2, SpotMask.from_2d(mask2d), LatticeWeights(lam)
-            ).matrix.toarray()
+            d = dense_difference_oracle(n1, n2, mask2d, lam)
+            oracle = d.T @ d
+            got = build_higmrf_precision(n1, n2, SpotMask.from_2d(mask2d), lam).matrix.toarray()
             worst = max(worst, float(np.abs(got - oracle).max()))
             checked += 1
         all_spot = build_higmrf_precision(
-            5, 5, SpotMask(5, 5, np.ones(25, dtype=np.int8)), LatticeWeights(lam)
+            5, 5, SpotMask(5, 5, np.ones(25, dtype=np.int8)), lam
         ).matrix.toarray()
         igmrf_match = np.array_equal(all_spot, build_igmrf_precision(5, 5).matrix.toarray())
         ok = worst <= 1e-12 and igmrf_match
@@ -158,7 +145,7 @@ def field_draw_moments(y, precision, solver, rng, m_draws=10000):
     gamma0 = np.array([0.4, -0.3, 0.2])
     a = noise.kappa_l * np.eye(n) + noise.kappa_f * precision.matrix.toarray()
     sigma = np.linalg.inv(a)
-    mu = sigma @ (noise.kappa_l * (y - design.matrix @ gamma0))
+    mu = sigma @ (noise.kappa_l * (y - design @ gamma0))
     draws = np.array([
         sample_field_given_gamma(y, gamma0, noise, precision, design, rng, solver)
         for _ in range(m_draws)
@@ -180,7 +167,6 @@ class TestCriterion4ConditionalOracle:
         gp = 1.0
         rng = np.random.default_rng(71)
         y = rng.standard_normal(n)
-        z = design.matrix
         m_draws = 10000
 
         # homogeneous field conditional, on the solver igmrf chains use
@@ -189,8 +175,8 @@ class TestCriterion4ConditionalOracle:
 
         # trend-coefficient conditional
         f = rng.standard_normal(n) * 0.3
-        c = np.linalg.inv(noise.kappa_l * z.T @ z + gp * np.eye(3))
-        m_gamma = noise.kappa_l * c @ z.T @ (y - f)
+        c = np.linalg.inv(noise.kappa_l * design.T @ design + gp * np.eye(3))
+        m_gamma = noise.kappa_l * c @ design.T @ (y - f)
         gdraws = np.array([
             sample_gamma(y, f, noise.kappa_l, design, gp, rng)
             for _ in range(m_draws)
@@ -221,7 +207,7 @@ class TestCriterion4ConditionalOracle:
         # the field conditional higmrf chains draw from, on their solver
         rng = np.random.default_rng(74)
         mask = SpotMask.from_2d(rng.integers(0, 2, size=(4, 4)).astype(np.int8))
-        precision = build_higmrf_precision(4, 4, mask, LatticeWeights(50.0))
+        precision = build_higmrf_precision(4, 4, mask, 50.0)
         y = rng.standard_normal(16)
         mean_ok, z_mean, cov_err = field_draw_moments(
             y, precision, SuperLUSolver(precision), rng)

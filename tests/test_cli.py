@@ -12,6 +12,7 @@ import smfdenoise
 from smfdenoise import sampler
 from smfdenoise.cli import (
     EXIT_IO,
+    EXIT_METRIC,
     EXIT_MISSING,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -22,10 +23,18 @@ from smfdenoise.fileio import read_raster_csv, write_raster_csv
 from smfdenoise.lattice import Raster
 
 
+FAST_CFG = "T=10\nburn_in=5\nwindow=9\nn_images=2\nn1=12\nn2=12\n"
+
+
+def one_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    return len(err) == 1 and err[0].startswith("smfdenoise: ")
+
+
 @pytest.fixture()
 def fast_cfg(tmp_path):
     path = tmp_path / "fast.cfg"
-    path.write_text("T=10\nburn_in=5\nwindow=9\nn_images=2\nn1=12\nn2=12\n")
+    path.write_text(FAST_CFG)
     return str(path)
 
 
@@ -60,6 +69,15 @@ class TestSynth:
         out.mkdir()
         rc = main(["synth", "--config", str(cfg), "--out", str(out)])
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("line", ["psf_sigma=nan", "snr_db_min=nan", "amplitude_max=inf"])
+    def test_non_finite_value_is_usage_error(self, tmp_path, line, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(FAST_CFG + line + "\n")
+        out = tmp_path / "corpus"
+        out.mkdir()
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert one_error_line(capsys)
 
 
 class TestDenoise:
@@ -106,6 +124,22 @@ class TestDenoise:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(l.startswith("smfdenoise: ") for l in err)
 
+    @pytest.mark.parametrize("line", ["h=nan", "h=inf", "lambda=inf"])
+    def test_non_finite_value_is_usage_error(self, tmp_path, noisy_csv, line, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(FAST_CFG + line + "\n")
+        assert self.run(tmp_path, noisy_csv, str(cfg)) == EXIT_USAGE
+        assert one_error_line(capsys)
+
+    def test_non_finite_precision_draw_is_numerical_error(self, tmp_path, noisy_csv, capsys):
+        # finite and valid, but the background weights overflow Q, so the
+        # kappa_f draw is nan
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(FAST_CFG + "lambda=1e200\n")
+        with np.errstate(over="ignore"):
+            assert self.run(tmp_path, noisy_csv, str(cfg)) == EXIT_NUMERICAL
+        assert one_error_line(capsys)
+
     def test_missing_input_is_io_error(self, tmp_path, fast_cfg):
         rc = self.run(tmp_path, str(tmp_path / "ghost.csv"), fast_cfg)
         assert rc == EXIT_IO
@@ -147,6 +181,19 @@ class TestBench:
                    "--config", fast_cfg, "--report", str(tmp_path / "r.csv")])
         assert rc == EXIT_MISSING
 
+    def test_undefined_metric_is_metric_error(self, tmp_path, fast_cfg, capsys):
+        # PSNR is undefined for an estimate whose maximum is not positive
+        corpus = self.make_corpus(tmp_path, fast_cfg)
+        ext = tmp_path / "ext"
+        ext.mkdir()
+        for k in range(2):
+            write_raster_csv(ext / f"denoised_{k}.csv", Raster.from_2d(-np.ones((12, 12))))
+        capsys.readouterr()
+        rc = main(["bench", "--corpus", str(corpus), "--methods", f"external:{ext}",
+                   "--config", fast_cfg, "--report", str(tmp_path / "r.csv")])
+        assert rc == EXIT_METRIC
+        assert one_error_line(capsys)
+
     def test_missing_corpus(self, tmp_path, fast_cfg):
         rc = main(["bench", "--corpus", str(tmp_path / "nope"), "--methods", "ga",
                    "--config", fast_cfg, "--report", str(tmp_path / "r.csv")])
@@ -187,8 +234,7 @@ class TestNumericalFailure:
 
     def check(self, rc, capsys):
         assert rc == EXIT_NUMERICAL
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("smfdenoise: ")
+        assert one_error_line(capsys)
 
     def test_denoise(self, tmp_path, noisy_csv, fast_cfg, capsys):
         rc = TestDenoise().run(tmp_path, noisy_csv, fast_cfg)

@@ -2,45 +2,16 @@
 
 import numpy as np
 import pytest
-from scipy import sparse
+from conftest import dense_difference_oracle, neighbors
 
 from smfdenoise.lattice import (
-    LatticeWeights,
-    PrecisionMatrix,
     Raster,
     SpotMask,
     build_higmrf_precision,
     build_igmrf_precision,
-    higmrf_difference,
-    neighbors,
 )
-
-
-def dense_difference_oracle(n1, n2, mask=None, lam=None):
-    """Literal per-pixel construction of the difference operator D.
-
-    Row (i, j): +w on each in-lattice 4-neighbour, -(sum of w) on the
-    diagonal, with w = 1 from a spot pixel or towards a spot neighbour and
-    w = lam between two background pixels.
-    """
-    n = n1 * n2
-    d = np.zeros((n, n))
-    for i in range(n1):
-        for j in range(n2):
-            p = i * n2 + j
-            for (k, l) in neighbors(i, j, n1, n2):
-                q = k * n2 + l
-                if mask is None:
-                    w = 1.0
-                elif mask[i, j] == 1:
-                    w = 1.0
-                elif mask[k, l] == 0:
-                    w = lam
-                else:
-                    w = 1.0
-                d[p, q] += w
-                d[p, p] -= w
-    return d
+from smfdenoise.model import HyperParams
+from smfdenoise.sampler import denoise
 
 
 class TestRaster:
@@ -85,6 +56,8 @@ class TestSpotMask:
 
 
 class TestNeighbors:
+    """The neighbourhood of the dense difference oracle in conftest."""
+
     def test_interior_has_four(self):
         assert len(neighbors(1, 1, 3, 3)) == 4
 
@@ -108,8 +81,9 @@ class TestIgmrfPrecision:
     def test_matches_dense_oracle(self):
         for n1, n2 in [(2, 2), (3, 4), (5, 3), (1, 6)]:
             d = dense_difference_oracle(n1, n2)
-            q = build_igmrf_precision(n1, n2).matrix.toarray()
-            np.testing.assert_allclose(q, d.T @ d, atol=1e-12)
+            precision = build_igmrf_precision(n1, n2)
+            np.testing.assert_array_equal(precision.d_op.toarray(), d)
+            np.testing.assert_allclose(precision.matrix.toarray(), d.T @ d, atol=1e-12)
 
     def test_symmetric_psd_with_constant_null_space(self):
         q = build_igmrf_precision(4, 5).matrix.toarray()
@@ -118,20 +92,22 @@ class TestIgmrfPrecision:
         assert eigs.min() > -1e-10
         np.testing.assert_allclose(q @ np.ones(20), 0.0, atol=1e-12)
 
-    def test_rejects_single_pixel(self):
-        with pytest.raises(ValueError):
-            build_igmrf_precision(1, 1)
+    def test_single_pixel_has_zero_precision(self):
+        # a lone pixel has no neighbours, so the prior adds nothing
+        q = build_igmrf_precision(1, 1)
+        assert q.matrix.toarray().tolist() == [[0.0]]
+        assert q.d_op.toarray().tolist() == [[0.0]]
 
 
 class TestHigmrfPrecision:
     def test_2x2_all_background_difference_row(self):
         mask = SpotMask.zeros(2, 2)
-        d = higmrf_difference(2, 2, mask, LatticeWeights(50.0)).toarray()
+        d = build_higmrf_precision(2, 2, mask, 50.0).d_op.toarray()
         np.testing.assert_allclose(d[0], [-100.0, 50.0, 50.0, 0.0])
 
     def test_all_spots_reduces_to_igmrf(self):
         mask = SpotMask(3, 3, np.ones(9, dtype=np.int8))
-        q_het = build_higmrf_precision(3, 3, mask, LatticeWeights(50.0)).matrix.toarray()
+        q_het = build_higmrf_precision(3, 3, mask, 50.0).matrix.toarray()
         q_hom = build_igmrf_precision(3, 3).matrix.toarray()
         np.testing.assert_array_equal(q_het, q_hom)
 
@@ -143,30 +119,26 @@ class TestHigmrfPrecision:
             n2 = int(rng.integers(2, 6))
             mask2d = rng.integers(0, 2, size=(n1, n2)).astype(np.int8)
             d = dense_difference_oracle(n1, n2, mask2d, lam)
-            q = build_higmrf_precision(
-                n1, n2, SpotMask.from_2d(mask2d), LatticeWeights(lam)
-            ).matrix.toarray()
-            np.testing.assert_allclose(q, d.T @ d, atol=1e-12)
+            precision = build_higmrf_precision(n1, n2, SpotMask.from_2d(mask2d), lam)
+            np.testing.assert_array_equal(precision.d_op.toarray(), d)
+            np.testing.assert_allclose(precision.matrix.toarray(), d.T @ d, atol=1e-12)
 
     def test_rows_sum_to_zero(self):
         rng = np.random.default_rng(7)
         mask = SpotMask.from_2d(rng.integers(0, 2, size=(4, 4)).astype(np.int8))
-        q = build_higmrf_precision(4, 4, mask, LatticeWeights(50.0)).matrix.toarray()
+        q = build_higmrf_precision(4, 4, mask, 50.0).matrix.toarray()
         np.testing.assert_allclose(q.sum(axis=1), 0.0, atol=1e-10)
 
     def test_background_coupling_grows_with_lam(self):
         mask = SpotMask.zeros(3, 3)
-        q1 = build_higmrf_precision(3, 3, mask, LatticeWeights(10.0)).matrix.toarray()
-        q2 = build_higmrf_precision(3, 3, mask, LatticeWeights(100.0)).matrix.toarray()
+        q1 = build_higmrf_precision(3, 3, mask, 10.0).matrix.toarray()
+        q2 = build_higmrf_precision(3, 3, mask, 100.0).matrix.toarray()
         assert q2[0, 0] > q1[0, 0]
 
-    def test_mask_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            build_higmrf_precision(3, 3, SpotMask.zeros(2, 2), LatticeWeights(50.0))
-
     def test_lam_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            LatticeWeights(1.0)
+        # HyperParams.validate is the one check on lam, and denoise runs it
+        with pytest.raises(ValueError, match="lam"):
+            denoise(Raster.from_2d(np.eye(3)), HyperParams(lam=1.0))
 
 
 class TestPrecisionMatrix:
@@ -180,8 +152,3 @@ class TestPrecisionMatrix:
         f = rng.standard_normal(6)
         d = dense_difference_oracle(2, 3)
         np.testing.assert_allclose(q.quad_form(f), (d @ f) @ (d @ f), rtol=1e-12)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            PrecisionMatrix(sparse.csr_matrix(np.ones((2, 3))),
-                            d_op=sparse.csr_matrix(np.ones((2, 2))))

@@ -7,6 +7,7 @@ import pytest
 
 from smfdenoise.lattice import Raster
 from smfdenoise.metrics import (
+    KLD_BINS,
     MetricInstabilityError,
     evaluate,
     kld,
@@ -62,7 +63,7 @@ class TestPsnr:
         assert a != b
 
     def test_non_positive_peak_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MetricInstabilityError):
             psnr(r([-1.0, -2.0]), r([0.0, 0.0]))
 
 
@@ -78,9 +79,9 @@ class TestKld:
         # truth spread over all 10 bins, estimate concentrated in one
         truth = np.linspace(0.0, 10.0, 100, endpoint=False) + 0.05
         estimate = np.full(100, 0.5)
-        got = kld(r(estimate), r(truth), n_bins=10)
+        got = kld(r(estimate), r(truth))
         n = 100
-        edges = np.linspace(0.0, 10.0, 11)
+        edges = np.linspace(0.0, 10.0, KLD_BINS + 1)
         p = np.histogram(truth, bins=edges)[0] / n + 1.0 / n
         q = np.histogram(estimate, bins=edges)[0] / n + 1.0 / n
         p, q = p / p.sum(), q / q.sum()
@@ -98,10 +99,6 @@ class TestKld:
         a = r(np.concatenate([np.zeros(90), np.ones(10)]))
         b = r(np.linspace(0.0, 1.0, 100))
         assert kld(a, b) != kld(b, a)
-
-    def test_bin_count_validation(self):
-        with pytest.raises(ValueError):
-            kld(r([0.0, 1.0]), r([0.0, 1.0]), n_bins=1)
 
 
 class TestSsim:
