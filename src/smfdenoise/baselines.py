@@ -82,14 +82,14 @@ def _box_sums(xp: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def gaussian_filter(y: Raster, sigma: float = 1.0, size: int = 5) -> Raster:
+def gaussian_filter(y: Raster, sigma: float, size: int) -> Raster:
     """Convolution with a normalized Gaussian kernel, edge-replicated borders."""
     k = gaussian_kernel(sigma, size)
     out = _weighted_window_sums(np.pad(y.to_2d(), size // 2, mode="edge"), k)
     return Raster.from_2d(out)
 
 
-def average_filter(y: Raster, size: int = 3) -> Raster:
+def average_filter(y: Raster, size: int) -> Raster:
     """Convolution with a uniform kernel, edge-replicated borders."""
     _check_odd(size)
     k = np.full((size, size), 1.0 / (size * size))
@@ -97,7 +97,7 @@ def average_filter(y: Raster, size: int = 3) -> Raster:
     return Raster.from_2d(out)
 
 
-def wiener_filter(y: Raster, size: int = 5) -> Raster:
+def wiener_filter(y: Raster, size: int) -> Raster:
     """Per-pixel adaptive Wiener filter.
 
     Local mean and population variance over a size x size window
@@ -118,7 +118,7 @@ def wiener_filter(y: Raster, size: int = 5) -> Raster:
     return Raster.from_2d(mu + gain * (x - mu))
 
 
-def nlm_filter(y: Raster, patch: int = 5, search: int = 11, h: float = 0.1) -> Raster:
+def nlm_filter(y: Raster, patch: int, search: int, h: float) -> Raster:
     """Non-local means with Gaussian-of-SSD weights.
 
     Patches are taken from an edge-replicated padding of the image; for each

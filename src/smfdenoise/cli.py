@@ -28,7 +28,7 @@ from .lattice import Raster
 from .metrics import MetricInstabilityError
 from .model import SamplerNumericalError
 from .sampler import HIGMRF, IGMRF, denoise
-from .synth import generate_corpus
+from .synth import CorpusError, generate_corpus
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -43,6 +43,7 @@ EXIT_METRIC = 8
 # one "smfdenoise:" line.  No class here subclasses another.
 _EXIT_CODES = {
     ConfigError: EXIT_USAGE,
+    CorpusError: EXIT_USAGE,
     bench_mod.UnknownMethodError: EXIT_USAGE,
     bench_mod.MissingExternalError: EXIT_MISSING,
     DegenerateTraceError: EXIT_DEGENERATE,
@@ -56,10 +57,7 @@ def _err(msg: str) -> None:
 
 
 def _load_configs(args):
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    return load_config(args.config, overrides)
+    return load_config(args.config, {} if args.seed is None else {"seed": args.seed})
 
 
 def cmd_synth(args) -> int:
@@ -201,38 +199,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="smfdenoise",
                                 description="Bayesian spot-image denoising toolkit")
     sub = p.add_subparsers(dest="command", required=True)
+    # flags that several subcommands share, each declared once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None)
+    common.add_argument("--seed", type=int, default=None)
+    raster = argparse.ArgumentParser(add_help=False)
+    raster.add_argument("--input", required=True, help="CSV or 16-bit PGM raster")
+    raster.add_argument("--variant", choices=[IGMRF, HIGMRF], default=HIGMRF)
 
-    sp = sub.add_parser("synth", help="generate a synthetic corpus")
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    sp = sub.add_parser("synth", parents=[common], help="generate a synthetic corpus")
     sp.add_argument("--out", required=True, help="existing output directory")
     sp.set_defaults(func=cmd_synth)
 
-    dp = sub.add_parser("denoise", help="denoise one raster")
-    dp.add_argument("--input", required=True, help="CSV or 16-bit PGM raster")
-    dp.add_argument("--config", default=None)
-    dp.add_argument("--seed", type=int, default=None)
-    dp.add_argument("--variant", choices=[IGMRF, HIGMRF], default=HIGMRF)
+    dp = sub.add_parser("denoise", parents=[common, raster], help="denoise one raster")
     dp.add_argument("--crop", default=None, metavar="R0,C0,H,W")
     dp.add_argument("--out-mean", required=True)
     dp.add_argument("--out-mask", required=True)
     dp.add_argument("--out-trace", required=True)
     dp.set_defaults(func=cmd_denoise)
 
-    bp = sub.add_parser("bench", help="run methods over a corpus")
+    bp = sub.add_parser("bench", parents=[common], help="run methods over a corpus")
     bp.add_argument("--corpus", required=True)
     bp.add_argument("--methods", required=True,
                     help="comma list of ga,av,wi,nlm,igmrf,higmrf,external:<dir>")
-    bp.add_argument("--config", default=None)
-    bp.add_argument("--seed", type=int, default=None)
     bp.add_argument("--report", required=True)
     bp.set_defaults(func=cmd_bench)
 
-    gp = sub.add_parser("diagnose", help="multi-chain PSRF convergence check")
-    gp.add_argument("--input", required=True)
-    gp.add_argument("--config", default=None)
-    gp.add_argument("--seed", type=int, default=None)
-    gp.add_argument("--variant", choices=[IGMRF, HIGMRF], default=HIGMRF)
+    gp = sub.add_parser("diagnose", parents=[common, raster],
+                        help="multi-chain PSRF convergence check")
     gp.add_argument("--chains", type=int, default=4)
     gp.add_argument("--report", required=True)
     gp.set_defaults(func=cmd_diagnose)

@@ -15,6 +15,8 @@ from functools import lru_cache
 import numpy as np
 from scipy import sparse
 
+from .model import SamplerNumericalError
+
 __all__ = [
     "Raster",
     "SpotMask",
@@ -185,10 +187,16 @@ class _Stencil:
         return sparse.csr_matrix((data, self.d_indices, self.d_indptr), shape=(self.n, self.n))
 
     def precision(self, d_op: sparse.csr_matrix) -> PrecisionMatrix:
-        """Q = D^T D for a D built by ``difference``."""
+        """Q = D^T D for a D built by ``difference``; a product of two entries
+        of D that overflows (a huge lam) raises ``SamplerNumericalError``."""
         d = d_op.data
-        sums = np.bincount(self.prod_entry, weights=d[self.prod_left] * d[self.prod_right],
-                           minlength=self.n_upper)
+        try:
+            with np.errstate(over="raise"):
+                prods = d[self.prod_left] * d[self.prod_right]
+        except FloatingPointError as exc:
+            raise SamplerNumericalError(
+                "field precision overflows float64 (lam too large)") from exc
+        sums = np.bincount(self.prod_entry, weights=prods, minlength=self.n_upper)
         q = sparse.csr_matrix((sums[self.q_entry], self.q_indices, self.q_indptr),
                               shape=(self.n, self.n))
         return PrecisionMatrix(q, d_op=d_op)

@@ -15,8 +15,9 @@ __all__ = [
 
 
 class SamplerNumericalError(RuntimeError):
-    """The chain left the numerically valid range: a precision draw that is
-    not positive and finite, or a linear system that cannot be factored."""
+    """The chain left the numerically valid range: a field precision that
+    overflows, a precision draw that is not positive and finite, or a linear
+    system that cannot be factored."""
 
 
 @dataclass
@@ -49,12 +50,11 @@ class HyperParams:
             v = getattr(self, name)
             if not (v > 0 and np.isfinite(v)):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
-        if not (self.lam > 1.0):
-            raise ValueError(f"lam must be > 1, got {self.lam}")
-        for name in ("lam", "h"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
+        if not (self.lam > 1.0 and np.isfinite(self.lam)):
+            need = "finite" if self.lam > 1.0 else "> 1"
+            raise ValueError(f"lam must be {need}, got {self.lam}")
+        if not np.isfinite(self.h):
+            raise ValueError(f"h must be finite, got {self.h}")
         if self.n_iter < 1:
             raise ValueError(f"n_iter must be positive, got {self.n_iter}")
         if not (0 < self.burn_in < self.n_iter):

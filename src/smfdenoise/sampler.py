@@ -45,7 +45,6 @@ class DenoiseResult:
     final_mask: SpotMask
     theta_trace: np.ndarray  # (T, 2): kappa_l, kappa_f per iteration
     gamma_trace: np.ndarray  # (T, 3)
-    accepted_iterations: int
 
 
 def sample_gamma(y: np.ndarray, f: np.ndarray, kappa_l: float, z: np.ndarray,
@@ -231,7 +230,6 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
     theta_trace = np.empty((hp.n_iter, 2))
     gamma_trace = np.empty((hp.n_iter, 3))
     accum = np.zeros(n1 * n2)
-    accepted = 0
 
     for t in range(1, hp.n_iter + 1):
         gamma = sample_gamma(yn, f, noise.kappa_l, design, hp.gamma_precision, rng)
@@ -244,14 +242,12 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
         gamma_trace[t - 1] = gamma
         if t > hp.burn_in:
             accum += design @ gamma + f
-            accepted += 1
 
-    mean_norm = accum / accepted
+    mean_norm = accum / (hp.n_iter - hp.burn_in)
     posterior_mean = Raster(n1, n2, offset + mean_norm * scale)
     return DenoiseResult(
         posterior_mean=posterior_mean,
         final_mask=mask,
         theta_trace=theta_trace,
         gamma_trace=gamma_trace,
-        accepted_iterations=accepted,
     )

@@ -9,6 +9,7 @@ import numpy as np
 from .lattice import Raster
 
 __all__ = [
+    "CorpusError",
     "SynthConfig",
     "Spot",
     "SynthPair",
@@ -17,6 +18,11 @@ __all__ = [
     "add_noise",
     "generate_corpus",
 ]
+
+
+class CorpusError(ValueError):
+    """A corpus image that a valid SynthConfig cannot produce: its values
+    leave the float64 range, or its truth is constant so SNR is undefined."""
 
 
 @dataclass
@@ -109,24 +115,30 @@ def add_noise(truth: Raster, snr_db: float, rng: np.random.Generator) -> tuple[R
         raise ValueError("truth raster is constant; SNR undefined")
     target_var = sig_var / 10.0 ** (snr_db / 10.0)
     noise = rng.standard_normal(truth.data.size)
-    noise_sd = float(noise.std())
-    if noise_sd == 0.0:  # unreachable for any practical raster size
-        raise ValueError("degenerate noise draw")
-    noise = noise * (np.sqrt(target_var) / noise_sd)
+    noise = noise * (np.sqrt(target_var) / float(noise.std()))
     realized = 10.0 * np.log10(sig_var / float(noise.var()))
     return Raster(truth.n1, truth.n2, truth.data + noise), float(realized)
 
 
 def generate_corpus(cfg: SynthConfig) -> list[SynthPair]:
-    """n_images independent truth/noisy pairs, deterministic under cfg.seed."""
+    """n_images independent truth/noisy pairs, deterministic under cfg.seed.
+
+    Values that pass ``SynthConfig.validate`` can still overflow float64 or
+    give a constant truth (no spots, or a PSF far narrower than a pixel);
+    such an image raises ``CorpusError``.
+    """
     cfg.validate()
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.n_images)
     pairs = []
     for k, ss in enumerate(streams):
         rng = np.random.default_rng(ss)
-        truth, spots = generate_truth(cfg, rng)
-        target = float(rng.uniform(cfg.snr_db_min, cfg.snr_db_max))
-        noisy, realized = add_noise(truth, target, rng)
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                truth, spots = generate_truth(cfg, rng)
+                target = float(rng.uniform(cfg.snr_db_min, cfg.snr_db_max))
+                noisy, realized = add_noise(truth, target, rng)
+        except (ArithmeticError, ValueError) as exc:
+            raise CorpusError(f"cannot generate corpus image {k}: {exc}") from exc
         pairs.append(SynthPair(
             truth=truth,
             noisy=noisy,

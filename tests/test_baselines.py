@@ -60,8 +60,8 @@ class TestGaussianKernel:
 class TestLinearFilters:
     def test_constant_preserved(self):
         y = Raster.from_2d(np.full((7, 7), 4.2))
-        np.testing.assert_allclose(gaussian_filter(y).data, y.data, atol=1e-12)
-        np.testing.assert_allclose(average_filter(y).data, y.data, atol=1e-12)
+        np.testing.assert_allclose(gaussian_filter(y, sigma=1.0, size=5).data, y.data, atol=1e-12)
+        np.testing.assert_allclose(average_filter(y, size=3).data, y.data, atol=1e-12)
 
     def test_average_impulse_response(self):
         x = np.zeros((7, 7))
@@ -86,7 +86,7 @@ class TestLinearFilters:
 class TestWiener:
     def test_constant_input_unchanged(self):
         y = Raster.from_2d(np.full((6, 6), 1.5))
-        np.testing.assert_allclose(wiener_filter(y).data, y.data, atol=1e-12)
+        np.testing.assert_allclose(wiener_filter(y, size=5).data, y.data, atol=1e-12)
 
     def test_reduces_noise_variance(self):
         rng = np.random.default_rng(33)
@@ -118,7 +118,8 @@ class TestNlm:
 
     def test_constant_preserved(self):
         y = Raster.from_2d(np.full((8, 8), 2.5))
-        np.testing.assert_allclose(nlm_filter(y).data, y.data, atol=1e-12)
+        out = nlm_filter(y, patch=5, search=11, h=0.1)
+        np.testing.assert_allclose(out.data, y.data, atol=1e-12)
 
     def test_smooths_noise(self):
         rng = np.random.default_rng(36)
@@ -129,11 +130,11 @@ class TestNlm:
     def test_parameter_validation(self):
         y = Raster.from_2d(np.zeros((6, 6)))
         with pytest.raises(ValueError):
-            nlm_filter(y, patch=2)
+            nlm_filter(y, patch=2, search=11, h=0.1)
         with pytest.raises(ValueError):
-            nlm_filter(y, search=4)
+            nlm_filter(y, patch=5, search=4, h=0.1)
         with pytest.raises(ValueError):
-            nlm_filter(y, h=0.0)
+            nlm_filter(y, patch=5, search=11, h=0.0)
 
 
 class TestFilterConfig:

@@ -79,6 +79,21 @@ class TestSynth:
         assert main(["synth", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
         assert one_error_line(capsys)
 
+    # finite and valid, but the noise scale overflows, the truth overflows,
+    # or the PSF is so narrow that the truth is constant
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lines", ["snr_db_max=1e308",
+                                       "amplitude_min=1e307\namplitude_max=1e308",
+                                       "psf_sigma=1e-200"],
+                             ids=["snr_db_max", "amplitude", "psf_sigma"])
+    def test_extreme_value_is_usage_error(self, tmp_path, lines, capsys):
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text(f"n_images=1\nn1=8\nn2=8\n{lines}\n")
+        out = tmp_path / "corpus"
+        out.mkdir()
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert one_error_line(capsys)
+
 
 class TestDenoise:
     def run(self, tmp_path, noisy_csv, fast_cfg, *extra):
@@ -131,13 +146,13 @@ class TestDenoise:
         assert self.run(tmp_path, noisy_csv, str(cfg)) == EXIT_USAGE
         assert one_error_line(capsys)
 
+    # a warning would reach the user's stderr next to the error line
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_precision_draw_is_numerical_error(self, tmp_path, noisy_csv, capsys):
-        # finite and valid, but the background weights overflow Q, so the
-        # kappa_f draw is nan
+        # finite and valid, but the background weights overflow Q
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(FAST_CFG + "lambda=1e200\n")
-        with np.errstate(over="ignore"):
-            assert self.run(tmp_path, noisy_csv, str(cfg)) == EXIT_NUMERICAL
+        assert self.run(tmp_path, noisy_csv, str(cfg)) == EXIT_NUMERICAL
         assert one_error_line(capsys)
 
     def test_missing_input_is_io_error(self, tmp_path, fast_cfg):

@@ -1,13 +1,22 @@
 """Tests for the key=value configuration loader."""
 
+from dataclasses import fields
+
 import pytest
 
+from smfdenoise.baselines import FilterConfig
 from smfdenoise.config import (
     ConfigError,
     effective_config_lines,
     load_config,
     parse_config_text,
 )
+from smfdenoise.model import HyperParams
+from smfdenoise.synth import SynthConfig
+
+CLASSES = (HyperParams, FilterConfig, SynthConfig)
+# the two fields whose file key differs from the attribute name
+RENAMED = {"lam": "lambda", "n_iter": "T"}
 
 
 class TestParse:
@@ -93,3 +102,29 @@ class TestEcho:
         assert hp2 == hp
         assert fc2 == fc
         assert sc2 == sc
+
+
+class TestSchema:
+    """The config keys are derived from the fields of the three classes."""
+
+    def test_every_field_echoed_once_under_its_key(self):
+        keys = [line.split("=", 1)[0] for line in effective_config_lines(*load_config())]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == {RENAMED.get(f.name, f.name) for cls in CLASSES for f in fields(cls)}
+
+    def test_every_default_has_its_annotated_type(self):
+        # the loader parses each key with the type of the field's default
+        for cls in CLASSES:
+            for f in fields(cls):
+                assert type(f.default).__name__ == f.type, f"{cls.__name__}.{f.name}"
+
+    @pytest.mark.parametrize(
+        "f", [f for cls in CLASSES for f in fields(cls)],
+        ids=[f"{cls.__name__}.{f.name}" for cls in CLASSES for f in fields(cls)])
+    def test_every_field_is_set_by_its_key(self, f):
+        value = f.default + 2 if isinstance(f.default, int) else f.default * 2
+        configs = load_config(overrides={RENAMED.get(f.name, f.name): value})
+        owners = [obj for obj in configs if f.name in {g.name for g in fields(obj)}]
+        # seed is the one field of two classes; its key sets both
+        assert len(owners) == (2 if f.name == "seed" else 1)
+        assert all(getattr(obj, f.name) == value for obj in owners)

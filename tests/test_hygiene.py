@@ -1,5 +1,6 @@
 """Static checks that keep the package surface small: every exported name
-has a reader inside the package, and no module imports what it never uses."""
+and every dataclass field has a reader inside the package, and no module
+imports what it never uses."""
 
 import ast
 from pathlib import Path
@@ -39,6 +40,23 @@ def read_names(tree):
     return names
 
 
+def attribute_reads(tree):
+    """Attribute names the module reads, as in ``obj.name``."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def dataclass_fields(tree):
+    """(class, field) for each annotated field of each ``@dataclass`` class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id
+
+
 def imported(tree):
     """(bound name, line) of each top-level import, ``__future__`` aside."""
     for node in tree.body:
@@ -56,6 +74,15 @@ def test_every_export_is_read_inside_the_package():
     reads = set().union(*(read_names(t) for t in trees.values()))
     unread = [f"{name}.{export}" for name, tree in trees.items()
               for export in exported(tree) if export not in reads]
+    assert unread == []
+
+
+def test_every_dataclass_field_is_read_inside_the_package():
+    # a field that nothing reads is dead state that every caller still fills
+    trees = {p.stem: parse(p) for p in MODULES}
+    attrs = set().union(*(attribute_reads(t) for t in trees.values()))
+    unread = [f"{name}.{cls}.{field}" for name, tree in trees.items()
+              for cls, field in dataclass_fields(tree) if field not in attrs]
     assert unread == []
 
 
