@@ -5,6 +5,13 @@ kappa_f) and the field f, and in the heterogeneous variant re-estimates the
 spot mask by local thresholding and rebuilds the field precision from it.
 The denoised image is the average of the post-burn-in noise-free
 reconstructions (trend plus field).
+
+Each chain builds one field solver for its lattice (``field_solver``):
+``igmrf`` solves exactly in the DCT-II eigenbasis, and ``higmrf`` factors
+A = kappa_l I + kappa_f Q afresh every sweep, with a banded LAPACK Cholesky
+when the band half-width kd = min(2 min(n1, n2), n1 n2 - 1) is at most
+``BAND_KD_MAX`` = 64 and with symmetric-mode SuperLU otherwise.  Either
+factor failing raises ``SamplerNumericalError``.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg, sparse
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import splu
 
 from .lattice import (
@@ -31,6 +39,8 @@ __all__ = [
     "sample_field_given_gamma",
     "SpectralSolver",
     "SuperLUSolver",
+    "BandedCholeskySolver",
+    "field_solver",
     "get_binary_image",
     "denoise",
 ]
@@ -107,6 +117,11 @@ class SpectralSolver:
         return (self._u1 @ c @ self._u2.T).ravel()
 
 
+def _csr_rows(q: sparse.csr_matrix) -> np.ndarray:
+    """The row of each stored entry of ``q``, in storage order."""
+    return np.repeat(np.arange(q.shape[0]), np.diff(q.indptr))
+
+
 class SuperLUSolver:
     """Sparse direct solve of A x = b, A = kappa_l I + kappa_f Q, for any Q.
 
@@ -118,8 +133,7 @@ class SuperLUSolver:
 
     def __init__(self, precision: PrecisionMatrix):
         q = precision.matrix
-        rows = np.repeat(np.arange(precision.n), np.diff(q.indptr))
-        self._diag = np.flatnonzero(q.indices == rows)
+        self._diag = np.flatnonzero(q.indices == _csr_rows(q))
 
     def solve(self, precision: PrecisionMatrix, noise: NoiseParams,
               b: np.ndarray) -> np.ndarray:
@@ -138,10 +152,78 @@ class SuperLUSolver:
         return lu.solve(b)
 
 
+def _half_width(n1: int, n2: int) -> int:
+    """Band half-width of Q with pixels ordered along the shorter side:
+    Q couples pixels up to two rows apart."""
+    return min(2 * min(n1, n2), n1 * n2 - 1)
+
+
+class BandedCholeskySolver:
+    """Banded Cholesky solve of A x = b, A = kappa_l I + kappa_f Q, for any Q.
+
+    Ordered along the shorter lattice side (transposed when n2 > n1), A is a
+    band matrix of half-width kd = ``_half_width(n1, n2)``, so LAPACK's
+    ``dpbtrf``/``dpbtrs`` factor and solve it in O(n kd^2) with no ordering
+    and no fill outside the band (Rue 2001; Rue & Held 2005, section 2.4).
+    The lower band is one Fortran-ordered (kd + 1, n) array that is reused
+    every sweep; a flat index map, built once per chain from the pattern of
+    the chain's first precision, places each lower-triangle entry of Q in it.
+    """
+
+    def __init__(self, n1: int, n2: int, precision: PrecisionMatrix):
+        n = n1 * n2
+        kd = _half_width(n1, n2)
+        # band position k holds pixel self._order[k]; pixel p sits at self._rank[p]
+        self._order = (np.arange(n).reshape(n1, n2).T.ravel() if n2 > n1
+                       else np.arange(n))
+        self._rank = np.argsort(self._order)
+        q = precision.matrix
+        i, j = self._rank[_csr_rows(q)], self._rank[q.indices]
+        self._lower = np.flatnonzero(i >= j)
+        i, j = i[self._lower], j[self._lower]
+        # Q is symmetric bit for bit, so the lower triangle carries all of it.
+        self._band_pos = (i - j) + j * (kd + 1)
+        self._ab = np.zeros((kd + 1, n), order="F")
+        self._flat = self._ab.reshape(-1, order="F")  # a view, in memory order
+
+    def solve(self, precision: PrecisionMatrix, noise: NoiseParams,
+              b: np.ndarray) -> np.ndarray:
+        # the last sweep's factor fills the whole band, pattern zeros included
+        self._flat.fill(0.0)
+        self._flat[self._band_pos] = noise.kappa_f * precision.matrix.data[self._lower]
+        self._ab[0] += noise.kappa_l
+        chol, info = dpbtrf(self._ab, lower=1, overwrite_ab=1)
+        if info > 0:
+            raise SamplerNumericalError(
+                f"banded Cholesky failed at pivot {info} (n={precision.n}, "
+                f"kappa_l={noise.kappa_l}, kappa_f={noise.kappa_f})")
+        x_band, _ = dpbtrs(chol, b[self._order], lower=1)
+        return x_band[self._rank]
+
+
+# dpbtrf works in blocks of NB = 32.  Up to kd = 2 NB every BLAS-3 call
+# inside it is on a 32 x 32 block or smaller, which OpenBLAS keeps on one
+# thread; past it, its threaded calls measured cpu/wall 1.6-2.0, and the
+# spinning workers slowed the next igmrf chain.
+BAND_KD_MAX = 64
+
+
+def field_solver(variant: str, n1: int, n2: int, precision: PrecisionMatrix,
+                 ) -> SpectralSolver | BandedCholeskySolver | SuperLUSolver:
+    """The solver a chain of ``variant`` builds for its n1 x n2 lattice;
+    ``precision`` is any precision of the lattice (all share one pattern)."""
+    if variant == IGMRF:
+        return SpectralSolver(n1, n2)
+    if _half_width(n1, n2) <= BAND_KD_MAX:
+        return BandedCholeskySolver(n1, n2, precision)
+    return SuperLUSolver(precision)
+
+
 def sample_field_given_gamma(y: np.ndarray, gamma: np.ndarray, noise: NoiseParams,
                              precision: PrecisionMatrix, design: np.ndarray,
                              rng: np.random.Generator,
-                             solver: SpectralSolver | SuperLUSolver) -> np.ndarray:
+                             solver: SpectralSolver | BandedCholeskySolver | SuperLUSolver,
+                             ) -> np.ndarray:
     """Draw the field conditional on the current trend draw.
 
     The Gaussian has precision A = kappa_l I + kappa_f Q and mean
@@ -223,7 +305,7 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
     design = make_design(n1, n2)
     mask = SpotMask.zeros(n1, n2)
     precision = build_igmrf_precision(n1, n2)
-    solver = SpectralSolver(n1, n2) if variant == IGMRF else SuperLUSolver(precision)
+    solver = field_solver(variant, n1, n2, precision)
 
     f = yn.copy()
     noise = NoiseParams(kappa_l=hp.alpha_l * hp.beta_l, kappa_f=hp.alpha_f * hp.beta_f)

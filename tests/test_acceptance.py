@@ -25,9 +25,10 @@ from smfdenoise.lattice import (
 from smfdenoise.metrics import kld, psnr, rmse, ssim
 from smfdenoise.model import HyperParams, NoiseParams, make_design
 from smfdenoise.sampler import (
+    HIGMRF,
     SpectralSolver,
-    SuperLUSolver,
     denoise,
+    field_solver,
     get_binary_image,
     sample_field_given_gamma,
     sample_gamma,
@@ -204,13 +205,14 @@ class TestCriterion4ConditionalOracle:
                 f"{kl_err:.3%}/{kf_err:.3%} (<2%)")
 
     def test_heterogeneous_field_conditional(self):
-        # the field conditional higmrf chains draw from, on their solver
+        # the field conditional higmrf chains draw from, on the solver
+        # denoise picks for this lattice
         rng = np.random.default_rng(74)
         mask = SpotMask.from_2d(rng.integers(0, 2, size=(4, 4)).astype(np.int8))
         precision = build_higmrf_precision(4, 4, mask, 50.0)
         y = rng.standard_normal(16)
         mean_ok, z_mean, cov_err = field_draw_moments(
-            y, precision, SuperLUSolver(precision), rng)
+            y, precision, field_solver(HIGMRF, 4, 4, precision), rng)
         ok = mean_ok and cov_err < 0.05
         verdict(4, ok,
                 f"heterogeneous field ({int(mask.data.sum())}/16 spot pixels, lam=50): "

@@ -243,9 +243,10 @@ class TestDiagnose:
 class TestNumericalFailure:
     @pytest.fixture(autouse=True)
     def failing_factor(self, monkeypatch):
-        def splu(*args, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
-        monkeypatch.setattr(sampler, "splu", splu)
+        # every lattice here is narrow enough for the banded Cholesky
+        def dpbtrf(ab, **kwargs):
+            return ab, 1  # leading minor 1 not positive definite
+        monkeypatch.setattr(sampler, "dpbtrf", dpbtrf)
 
     def check(self, rc, capsys):
         assert rc == EXIT_NUMERICAL

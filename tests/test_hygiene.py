@@ -1,8 +1,10 @@
 """Static checks that keep the package surface small: every exported name
-and every dataclass field has a reader inside the package, and no module
-imports what it never uses."""
+and every dataclass field has a reader inside the package, no module
+imports what it never uses, and every name the benchmark's tracer wraps
+still exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -92,3 +94,33 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"line {line}: {name}" for name, line in imported(tree) if name not in used]
     assert unused == []
+
+
+def traced_attributes():
+    """(module, attribute) for each package attribute that
+    ``perfbench/tracing.py``'s ``install`` reads, wraps or replaces."""
+    tree = parse(ROOT / "perfbench" / "tracing.py")
+    install = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "install")
+    modules = {alias.asname or alias.name for node in ast.walk(install)
+               if isinstance(node, ast.ImportFrom) and node.module == "smfdenoise"
+               for alias in node.names}
+    found = set()
+    for node in ast.walk(install):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            found.add((node.value.id, node.attr))
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_wrap"
+                and isinstance(node.args[0], ast.Name) and node.args[0].id in modules):
+            found.add((node.args[0].id, node.args[1].value))
+    return sorted(found)
+
+
+def test_every_traced_attribute_exists():
+    # a renamed or removed name would break --trace 1 and --self-test only
+    # when the benchmark runs
+    traced = traced_attributes()
+    assert ("sampler", "splu") in traced and ("cli", "denoise") in traced
+    missing = [f"{module}.{attr}" for module, attr in traced
+               if not hasattr(importlib.import_module(f"smfdenoise.{module}"), attr)]
+    assert missing == []

@@ -3,19 +3,22 @@
 import numpy as np
 import pytest
 
+from smfdenoise import sampler
 from smfdenoise.lattice import (
     Raster,
     SpotMask,
     build_higmrf_precision,
     build_igmrf_precision,
 )
-from smfdenoise.model import HyperParams, NoiseParams, make_design
+from smfdenoise.model import HyperParams, NoiseParams, SamplerNumericalError, make_design
 from smfdenoise.sampler import (
     HIGMRF,
     IGMRF,
+    BandedCholeskySolver,
     SpectralSolver,
     SuperLUSolver,
     denoise,
+    field_solver,
     get_binary_image,
     sample_field_given_gamma,
     sample_gamma,
@@ -135,12 +138,43 @@ class TestSampleFieldGivenGamma:
             precision = random_mask_precision(n1, n2, seed)
             self.check_mean(n1, n2, precision, SuperLUSolver(precision))
 
+    def test_banded_mean_matches_dense_solve(self):
+        # band along the rows (n2 <= n1) and along the columns (transposed)
+        for n1, n2, seed in [(1, 5, 1), (5, 1, 5), (3, 40, 6), (40, 3, 7), (8, 8, 4)]:
+            precision = random_mask_precision(n1, n2, seed)
+            self.check_mean(n1, n2, precision, BandedCholeskySolver(n1, n2, precision))
+
     def test_draw_covariance_is_inverse_system(self):
         self.check_covariance(2, 2, build_igmrf_precision(2, 2), SpectralSolver(2, 2))
 
     def test_superlu_draw_covariance_is_inverse_system(self):
         precision = random_mask_precision(2, 3, 8)
         self.check_covariance(2, 3, precision, SuperLUSolver(precision))
+
+    def test_banded_draw_covariance_is_inverse_system(self):
+        for n1, n2 in [(2, 3), (3, 2)]:
+            precision = random_mask_precision(n1, n2, 8)
+            self.check_covariance(n1, n2, precision, BandedCholeskySolver(n1, n2, precision))
+
+
+class TestFieldSolver:
+    def test_band_half_width_selects_the_higmrf_solver(self):
+        # kd = 2 min(n1, n2): 64 at 32 x 40 stays banded, 66 at 33 x 33 does not
+        for n1, n2, expected in [(4, 4, BandedCholeskySolver), (32, 40, BandedCholeskySolver),
+                                 (40, 32, BandedCholeskySolver), (33, 33, SuperLUSolver),
+                                 (64, 64, SuperLUSolver)]:
+            precision = build_igmrf_precision(n1, n2)
+            assert type(field_solver(HIGMRF, n1, n2, precision)) is expected
+        precision = build_igmrf_precision(4, 4)
+        assert type(field_solver(IGMRF, 4, 4, precision)) is SpectralSolver
+
+    def test_superlu_factor_failure_is_numerical_error(self, monkeypatch):
+        def splu(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+        monkeypatch.setattr(sampler, "splu", splu)
+        precision = random_mask_precision(4, 4, 2)
+        with pytest.raises(SamplerNumericalError):
+            SuperLUSolver(precision).solve(precision, NoiseParams(2.0, 0.5), np.ones(16))
 
 
 class TestGetBinaryImage:

@@ -44,12 +44,6 @@ class TestGenerateTruth:
             _, spots = generate_truth(cfg, rng)
             assert 2 <= len(spots) <= 4
 
-    def test_zero_spots_allowed(self):
-        cfg = SynthConfig(spots_min=0, spots_max=0)
-        truth, spots = generate_truth(cfg, np.random.default_rng(41))
-        assert spots == []
-        np.testing.assert_array_equal(truth.data, 0.0)
-
     def test_amplitudes_and_centers_in_bounds(self):
         cfg = SynthConfig(n1=12, n2=18, amplitude_min=0.5, amplitude_max=1.0)
         _, spots = generate_truth(cfg, np.random.default_rng(42))
@@ -121,6 +115,8 @@ class TestSynthConfig:
         {"psf_sigma": 0.0},
         {"snr_db_min": 10.0, "snr_db_max": 5.0},
         {"n_images": -1},
+        {"spots_min": 0, "spots_max": 0},
+        {"n1": 1, "n2": 1},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
