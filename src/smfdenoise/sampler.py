@@ -10,12 +10,16 @@ Each chain builds one field solver for its lattice (``field_solver``):
 ``igmrf`` solves exactly in the DCT-II eigenbasis, and ``higmrf`` factors
 A = kappa_l I + kappa_f Q afresh every sweep, with a banded LAPACK Cholesky
 when the band half-width kd = min(2 min(n1, n2), n1 n2 - 1) is at most
-``BAND_KD_MAX`` = 64 and with symmetric-mode SuperLU otherwise.  Either
-factor failing raises ``SamplerNumericalError``.
+``BAND_KD_MAX`` = 256 (any lattice up to 128 pixels on its shorter side) and
+with symmetric-mode SuperLU otherwise.  The banded factor runs on one BLAS
+thread, through OpenBLAS's ``openblas_set_num_threads_local`` where scipy's
+LAPACK provides it.  Either factor failing raises ``SamplerNumericalError``.
 """
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,6 +162,41 @@ def _half_width(n1: int, n2: int) -> int:
     return min(2 * min(n1, n2), n1 * n2 - 1)
 
 
+def _blas_thread_setter():
+    """OpenBLAS's ``openblas_set_num_threads_local``, which sets the BLAS
+    thread count and returns the one it replaces, or None when the LAPACK
+    behind ``dpbtrf`` does not export it (a build on another BLAS).  The count
+    it sets is the calling thread's in OpenMP builds but the whole process's
+    in pthreads builds, scipy's own wheels among them.  dlsym on the extension
+    module's handle also searches the libraries that the module links, which
+    is where scipy's OpenBLAS sits."""
+    try:
+        setter = ctypes.CDLL(linalg.lapack._flapack.__file__).openblas_set_num_threads_local
+    except (OSError, AttributeError):
+        return None
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = ctypes.c_int
+    return setter
+
+
+_set_blas_threads_local = _blas_thread_setter()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Cap the calling thread at one BLAS thread, and give it back its own
+    count on the way out, raised or not.  Without a setter the body runs on
+    the caller's count."""
+    if _set_blas_threads_local is None:
+        yield
+        return
+    previous = _set_blas_threads_local(1)
+    try:
+        yield
+    finally:
+        _set_blas_threads_local(previous)
+
+
 class BandedCholeskySolver:
     """Banded Cholesky solve of A x = b, A = kappa_l I + kappa_f Q, for any Q.
 
@@ -192,20 +231,24 @@ class BandedCholeskySolver:
         self._flat.fill(0.0)
         self._flat[self._band_pos] = noise.kappa_f * precision.matrix.data[self._lower]
         self._ab[0] += noise.kappa_l
-        chol, info = dpbtrf(self._ab, lower=1, overwrite_ab=1)
-        if info > 0:
-            raise SamplerNumericalError(
-                f"banded Cholesky failed at pivot {info} (n={precision.n}, "
-                f"kappa_l={noise.kappa_l}, kappa_f={noise.kappa_f})")
-        x_band, _ = dpbtrs(chol, b[self._order], lower=1)
+        # Past kd = 64, dpbtrf's BLAS-3 calls on its 32-wide blocks go
+        # threaded; at 64^2 this solve measured 9.7-12.1 ms on two threads
+        # (cpu/wall 2.0) against 7.0-9.5 ms on one.
+        with _one_blas_thread():
+            chol, info = dpbtrf(self._ab, lower=1, overwrite_ab=1)
+            if info > 0:
+                raise SamplerNumericalError(
+                    f"banded Cholesky failed at pivot {info} (n={precision.n}, "
+                    f"kappa_l={noise.kappa_l}, kappa_f={noise.kappa_f})")
+            x_band, _ = dpbtrs(chol, b[self._order], lower=1)
         return x_band[self._rank]
 
 
-# dpbtrf works in blocks of NB = 32.  Up to kd = 2 NB every BLAS-3 call
-# inside it is on a 32 x 32 block or smaller, which OpenBLAS keeps on one
-# thread; past it, its threaded calls measured cpu/wall 1.6-2.0, and the
-# spinning workers slowed the next igmrf chain.
-BAND_KD_MAX = 64
+# The bound is about time and memory.  The band is (kd + 1) n 8 bytes: 34 MB
+# at 128^2 (kd = 256) and 269 MB at 256^2 (kd = 512).  At 256^2 the banded
+# solve was still faster than SuperLU (0.8-0.9 s against 1.4-1.5 s) but its
+# peak RSS was 437 MB against 294 MB, so wider lattices keep SuperLU.
+BAND_KD_MAX = 256
 
 
 def field_solver(variant: str, n1: int, n2: int, precision: PrecisionMatrix,

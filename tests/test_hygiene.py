@@ -8,6 +8,9 @@ import importlib
 from pathlib import Path
 
 import pytest
+import scipy
+
+from smfdenoise import sampler
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "smfdenoise"
@@ -124,3 +127,11 @@ def test_every_traced_attribute_exists():
     missing = [f"{module}.{attr}" for module, attr in traced
                if not hasattr(importlib.import_module(f"smfdenoise.{module}"), attr)]
     assert missing == []
+
+
+def test_openblas_thread_setter_resolves():
+    # without it the banded factor silently goes back to threaded BLAS-3
+    # calls past kd = 64, so a build that renames the symbol must fail here
+    blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" in blas.lower():
+        assert sampler._set_blas_threads_local is not None, blas

@@ -139,8 +139,10 @@ class TestSampleFieldGivenGamma:
             self.check_mean(n1, n2, precision, SuperLUSolver(precision))
 
     def test_banded_mean_matches_dense_solve(self):
-        # band along the rows (n2 <= n1) and along the columns (transposed)
-        for n1, n2, seed in [(1, 5, 1), (5, 1, 5), (3, 40, 6), (40, 3, 7), (8, 8, 4)]:
+        # band along the rows (n2 <= n1) and along the columns (transposed);
+        # kd = 68 at 34 x 40 is past 64, where dpbtrf's block updates outgrow 32 x 32
+        for n1, n2, seed in [(1, 5, 1), (5, 1, 5), (3, 40, 6), (40, 3, 7), (8, 8, 4),
+                             (34, 40, 9), (40, 34, 10)]:
             precision = random_mask_precision(n1, n2, seed)
             self.check_mean(n1, n2, precision, BandedCholeskySolver(n1, n2, precision))
 
@@ -159,10 +161,11 @@ class TestSampleFieldGivenGamma:
 
 class TestFieldSolver:
     def test_band_half_width_selects_the_higmrf_solver(self):
-        # kd = 2 min(n1, n2): 64 at 32 x 40 stays banded, 66 at 33 x 33 does not
-        for n1, n2, expected in [(4, 4, BandedCholeskySolver), (32, 40, BandedCholeskySolver),
-                                 (40, 32, BandedCholeskySolver), (33, 33, SuperLUSolver),
-                                 (64, 64, SuperLUSolver)]:
+        # kd = 2 min(n1, n2): 256 at 128 x 300 stays banded, 258 at 129 x 129 does not
+        for n1, n2, expected in [(4, 4, BandedCholeskySolver), (64, 64, BandedCholeskySolver),
+                                 (128, 300, BandedCholeskySolver),
+                                 (300, 128, BandedCholeskySolver),
+                                 (129, 129, SuperLUSolver)]:
             precision = build_igmrf_precision(n1, n2)
             assert type(field_solver(HIGMRF, n1, n2, precision)) is expected
         precision = build_igmrf_precision(4, 4)
@@ -175,6 +178,55 @@ class TestFieldSolver:
         precision = random_mask_precision(4, 4, 2)
         with pytest.raises(SamplerNumericalError):
             SuperLUSolver(precision).solve(precision, NoiseParams(2.0, 0.5), np.ones(16))
+
+
+class TestOneBlasThread:
+    """The banded factor runs on one BLAS thread and gives the caller's
+    count back.  ``openblas_set_num_threads_local`` returns the count it
+    replaces, which is how these tests read it."""
+
+    @pytest.fixture
+    def set_threads(self):
+        setter = sampler._set_blas_threads_local
+        if setter is None:
+            pytest.skip("scipy's LAPACK exports no openblas_set_num_threads_local")
+        caller = setter(2)
+        yield setter
+        setter(caller)
+
+    @pytest.fixture
+    def problem(self):
+        # kd = 68, past the width where dpbtrf's BLAS-3 calls go threaded
+        precision = random_mask_precision(34, 40, 11)
+        return BandedCholeskySolver(34, 40, precision), precision
+
+    def test_factor_runs_on_one_thread_and_restores_the_count(self, set_threads, problem,
+                                                              monkeypatch):
+        seen = []
+        factor = sampler.dpbtrf
+        def dpbtrf(ab, **kwargs):
+            seen.append(set_threads(1))  # the count in force during the factor
+            return factor(ab, **kwargs)
+        monkeypatch.setattr(sampler, "dpbtrf", dpbtrf)
+        solver, precision = problem
+        solver.solve(precision, NoiseParams(2.0, 0.5), np.ones(precision.n))
+        assert seen == [1]
+        assert set_threads(2) == 2
+
+    def test_failed_factor_restores_the_count(self, set_threads, problem, monkeypatch):
+        def dpbtrf(ab, **kwargs):
+            return ab, 1  # leading minor 1 not positive definite
+        monkeypatch.setattr(sampler, "dpbtrf", dpbtrf)
+        solver, precision = problem
+        with pytest.raises(SamplerNumericalError):
+            solver.solve(precision, NoiseParams(2.0, 0.5), np.ones(precision.n))
+        assert set_threads(2) == 2
+
+    def test_solve_runs_without_a_setter(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_set_blas_threads_local", None)
+        precision = random_mask_precision(34, 40, 12)
+        TestSampleFieldGivenGamma().check_mean(34, 40, precision,
+                                               BandedCholeskySolver(34, 40, precision))
 
 
 class TestGetBinaryImage:
