@@ -22,6 +22,7 @@ __all__ = [
     "BenchRow",
     "write_corpus",
     "read_corpus",
+    "read_external",
     "run_method",
     "run_bench",
     "write_report",
@@ -81,13 +82,10 @@ def read_corpus(corpus_dir) -> list[tuple[Raster, Raster]]:
         if not line or line.startswith("#") or line.startswith("index,"):
             continue
         indices.append(int(line.split(",", 1)[0]))
-    pairs = []
-    for k in sorted(indices):
-        pairs.append((
-            read_raster_csv(corpus_dir / f"truth_{k}.csv"),
-            read_raster_csv(corpus_dir / f"noisy_{k}.csv"),
-        ))
-    return pairs
+    if not indices:
+        raise ValueError(f"{manifest} lists no images")
+    return [(read_raster_csv(corpus_dir / f"truth_{k}.csv"),
+             read_raster_csv(corpus_dir / f"noisy_{k}.csv")) for k in sorted(indices)]
 
 
 def run_method(method: str, noisy: Raster, hp: HyperParams, fc: FilterConfig) -> Raster:
@@ -105,40 +103,44 @@ def run_method(method: str, noisy: Raster, hp: HyperParams, fc: FilterConfig) ->
     raise UnknownMethodError(f"unknown method {method!r}")
 
 
+def read_external(method: str, truths: list[Raster]) -> list[Raster]:
+    """The outputs of method ``external:DIR``: DIR/denoised_<k>.csv for each
+    truth k, each of its truth's shape."""
+    ext_dir = Path(method.split(":", 1)[1])
+    paths = [ext_dir / f"denoised_{k}.csv" for k in range(len(truths))]
+    missing = [str(p) for p in paths if not p.exists()]
+    if missing:
+        raise MissingExternalError(method, missing)
+    outputs = [read_raster_csv(p) for p in paths]
+    for path, out, truth in zip(paths, outputs, truths):
+        if (out.n1, out.n2) != (truth.n1, truth.n2):
+            raise ValueError(f"{path} is {out.n1}x{out.n2}, its truth {truth.n1}x{truth.n2}")
+    return outputs
+
+
 def run_bench(pairs: list[tuple[Raster, Raster]], methods: list[str],
-              hp: HyperParams, fc: FilterConfig) -> list[BenchRow]:
-    """Every requested method over every (truth, noisy) pair."""
-    external: dict[str, list[Raster]] = {}
+              hp: HyperParams, fc: FilterConfig,
+              external: dict[str, list[Raster]] | None = None) -> list[BenchRow]:
+    """Every requested method over every (truth, noisy) pair.  ``external``
+    holds the outputs of ``external:`` methods already read by
+    ``read_external``; the others are read here, before any method runs."""
+    external = dict(external or {})
     for method in methods:
-        if method.startswith("external:"):
-            external[method] = _load_external(method, len(pairs))
-        elif method not in BASELINE_METHODS and method not in SAMPLER_METHODS:
+        if method in external or method in BASELINE_METHODS or method in SAMPLER_METHODS:
+            continue
+        if not method.startswith("external:"):
             raise UnknownMethodError(f"unknown method {method!r}")
+        external[method] = read_external(method, [truth for truth, _ in pairs])
     rows = []
     for k, (truth, noisy) in enumerate(pairs):
         for method in methods:
             t0 = time.perf_counter()
-            if method in external:
-                estimate = external[method][k]
-            else:
-                estimate = run_method(method, noisy, hp, fc)
+            estimate = (external[method][k] if method in external
+                        else run_method(method, noisy, hp, fc))
             wall_ms = (time.perf_counter() - t0) * 1e3
-            rows.append(BenchRow(
-                image=k,
-                method=method,
-                report=metrics.evaluate(estimate, truth),
-                wall_ms=wall_ms,
-            ))
+            rows.append(BenchRow(image=k, method=method,
+                                 report=metrics.evaluate(estimate, truth), wall_ms=wall_ms))
     return rows
-
-
-def _load_external(method: str, n_images: int) -> list[Raster]:
-    ext_dir = Path(method.split(":", 1)[1])
-    paths = [ext_dir / f"denoised_{k}.csv" for k in range(n_images)]
-    missing = [str(p) for p in paths if not p.exists()]
-    if missing:
-        raise MissingExternalError(method, missing)
-    return [read_raster_csv(p) for p in paths]
 
 
 def _fmt(v: float) -> str:

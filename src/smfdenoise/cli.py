@@ -1,15 +1,27 @@
 """Command-line front end.
 
-Subcommands: synth (corpus generation), denoise, bench, diagnose.  Exit
-codes: 0 ok, 2 usage or bad configuration, 3 I/O failure, 4 missing external
-data, 5 not converged, 6 degenerate traces, 7 numerical failure in the sampler,
-8 a quality metric undefined for a bench output.
+Subcommands: synth (corpus generation), denoise, bench, diagnose.  A command
+raises on failure; ``main`` maps the exception to its exit code through one
+table and prints one "smfdenoise:" line on stderr.  Exit codes:
+
+  0 success
+  2 usage or bad configuration (an input under 2 pixels, a bad crop, too few
+    chains or post-burn-in draws, an unknown method, a corpus that cannot be
+    generated)
+  3 a config, input, corpus or external-output file that cannot be read or
+    parsed, or an output that cannot be written
+  4 missing external outputs
+  5 not converged
+  6 degenerate traces
+  7 numerical failure in the sampler
+  8 a quality metric undefined for a bench output
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,12 +51,23 @@ EXIT_DEGENERATE = 6
 EXIT_NUMERICAL = 7
 EXIT_METRIC = 8
 
+
+class UsageError(Exception):
+    """A command-line value the command cannot run with."""
+
+
+class FileError(Exception):
+    """A file named on the command line cannot be read or written."""
+
+
 # The exit code of each failure a command lets propagate; it is reported as
 # one "smfdenoise:" line.  No class here subclasses another.
 _EXIT_CODES = {
+    UsageError: EXIT_USAGE,
     ConfigError: EXIT_USAGE,
     CorpusError: EXIT_USAGE,
     bench_mod.UnknownMethodError: EXIT_USAGE,
+    FileError: EXIT_IO,
     bench_mod.MissingExternalError: EXIT_MISSING,
     DegenerateTraceError: EXIT_DEGENERATE,
     SamplerNumericalError: EXIT_NUMERICAL,
@@ -52,87 +75,68 @@ _EXIT_CODES = {
 }
 
 
-def _err(msg: str) -> None:
-    print(f"smfdenoise: {msg}", file=sys.stderr)
+@contextmanager
+def _files(action: str):
+    """Raise a failure to ``action`` a file as FileError; a failure with its
+    own exit code (a bad config key, missing external outputs) passes."""
+    try:
+        yield
+    except tuple(_EXIT_CODES):
+        raise
+    except (OSError, ValueError) as exc:
+        raise FileError(f"cannot {action}: {exc}") from exc
 
 
 def _load_configs(args):
-    return load_config(args.config, {} if args.seed is None else {"seed": args.seed})
+    with _files(f"read config {args.config}"):
+        return load_config(args.config, {} if args.seed is None else {"seed": args.seed})
+
+
+def _read_input(path: str, crop: str | None = None) -> Raster:
+    """The input raster, cut to the R0,C0,H,W window ``crop``.  The field
+    prior couples pixel pairs; a lone pixel has none and would come back
+    unchanged, so the result needs two pixels."""
+    with _files(f"read {path}"):
+        y = load_raster(path)
+    if crop:
+        try:
+            r0, c0, h, w = (int(tok) for tok in crop.split(","))
+        except ValueError:
+            raise UsageError(f"crop must be r0,c0,h,w integers, got {crop!r}") from None
+        if h < 1 or w < 1 or r0 < 0 or c0 < 0 or r0 + h > y.n1 or c0 + w > y.n2:
+            raise UsageError(f"crop {crop!r} outside {y.n1}x{y.n2} raster")
+        y = Raster.from_2d(y.to_2d()[r0:r0 + h, c0:c0 + w])
+    if y.n1 * y.n2 < 2:
+        raise UsageError(f"input is {y.n1}x{y.n2}; need at least 2 pixels")
+    return y
 
 
 def cmd_synth(args) -> int:
     hp, fc, sc = _load_configs(args)
     out_dir = Path(args.out)
     if not out_dir.is_dir():
-        _err(f"output directory {out_dir} does not exist")
-        return EXIT_IO
+        raise FileError(f"output directory {out_dir} does not exist")
     pairs = generate_corpus(sc)
-    try:
+    with _files("write corpus"):
         bench_mod.write_corpus(out_dir, pairs, effective_config_lines(hp, fc, sc))
-    except OSError as exc:
-        _err(f"cannot write corpus: {exc}")
-        return EXIT_IO
     print(f"wrote {len(pairs)} pairs to {out_dir}")
     return EXIT_OK
 
 
-def _parse_crop(spec: str, n1: int, n2: int):
-    try:
-        r0, c0, h, w = (int(tok) for tok in spec.split(","))
-    except ValueError:
-        raise ValueError(f"crop must be r0,c0,h,w integers, got {spec!r}")
-    if h < 1 or w < 1 or r0 < 0 or c0 < 0 or r0 + h > n1 or c0 + w > n2:
-        raise ValueError(f"crop {spec!r} outside {n1}x{n2} raster")
-    return r0, c0, h, w
-
-
-def _too_small(y: Raster) -> bool:
-    """The field prior couples pixel pairs; a lone pixel has none and would
-    come back unchanged, so an input needs two pixels."""
-    if y.n1 * y.n2 >= 2:
-        return False
-    _err(f"input is {y.n1}x{y.n2}; need at least 2 pixels")
-    return True
-
-
 def cmd_denoise(args) -> int:
     hp, fc, sc = _load_configs(args)
-    try:
-        y = load_raster(args.input)
-    except (OSError, ValueError) as exc:
-        _err(f"cannot read {args.input}: {exc}")
-        return EXIT_IO
-    if args.crop:
-        try:
-            r0, c0, h, w = _parse_crop(args.crop, y.n1, y.n2)
-        except ValueError as exc:
-            _err(str(exc))
-            return EXIT_USAGE
-        y = Raster.from_2d(y.to_2d()[r0:r0 + h, c0:c0 + w])
-    if _too_small(y):
-        return EXIT_USAGE
+    y = _read_input(args.input, args.crop)
     result = denoise(y, hp, variant=args.variant)
     echo = effective_config_lines(hp, fc, sc) + [f"variant={args.variant}"]
-    try:
+    mask = result.final_mask
+    trace_lines = [f"# {c}" for c in echo]
+    trace_lines.append("iteration,kappa_l,kappa_f,gamma1,gamma2,gamma3")
+    for t, row in enumerate(np.hstack([result.theta_trace, result.gamma_trace]), start=1):
+        trace_lines.append(f"{t}," + ",".join(f"{v:.9g}" for v in row))
+    with _files("write outputs"):
         write_raster_csv(args.out_mean, result.posterior_mean, echo)
-        write_raster_csv(
-            args.out_mask,
-            Raster(result.final_mask.n1, result.final_mask.n2,
-                   result.final_mask.data.astype(float)),
-            echo,
-        )
-        trace_lines = [f"# {c}" for c in echo]
-        trace_lines.append("iteration,kappa_l,kappa_f,gamma1,gamma2,gamma3")
-        for t in range(result.theta_trace.shape[0]):
-            kl, kf = result.theta_trace[t]
-            g1, g2, g3 = result.gamma_trace[t]
-            trace_lines.append(
-                f"{t + 1},{kl:.9g},{kf:.9g},{g1:.9g},{g2:.9g},{g3:.9g}"
-            )
+        write_raster_csv(args.out_mask, Raster(mask.n1, mask.n2, mask.data.astype(float)), echo)
         Path(args.out_trace).write_text("\n".join(trace_lines) + "\n")
-    except OSError as exc:
-        _err(f"cannot write outputs: {exc}")
-        return EXIT_IO
     return EXIT_OK
 
 
@@ -140,56 +144,39 @@ def cmd_bench(args) -> int:
     hp, fc, sc = _load_configs(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
-        _err("no methods requested")
-        return EXIT_USAGE
-    try:
+        raise UsageError("no methods requested")
+    with _files("read corpus"):
         pairs = bench_mod.read_corpus(args.corpus)
-    except (OSError, ValueError) as exc:
-        _err(f"cannot read corpus: {exc}")
-        return EXIT_IO
-    rows = bench_mod.run_bench(pairs, methods, hp, fc)
-    try:
+    with _files("read external outputs"):
+        external = {m: bench_mod.read_external(m, [truth for truth, _ in pairs])
+                    for m in methods if m.startswith("external:")}
+    rows = bench_mod.run_bench(pairs, methods, hp, fc, external)
+    with _files("write report"):
         bench_mod.write_report(args.report, rows, methods,
                                effective_config_lines(hp, fc, sc))
-    except OSError as exc:
-        _err(f"cannot write report: {exc}")
-        return EXIT_IO
     return EXIT_OK
 
 
 def cmd_diagnose(args) -> int:
     if args.chains < 2:
-        _err("need at least 2 chains")
-        return EXIT_USAGE
+        raise UsageError("need at least 2 chains")
     hp, fc, sc = _load_configs(args)
-    try:
-        y = load_raster(args.input)
-    except (OSError, ValueError) as exc:
-        _err(f"cannot read {args.input}: {exc}")
-        return EXIT_IO
-    if _too_small(y):
-        return EXIT_USAGE
-    kl_traces = []
-    kf_traces = []
-    for c in range(args.chains):
-        res = denoise(y, replace(hp, seed=hp.seed + c), variant=args.variant)
-        post = res.theta_trace[hp.burn_in:]
-        kl_traces.append(post[:, 0])
-        kf_traces.append(post[:, 1])
-    report = convergence_report({
-        "kappa_l": TraceSet(np.array(kl_traces)),
-        "kappa_f": TraceSet(np.array(kf_traces)),
-    })
+    # PSRF needs two post-burn-in draws per chain
+    if hp.n_iter - hp.burn_in < 2:
+        raise UsageError(f"need T - burn_in >= 2, got T={hp.n_iter}, burn_in={hp.burn_in}")
+    y = _read_input(args.input)
+    # (chains, 2, post-burn-in draws): kappa_l and kappa_f per chain
+    post = np.array([denoise(y, replace(hp, seed=hp.seed + c), variant=args.variant)
+                     .theta_trace[hp.burn_in:].T for c in range(args.chains)])
+    report = convergence_report({"kappa_l": TraceSet(post[:, 0]),
+                                 "kappa_f": TraceSet(post[:, 1])})
     lines = [f"# {c}" for c in effective_config_lines(hp, fc, sc)]
     lines.append(f"# chains={args.chains} variant={args.variant} threshold={PSRF_THRESHOLD}")
     lines.append("parameter,psrf,converged")
     for name, value in report.psrf_values.items():
         lines.append(f"{name},{value:.9g},{int(report.passed[name])}")
-    try:
+    with _files("write report"):
         Path(args.report).write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        _err(f"cannot write report: {exc}")
-        return EXIT_IO
     for name, value in report.psrf_values.items():
         print(f"{name}: PSRF={value:.4f} ({'ok' if report.passed[name] else 'NOT CONVERGED'})")
     return EXIT_OK if report.all_converged else EXIT_NOT_CONVERGED
@@ -238,7 +225,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:
-        _err(str(exc))
+        print(f"smfdenoise: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 

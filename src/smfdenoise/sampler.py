@@ -184,9 +184,10 @@ _set_blas_threads_local = _blas_thread_setter()
 
 @contextmanager
 def _one_blas_thread():
-    """Cap the calling thread at one BLAS thread, and give it back its own
-    count on the way out, raised or not.  Without a setter the body runs on
-    the caller's count."""
+    """Run the body on one BLAS thread and restore the previous count on the
+    way out, raised or not.  In scipy's OpenBLAS, a pthreads build, the
+    count is the whole process's, so chains on threads would need a lock
+    around this scope.  Without a setter the body runs on the current count."""
     if _set_blas_threads_local is None:
         yield
         return

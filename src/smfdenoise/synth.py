@@ -43,8 +43,8 @@ class SynthConfig:
         # a constant truth has no SNR: one pixel, or no spot in any image
         if self.n1 < 1 or self.n2 < 1 or self.n1 * self.n2 < 2:
             raise ValueError("lattice needs positive dimensions and at least 2 pixels")
-        if self.n_images < 0:
-            raise ValueError("n_images must be non-negative")
+        if self.n_images < 1:
+            raise ValueError("n_images must be at least 1")
         if self.spots_min < 0 or self.spots_min > self.spots_max:
             raise ValueError("need 0 <= spots_min <= spots_max")
         if self.spots_max < 1:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import smfdenoise
-from smfdenoise import sampler
+from smfdenoise import bench, cli, sampler
 from smfdenoise.cli import (
     EXIT_IO,
     EXIT_METRIC,
@@ -47,6 +47,31 @@ def noisy_csv(tmp_path):
     path = tmp_path / "noisy.csv"
     write_raster_csv(path, Raster.from_2d(x))
     return str(path)
+
+
+class TestConfigFile:
+    @pytest.fixture(params=["synth", "denoise", "bench", "diagnose"])
+    def argv(self, request, tmp_path, noisy_csv):
+        out = str(tmp_path / "out")
+        return {
+            "synth": ["synth", "--out", str(tmp_path)],
+            "denoise": ["denoise", "--input", noisy_csv, "--out-mean", out,
+                        "--out-mask", out, "--out-trace", out],
+            "bench": ["bench", "--corpus", str(tmp_path), "--methods", "ga",
+                      "--report", out],
+            "diagnose": ["diagnose", "--input", noisy_csv, "--report", out],
+        }[request.param]
+
+    def test_missing_config_is_io_error(self, tmp_path, argv, capsys):
+        rc = main(argv + ["--config", str(tmp_path / "ghost.cfg")])
+        assert rc == EXIT_IO
+        assert one_error_line(capsys)
+
+    def test_non_utf8_config_is_io_error(self, tmp_path, argv, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("T=10  # caf\u00e9\n".encode("latin-1"))
+        assert main(argv + ["--config", str(cfg)]) == EXIT_IO
+        assert one_error_line(capsys)
 
 
 class TestSynth:
@@ -214,6 +239,32 @@ class TestBench:
                    "--config", fast_cfg, "--report", str(tmp_path / "r.csv")])
         assert rc == EXIT_IO
 
+    def test_manifest_without_images_is_io_error(self, tmp_path, fast_cfg, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "manifest.csv").write_text(
+            "index,spot_count,centers,amplitudes,target_snr_db,realized_snr_db,seed\n")
+        rc = main(["bench", "--corpus", str(corpus), "--methods", "ga",
+                   "--config", fast_cfg, "--report", str(tmp_path / "r.csv")])
+        assert rc == EXIT_IO
+        assert one_error_line(capsys)
+
+    # each output is read and checked against its truth before any method runs
+    @pytest.mark.parametrize("text", ["1,x\n", "1,2\n3,4\n"], ids=["unparsable", "shape"])
+    def test_bad_external_output_is_io_error(self, tmp_path, fast_cfg, text, capsys,
+                                             monkeypatch):
+        corpus = self.make_corpus(tmp_path, fast_cfg)
+        ext = tmp_path / "ext"
+        ext.mkdir()
+        (ext / "denoised_0.csv").write_text(text)
+        write_raster_csv(ext / "denoised_1.csv", read_raster_csv(corpus / "truth_1.csv"))
+        monkeypatch.setattr(bench, "run_method", lambda *a: pytest.fail("a method ran"))
+        capsys.readouterr()
+        rc = main(["bench", "--corpus", str(corpus), "--methods", f"ga,external:{ext}",
+                   "--config", fast_cfg, "--report", str(tmp_path / "r.csv")])
+        assert rc == EXIT_IO
+        assert one_error_line(capsys)
+
 
 class TestDiagnose:
     def test_writes_report_with_verdicts(self, tmp_path, noisy_csv, fast_cfg):
@@ -238,6 +289,18 @@ class TestDiagnose:
         rc = main(["diagnose", "--input", noisy_csv, "--config", fast_cfg,
                    "--chains", "1", "--report", str(tmp_path / "r.csv")])
         assert rc == EXIT_USAGE
+
+    # PSRF needs two post-burn-in draws per chain; T=2 gives burn_in=1
+    @pytest.mark.parametrize("text", ["T=3\nburn_in=2\n", "T=2\n"], ids=["T3", "T2"])
+    def test_too_few_draws_rejected_before_any_chain(self, tmp_path, noisy_csv, text,
+                                                      capsys, monkeypatch):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(text)
+        monkeypatch.setattr(cli, "denoise", lambda *a, **k: pytest.fail("a chain ran"))
+        rc = main(["diagnose", "--input", noisy_csv, "--config", str(cfg),
+                   "--report", str(tmp_path / "r.csv")])
+        assert rc == EXIT_USAGE
+        assert one_error_line(capsys)
 
 
 class TestNumericalFailure:

@@ -1,16 +1,18 @@
 """Static checks that keep the package surface small: every exported name
 and every dataclass field has a reader inside the package, no module
-imports what it never uses, and every name the benchmark's tracer wraps
-still exists."""
+imports what it never uses, every name the benchmark's tracer wraps
+still exists, and the CLI has one error path whose exit codes the docs
+name."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 import scipy
 
-from smfdenoise import sampler
+from smfdenoise import cli, sampler
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "smfdenoise"
@@ -135,3 +137,44 @@ def test_openblas_thread_setter_resolves():
     blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
     if "openblas" in blas.lower():
         assert sampler._set_blas_threads_local is not None, blas
+
+
+def documented_exit_codes(text, start):
+    """The codes of the list that follows ``start`` in ``text``: one per
+    line, the code first (in backticks in README.md), up to a blank line."""
+    assert start in text
+    block = text.split(start, 1)[1].strip("\n").split("\n\n", 1)[0]
+    return {int(m) for m in re.findall(r"^\s*(?:- )?`?(\d+)`?\s", block, re.M)}
+
+
+def test_exit_codes_agree_across_readme_docstring_and_constants():
+    # README.md and cli must document the same codes the CLI returns
+    constants = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert set(cli._EXIT_CODES.values()) <= constants
+    assert documented_exit_codes(cli.__doc__, "Exit codes:") == constants
+    readme = (ROOT / "README.md").read_text()
+    assert documented_exit_codes(readme, "Exit codes:") == constants
+
+
+def test_commands_raise_rather_than_report_failures():
+    # one error path: a command raises, and only cli.main prints to stderr
+    # and maps the failure to its exit code
+    tree = parse(PACKAGE / "cli.py")
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    writers = sorted(f.name for f in functions if any(
+        isinstance(node, ast.Attribute) and node.attr == "stderr" for node in ast.walk(f)))
+    assert writers == ["main"]
+
+    def codes(expr):
+        if expr is None:  # a bare return
+            return {"None"}
+        if isinstance(expr, ast.IfExp):
+            return codes(expr.body) | codes(expr.orelse)
+        return {expr.id if isinstance(expr, ast.Name) else ast.unparse(expr)}
+
+    returned = {f.name: set().union(*(codes(node.value) for node in ast.walk(f)
+                                      if isinstance(node, ast.Return)))
+                for f in functions if f.name.startswith("cmd_")}
+    assert set(returned) == {"cmd_synth", "cmd_denoise", "cmd_bench", "cmd_diagnose"}
+    stray = {name: r - {"EXIT_OK", "EXIT_NOT_CONVERGED"} for name, r in returned.items()}
+    assert not any(stray.values()), stray

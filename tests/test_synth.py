@@ -117,6 +117,7 @@ class TestSynthConfig:
         {"n_images": -1},
         {"spots_min": 0, "spots_max": 0},
         {"n1": 1, "n2": 1},
+        {"n_images": 0},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
