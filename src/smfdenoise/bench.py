@@ -150,7 +150,11 @@ def _fmt(v: float) -> str:
 def write_report(path, rows: list[BenchRow], methods: list[str],
                  config_lines: list[str]):
     """Per-image rows, then one mean row per method; standard deviations go
-    into structured comment lines so the column contract stays fixed."""
+    into structured comment lines so the column contract stays fixed.
+
+    A PSNR is infinite when an estimate equals its truth.  Its method's mean
+    PSNR is then ``inf``, and its standard deviation, undefined, is ``nan``.
+    """
     lines = [f"# {c}" for c in config_lines]
     lines.append(",".join(REPORT_COLUMNS))
     for row in sorted(rows, key=lambda r: (r.image, methods.index(r.method))):
@@ -167,7 +171,10 @@ def write_report(path, rows: list[BenchRow], methods: list[str],
             for r in sub
         ])
         mean = cols.mean(axis=0)
-        std = cols.std(axis=0)
+        # std would subtract inf from inf and warn; such a column is nan here
+        finite = np.isfinite(cols).all(axis=0)
+        std = np.full(cols.shape[1], np.nan)
+        std[finite] = cols[:, finite].std(axis=0)
         lines.append("mean," + method + "," + ",".join(_fmt(v) for v in mean))
         std_lines.append("# std," + method + "," + ",".join(_fmt(v) for v in std[:4]))
     lines.extend(std_lines)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +38,7 @@ from .fileio import load_raster, write_raster_csv
 from .lattice import Raster
 from .metrics import MetricInstabilityError
 from .model import SamplerNumericalError
-from .sampler import HIGMRF, IGMRF, denoise
+from .sampler import HIGMRF, IGMRF, denoise, run_chains
 from .synth import CorpusError, generate_corpus
 
 EXIT_OK = 0
@@ -166,8 +165,8 @@ def cmd_diagnose(args) -> int:
         raise UsageError(f"need T - burn_in >= 2, got T={hp.n_iter}, burn_in={hp.burn_in}")
     y = _read_input(args.input)
     # (chains, 2, post-burn-in draws): kappa_l and kappa_f per chain
-    post = np.array([denoise(y, replace(hp, seed=hp.seed + c), variant=args.variant)
-                     .theta_trace[hp.burn_in:].T for c in range(args.chains)])
+    post = np.array([result.theta_trace[hp.burn_in:].T
+                     for result in run_chains(y, hp, args.variant, args.chains)])
     report = convergence_report({"kappa_l": TraceSet(post[:, 0]),
                                  "kappa_f": TraceSet(post[:, 1])})
     lines = [f"# {c}" for c in effective_config_lines(hp, fc, sc)]

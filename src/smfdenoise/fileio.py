@@ -36,11 +36,14 @@ def write_raster_csv(path, raster: Raster, comments: list[str] | None = None):
 
 def read_raster_csv(path) -> Raster:
     rows = []
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append([float(tok) for tok in line.split(",")])
+        try:
+            rows.append([float(tok) for tok in line.split(",")])
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     widths = {len(r) for r in rows}

@@ -14,13 +14,23 @@ when the band half-width kd = min(2 min(n1, n2), n1 n2 - 1) is at most
 with symmetric-mode SuperLU otherwise.  The banded factor runs on one BLAS
 thread, through OpenBLAS's ``openblas_set_num_threads_local`` where scipy's
 LAPACK provides it.  Either factor failing raises ``SamplerNumericalError``.
+
+``run_chains`` runs the independent chains of a multi-chain check, chain c
+seeded with ``hp.seed + c``.  ``higmrf`` chains go to a ``fork`` process pool
+of min(chains, CPUs) workers, each on one BLAS thread for its whole life, so
+that two processes never spin two OpenBLAS threads each on two cores.
+``igmrf`` chains run serially: a 30 x 30 ``igmrf`` chain takes about 40 ms,
+less than forking and warming up a pool costs.  On a 2-core x86 machine a
+pooled 4-chain 30 x 30 ``igmrf`` ``diagnose`` took 0.26 s against 0.19-0.23 s
+serially.  Where ``fork`` is not offered, every chain runs serially.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg, sparse
@@ -47,6 +57,7 @@ __all__ = [
     "field_solver",
     "get_binary_image",
     "denoise",
+    "run_chains",
 ]
 
 IGMRF = "igmrf"
@@ -187,7 +198,10 @@ def _one_blas_thread():
     """Run the body on one BLAS thread and restore the previous count on the
     way out, raised or not.  In scipy's OpenBLAS, a pthreads build, the
     count is the whole process's, so chains on threads would need a lock
-    around this scope.  Without a setter the body runs on the current count."""
+    around this scope.  ``run_chains`` runs ``higmrf`` chains on a fork pool
+    of min(chains, CPUs) processes instead, each on one BLAS thread for its
+    whole life, and ``igmrf`` chains serially (see the module docstring).
+    Without a setter the body runs on the current count."""
     if _set_blas_threads_local is None:
         yield
         return
@@ -377,3 +391,41 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
         theta_trace=theta_trace,
         gamma_trace=gamma_trace,
     )
+
+
+def _one_blas_thread_for_life():
+    """Pool initializer: the worker runs every chain on one BLAS thread.  A
+    forked worker's count is its own, so the parent's is left as it was."""
+    if _set_blas_threads_local is not None:
+        _set_blas_threads_local(1)
+
+
+def _run_chain(y: Raster, hp: HyperParams, variant: str) -> DenoiseResult:
+    # a module-level name, so the pool pickles it by reference and the
+    # forked worker calls whatever ``denoise`` the parent had bound
+    return denoise(y, hp, variant)
+
+
+def run_chains(y: Raster, hp: HyperParams, variant: str, chains: int,
+               ) -> list[DenoiseResult]:
+    """Run ``chains`` independent chains on ``y``, chain c seeded with
+    ``hp.seed + c``, and return their results in chain order.  ``higmrf``
+    chains run on a fork pool, the others serially (see the module
+    docstring); an exception raised in a chain reaches the caller as itself.
+    """
+    hps = [replace(hp, seed=hp.seed + c) for c in range(chains)]
+    if variant == HIGMRF:
+        # imported here, so that CLI start-up does not pay for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            # A killed worker raises BrokenProcessPool here, where a
+            # multiprocessing.Pool would wait for its result forever.
+            with ProcessPoolExecutor(min(chains, cpus),
+                                     mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_one_blas_thread_for_life) as pool:
+                return list(pool.map(_run_chain, [y] * chains, hps, [variant] * chains))
+    return [denoise(y, h, variant) for h in hps]

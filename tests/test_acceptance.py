@@ -27,9 +27,9 @@ from smfdenoise.model import HyperParams, NoiseParams, make_design
 from smfdenoise.sampler import (
     HIGMRF,
     SpectralSolver,
-    denoise,
     field_solver,
     get_binary_image,
+    run_chains,
     sample_field_given_gamma,
     sample_gamma,
     sample_kappas,
@@ -96,17 +96,12 @@ class TestCriterion1MethodRanking:
 
 class TestCriterion2Convergence:
     def test_psrf_below_threshold_with_four_chains(self, corpus):
-        y = corpus[0].noisy
         hp = HyperParams()  # T=100
-        kl_traces, kf_traces = [], []
-        for c in range(4):
-            hp_c = HyperParams(**{**hp.__dict__, "seed": hp.seed + c})
-            res = denoise(y, hp_c, "higmrf")
-            post = res.theta_trace[hp.burn_in:]
-            kl_traces.append(post[:, 0])
-            kf_traces.append(post[:, 1])
-        r_l = psrf(TraceSet(np.array(kl_traces)))
-        r_f = psrf(TraceSet(np.array(kf_traces)))
+        # the chain runner that diagnose uses: chain c on seed hp.seed + c
+        post = np.array([res.theta_trace[hp.burn_in:].T
+                         for res in run_chains(corpus[0].noisy, hp, HIGMRF, 4)])
+        r_l = psrf(TraceSet(post[:, 0]))
+        r_f = psrf(TraceSet(post[:, 1]))
         ok = r_l < 1.2 and r_f < 1.2
         verdict(2, ok, f"PSRF kappa_l={r_l:.4f}, kappa_f={r_f:.4f} (threshold 1.2)")
 

@@ -115,3 +115,20 @@ class TestReport:
         mean_rmse = float(data[-2].split(",")[2])
         ga_rmse = np.mean([r.report.rmse for r in rows if r.method == "ga"])
         assert abs(mean_rmse - ga_rmse) < 1e-9
+
+    # a warning would reach the user's stderr on a successful run
+    @pytest.mark.filterwarnings("error")
+    def test_exact_estimate_gives_inf_mean_and_nan_std_psnr(self, tmp_path, small_corpus,
+                                                            fast_hp):
+        pairs = [(p.truth, p.noisy) for p in small_corpus]
+        # image 0 is scored against itself, so its PSNR is inf
+        outputs = [pairs[0][0]] + [noisy for _, noisy in pairs[1:]]
+        rows = run_bench(pairs, ["external:x"], fast_hp, FilterConfig(),
+                         {"external:x": outputs})
+        path = tmp_path / "report.csv"
+        write_report(path, rows, ["external:x"], [])
+        lines = path.read_text().splitlines()
+        mean = next(l for l in lines if l.startswith("mean,")).split(",")[2:]
+        std = next(l for l in lines if l.startswith("# std,")).split(",")[2:]
+        assert mean[1] == "inf" and std[1] == "nan"
+        assert all(np.isfinite(float(v)) for v in mean[:1] + mean[2:] + std[:1] + std[2:])

@@ -3,10 +3,12 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import smfdenoise
 from smfdenoise import bench, cli, sampler
@@ -263,7 +265,26 @@ class TestBench:
         rc = main(["bench", "--corpus", str(corpus), "--methods", f"ga,external:{ext}",
                    "--config", fast_cfg, "--report", str(tmp_path / "r.csv")])
         assert rc == EXIT_IO
-        assert one_error_line(capsys)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("smfdenoise: ")
+        assert str(ext / "denoised_0.csv") in err[0]
+
+    # numpy's warning on inf - inf would reach the user's stderr
+    @pytest.mark.filterwarnings("error")
+    def test_outputs_equal_to_their_truths_succeed_silently(self, tmp_path, fast_cfg, capsys):
+        corpus = self.make_corpus(tmp_path, fast_cfg)
+        ext = tmp_path / "ext"
+        ext.mkdir()
+        for k in range(2):
+            write_raster_csv(ext / f"denoised_{k}.csv", read_raster_csv(corpus / f"truth_{k}.csv"))
+        capsys.readouterr()
+        report = tmp_path / "r.csv"
+        rc = main(["bench", "--corpus", str(corpus), "--methods", f"external:{ext}",
+                   "--config", fast_cfg, "--report", str(report)])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().err == ""
+        std = next(l for l in report.read_text().splitlines() if l.startswith("# std,"))
+        assert std.split(",")[3] == "nan"  # the PSNR column
 
 
 class TestDiagnose:
@@ -296,11 +317,26 @@ class TestDiagnose:
                                                       capsys, monkeypatch):
         cfg = tmp_path / "short.cfg"
         cfg.write_text(text)
-        monkeypatch.setattr(cli, "denoise", lambda *a, **k: pytest.fail("a chain ran"))
+        monkeypatch.setattr(cli, "run_chains", lambda *a, **k: pytest.fail("a chain ran"))
         rc = main(["diagnose", "--input", noisy_csv, "--config", str(cfg),
                    "--report", str(tmp_path / "r.csv")])
         assert rc == EXIT_USAGE
         assert one_error_line(capsys)
+
+    @pytest.mark.parametrize("chains", [2, 3, 5])
+    @pytest.mark.parametrize("variant", ["higmrf", "igmrf"])
+    def test_matches_a_serial_loop_over_denoise(self, tmp_path, noisy_csv, fast_cfg, variant,
+                                                chains, capsys, monkeypatch):
+        def run(report):
+            rc = main(["diagnose", "--input", noisy_csv, "--config", fast_cfg,
+                       "--variant", variant, "--chains", str(chains), "--report", str(report)])
+            return rc, report.read_bytes(), capsys.readouterr().out
+
+        pooled = run(tmp_path / "pooled.csv")
+        # chain c on seed + c, one after another in this process
+        monkeypatch.setattr(cli, "run_chains", lambda y, hp, variant, chains: [
+            sampler.denoise(y, replace(hp, seed=hp.seed + c), variant) for c in range(chains)])
+        assert run(tmp_path / "serial.csv") == pooled
 
 
 class TestNumericalFailure:
@@ -326,20 +362,30 @@ class TestNumericalFailure:
                    "--config", fast_cfg, "--report", str(tmp_path / "r.csv")])
         self.check(rc, capsys)
 
-    def test_diagnose(self, tmp_path, noisy_csv, fast_cfg, capsys):
+    def test_diagnose(self, tmp_path, noisy_csv, fast_cfg, capsys, monkeypatch):
+        # The factor fails only outside this process.  So exit 7 shows that
+        # the chains ran in pool workers and that the error came back intact.
+        parent = os.getpid()
+        def dpbtrf(ab, **kwargs):
+            return lapack.dpbtrf(ab, **kwargs) if os.getpid() == parent else (ab, 1)
+        monkeypatch.setattr(sampler, "dpbtrf", dpbtrf)
         rc = main(["diagnose", "--input", noisy_csv, "--config", fast_cfg,
                    "--report", str(tmp_path / "r.csv")])
-        self.check(rc, capsys)
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("smfdenoise: banded Cholesky failed at pivot 1 ")
 
 
 def test_cli_import_skips_ndimage_and_fft():
-    # both cost start-up time on every CLI call and no CLI path needs them
+    # each costs start-up time on every CLI call; no CLI path needs scipy's
+    # ndimage or fft, and only run_chains needs multiprocessing, so it
+    # imports it when called
     src = str(Path(smfdenoise.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, smfdenoise.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.ndimage', 'scipy.fft'))))")
+            "if m.startswith(('scipy.ndimage', 'scipy.fft', 'multiprocessing'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"

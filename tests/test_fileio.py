@@ -41,6 +41,12 @@ class TestCsv:
         with pytest.raises(ValueError):
             read_raster_csv(path)
 
+    def test_unparsable_cell_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# T=10\n1,2\n\n3,x\n")
+        with pytest.raises(ValueError, match=rf"^{path}, line 4: .*'x'"):
+            read_raster_csv(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# only a comment\n")

@@ -1,4 +1,10 @@
-"""Tests for the Gibbs sweep components and the full chain."""
+"""Tests for the Gibbs sweep components, the full chain and the chain runner."""
+
+import concurrent.futures
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -20,6 +26,7 @@ from smfdenoise.sampler import (
     denoise,
     field_solver,
     get_binary_image,
+    run_chains,
     sample_field_given_gamma,
     sample_gamma,
     sample_kappas,
@@ -318,6 +325,113 @@ class TestDenoise:
     def test_invalid_hyper_params_rejected(self):
         with pytest.raises(ValueError):
             denoise(self.make_input(), HyperParams(n_iter=5, burn_in=5))
+
+
+class TestRunChains:
+    """``run_chains`` pools ``higmrf`` chains in forked workers, each on one
+    BLAS thread, and runs ``igmrf`` chains, and every chain where ``fork`` is
+    not offered, in this process."""
+
+    @pytest.fixture
+    def probe(self, monkeypatch):
+        """Stand in for ``denoise``: each chain reports its seed, its process
+        and the BLAS thread count it runs on (None without a setter)."""
+        def denoise(y, hp, variant):
+            setter, threads = sampler._set_blas_threads_local, None
+            if setter is not None:
+                threads = setter(1)  # returns the count in force
+                setter(threads)
+            return hp.seed, os.getpid(), threads
+        monkeypatch.setattr(sampler, "denoise", denoise)
+
+    @pytest.fixture
+    def fake_pool(self, monkeypatch):
+        """Record each pool's size, start method and initializer, and run
+        its chains in this process, so that no worker starts."""
+        pools = []
+
+        class Executor:
+            def __init__(self, max_workers, mp_context, initializer):
+                pools.append((max_workers, mp_context.get_start_method(), initializer))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, *args):
+                return map(func, *args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
+        return pools
+
+    def test_chains_match_denoise_seed_by_seed(self):
+        y = TestDenoise().make_input()
+        hp = HyperParams(n_iter=10, burn_in=5, seed=4)
+        for variant in (IGMRF, HIGMRF):
+            got = run_chains(y, hp, variant, 3)
+            for c, res in enumerate(got):
+                want = denoise(y, HyperParams(n_iter=10, burn_in=5, seed=4 + c), variant)
+                np.testing.assert_array_equal(res.posterior_mean.data, want.posterior_mean.data)
+                np.testing.assert_array_equal(res.final_mask.data, want.final_mask.data)
+                np.testing.assert_array_equal(res.theta_trace, want.theta_trace)
+                np.testing.assert_array_equal(res.gamma_trace, want.gamma_trace)
+
+    def test_higmrf_chains_run_in_workers_on_one_blas_thread(self, probe):
+        setter = sampler._set_blas_threads_local
+        caller = setter(2) if setter is not None else None
+        try:
+            got = run_chains(None, HyperParams(seed=7), HIGMRF, 3)
+            assert [seed for seed, _, _ in got] == [7, 8, 9]
+            assert os.getpid() not in {pid for _, pid, _ in got}
+            if setter is not None:
+                assert [threads for _, _, threads in got] == [1, 1, 1]
+                assert setter(2) == 2  # the parent's count is as it was
+        finally:
+            if setter is not None:
+                setter(caller)
+
+    def test_igmrf_chains_run_in_this_process(self, probe, fake_pool):
+        got = run_chains(None, HyperParams(seed=3), IGMRF, 4)
+        assert [(seed, pid) for seed, pid, _ in got] == [(3 + c, os.getpid()) for c in range(4)]
+        assert fake_pool == []
+
+    def test_chains_run_in_this_process_without_fork(self, probe, fake_pool, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn", "forkserver"])
+        got = run_chains(None, HyperParams(seed=3), HIGMRF, 2)
+        assert [(seed, pid) for seed, pid, _ in got] == [(3, os.getpid()), (4, os.getpid())]
+        assert fake_pool == []
+
+    @pytest.mark.parametrize("chains, cpus", [(3, 8), (5, 2), (4, 4)])
+    def test_pool_size_is_chains_or_cpus_whichever_is_fewer(self, probe, fake_pool,
+                                                             monkeypatch, chains, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        got = run_chains(None, HyperParams(seed=0), HIGMRF, chains)
+        assert [seed for seed, _, _ in got] == list(range(chains))
+        assert fake_pool == [(min(chains, cpus), "fork", sampler._one_blas_thread_for_life)]
+
+    def test_killed_worker_breaks_the_pool_rather_than_hanging(self, monkeypatch):
+        parent = os.getpid()
+        def denoise(y, hp, variant):
+            if hp.seed == 1 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return hp.seed
+        monkeypatch.setattr(sampler, "denoise", denoise)
+        with pytest.raises(BrokenProcessPool):
+            run_chains(None, HyperParams(), HIGMRF, 2)
+
+    def test_worker_error_reaches_the_caller_as_itself(self, monkeypatch):
+        def denoise(y, hp, variant):
+            if hp.seed == 1:
+                raise SamplerNumericalError(f"chain {hp.seed} failed in {os.getpid()}")
+            return hp.seed
+        monkeypatch.setattr(sampler, "denoise", denoise)
+        with pytest.raises(SamplerNumericalError, match=r"^chain 1 failed in \d+$") as err:
+            run_chains(None, HyperParams(), HIGMRF, 2)
+        assert int(str(err.value).rsplit(" ", 1)[1]) != os.getpid()
 
 
 class TestSweepStationarity:
