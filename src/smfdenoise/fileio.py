@@ -22,6 +22,11 @@ __all__ = [
 ]
 
 PGM_MAXVAL = 65535
+# Netpbm allows a comment, from '#' to the end of its line, anywhere in the
+# header.  One whitespace byte after maxval, past any comment there, ends it.
+_PGM_GAP = rb"(?:\s|#[^\r\n]*[\r\n])+"
+_PGM_HEADER = re.compile(rb"P5" + _PGM_GAP + rb"(\d+)" + _PGM_GAP + rb"(\d+)" + _PGM_GAP
+                         + rb"(\d+)(?:#[^\r\n]*[\r\n])*\s")
 
 
 def write_raster_csv(path, raster: Raster, comments: list[str] | None = None):
@@ -55,17 +60,17 @@ def read_raster_csv(path) -> Raster:
 def read_pgm16(path) -> Raster:
     """Read a binary PGM (8- or 16-bit); returns raw sample values as floats."""
     blob = Path(path).read_bytes()
-    m = re.match(rb"P5\s+(?:#[^\n]*\n\s*)*(\d+)\s+(\d+)\s+(\d+)\s", blob)
+    m = _PGM_HEADER.match(blob)
     if not m:
         raise ValueError(f"{path}: not a binary PGM")
     n2, n1, maxval = (int(g) for g in m.groups())
     if not 1 <= maxval <= PGM_MAXVAL:
         raise ValueError(f"{path}: maxval {maxval} outside 1..{PGM_MAXVAL}")
     data = blob[m.end():]
-    dtype = ">u2" if maxval > 255 else "u1"
-    arr = np.frombuffer(data, dtype=dtype, count=n1 * n2)
-    if arr.size != n1 * n2:
+    dtype = np.dtype(">u2" if maxval > 255 else "u1")
+    if len(data) < n1 * n2 * dtype.itemsize:
         raise ValueError(f"{path}: truncated pixel data")
+    arr = np.frombuffer(data, dtype=dtype, count=n1 * n2)
     return Raster(n1, n2, arr.astype(np.float64))
 
 

@@ -10,7 +10,7 @@ another background pixel carry weight ``lam`` (> 1), all others weight 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -95,21 +95,55 @@ class SpotMask:
 
 
 class PrecisionMatrix:
-    """Symmetric PSD sparse precision matrix Q = D^T D for a lattice field.
+    """Symmetric PSD precision Q = D^T D of a lattice field, as two value
+    arrays on the lattice's fixed pattern (``stencil``): ``d_data``, the
+    entries of the difference operator D in CSR order, and ``upper_sums``,
+    the entries of Q's upper triangle in the order of ``stencil.upper_row``
+    and ``stencil.upper_col``.
 
-    ``d_op`` keeps the difference operator D used to build Q; the field draw
-    needs it for perturbation sampling.
+    A Gibbs sweep needs only D^T x, |D f|^2 and the sums, so it builds no
+    sparse matrix.  The CSR forms of Q (``matrix``) and D (``d_op``) are
+    built on first access, for SuperLU and for tests.
     """
 
-    def __init__(self, matrix: sparse.csr_matrix, d_op: sparse.csr_matrix):
-        self.n = matrix.shape[0]
-        self.matrix = matrix
-        self.d_op = d_op
+    def __init__(self, stencil: _Stencil, d_data: np.ndarray, upper_sums: np.ndarray):
+        self.n = stencil.n
+        self.stencil = stencil
+        self.d_data = d_data
+        self.upper_sums = upper_sums
+
+    @cached_property
+    def matrix(self) -> sparse.csr_matrix:
+        entry, indices, indptr = self.stencil.q_csr
+        return sparse.csr_matrix((self.upper_sums[entry], indices, indptr),
+                                 shape=(self.n, self.n))
+
+    @cached_property
+    def d_op(self) -> sparse.csr_matrix:
+        st = self.stencil
+        return sparse.csr_matrix((self.d_data, st.d_indices, st.d_indptr),
+                                 shape=(self.n, self.n))
+
+    def d_transpose(self, x: np.ndarray) -> np.ndarray:
+        """D^T x.  Each sum runs over D's rows in order, as scipy's
+        ``d_op.T @ x`` does, so the two agree bit for bit."""
+        st = self.stencil
+        return np.bincount(st.d_indices, weights=self.d_data * np.repeat(x, st.d_counts),
+                           minlength=self.n)
 
     def quad_form(self, f: np.ndarray) -> float:
-        """f^T Q f (clipped at 0 against round-off)."""
-        f = np.asarray(f, dtype=np.float64).ravel()
-        return max(float(f @ (self.matrix @ f)), 0.0)
+        """f^T Q f, as |D f|^2."""
+        st = self.stencil
+        df = np.add.reduceat(self.d_data * f[st.d_indices], st.d_indptr[:-1])
+        return float(df @ df)
+
+
+def _freeze(*arrays) -> tuple:
+    """Make the arrays among ``arrays`` read-only and return them all."""
+    for arr in arrays:
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return arrays
 
 
 # The entries of row r of D, in column order: up, left, r itself, right, down.
@@ -122,7 +156,7 @@ class _Stencil:
 
     Only the edge weights change between builds, so the index arrays are
     computed once per lattice and each build fills in values.  The arrays are
-    read-only because every D and Q of the lattice shares them.
+    read-only because every precision of the lattice shares them.
     """
 
     def __init__(self, n1: int, n2: int):
@@ -136,9 +170,10 @@ class _Stencil:
         pos = np.full(cols.shape, -1)
         pos[valid] = np.arange(np.count_nonzero(valid))  # index into D's data
 
-        self.n = n
+        self.n1, self.n2, self.n = n1, n2, n
         self.d_indices = cols[valid]
-        self.d_indptr = np.concatenate([[0], np.cumsum(valid.sum(axis=1))])
+        self.d_counts = valid.sum(axis=1)
+        self.d_indptr = np.concatenate([[0], np.cumsum(self.d_counts)])
         off = valid.copy()
         off[:, _SELF] = False
         self.edge_pos = pos[off]
@@ -159,37 +194,33 @@ class _Stencil:
         self.prod_right = np.concatenate(right)
         upper, self.prod_entry = np.unique(np.concatenate(keys), return_inverse=True)
         self.n_upper = upper.size
-        # Q[a, b] and Q[b, a] both read the sum of entry (a, b), so Q is
-        # symmetric bit for bit.
-        a, b = np.divmod(upper, n)
+        # upper-triangle entry k sits at (upper_row[k], upper_col[k]), row <= col
+        self.upper_row, self.upper_col = (a.astype(np.int32) for a in np.divmod(upper, n))
+        _freeze(*vars(self).values())
+
+    @cached_property
+    def q_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Q's CSR pattern: the upper entry behind each stored value, the
+        column indices and the row pointers.  Q[a, b] and Q[b, a] both read
+        the sum of entry (a, b), so Q is symmetric bit for bit."""
+        a, b = self.upper_row, self.upper_col
         below = np.flatnonzero(a < b)
         rows = np.concatenate([a, b[below]])
-        qcols = np.concatenate([b, a[below]])
-        entry = np.concatenate([np.arange(upper.size), below])
-        order = np.lexsort((qcols, rows))
-        self.q_entry = entry[order]
-        self.q_indices = qcols[order]
-        self.q_indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-
+        cols = np.concatenate([b, a[below]])
+        entry = np.concatenate([np.arange(self.n_upper), below])
+        order = np.lexsort((cols, rows))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=self.n))])
         # scipy and SuperLU take 32-bit sparse indices without a copy
-        for name in ("d_indices", "d_indptr", "q_indices", "q_indptr"):
-            setattr(self, name, getattr(self, name).astype(np.int32))
-        for arr in vars(self).values():
-            if isinstance(arr, np.ndarray):
-                arr.flags.writeable = False
+        return _freeze(entry[order], cols[order], indptr.astype(np.int32))
 
-    def difference(self, w: np.ndarray) -> sparse.csr_matrix:
-        """D with weight ``w[e]`` on edge e (``edge_row`` -> ``edge_col``)
-        and minus the row's weight sum on the diagonal."""
-        data = np.empty(self.d_indices.size)
-        data[self.edge_pos] = w
-        data[self.diag_pos] = -np.bincount(self.edge_row, weights=w, minlength=self.n)
-        return sparse.csr_matrix((data, self.d_indices, self.d_indptr), shape=(self.n, self.n))
-
-    def precision(self, d_op: sparse.csr_matrix) -> PrecisionMatrix:
-        """Q = D^T D for a D built by ``difference``; a product of two entries
-        of D that overflows (a huge lam) raises ``SamplerNumericalError``."""
-        d = d_op.data
+    def precision(self, w: np.ndarray) -> PrecisionMatrix:
+        """Q = D^T D for the D with weight ``w[e]`` on edge e (``edge_row`` ->
+        ``edge_col``) and minus the row's weight sum on the diagonal.  A
+        product of two entries of D that overflows (a huge lam) raises
+        ``SamplerNumericalError``."""
+        d = np.empty(self.d_indices.size)
+        d[self.edge_pos] = w
+        d[self.diag_pos] = -np.bincount(self.edge_row, weights=w, minlength=self.n)
         try:
             with np.errstate(over="raise"):
                 prods = d[self.prod_left] * d[self.prod_right]
@@ -197,9 +228,7 @@ class _Stencil:
             raise SamplerNumericalError(
                 "field precision overflows float64 (lam too large)") from exc
         sums = np.bincount(self.prod_entry, weights=prods, minlength=self.n_upper)
-        q = sparse.csr_matrix((sums[self.q_entry], self.q_indices, self.q_indptr),
-                              shape=(self.n, self.n))
-        return PrecisionMatrix(q, d_op=d_op)
+        return PrecisionMatrix(self, d, sums)
 
 
 _stencil = lru_cache(maxsize=8)(_Stencil)
@@ -208,7 +237,7 @@ _stencil = lru_cache(maxsize=8)(_Stencil)
 def build_igmrf_precision(n1: int, n2: int) -> PrecisionMatrix:
     """Q = D^T D for the homogeneous first-order prior (every weight 1)."""
     st = _stencil(n1, n2)
-    return st.precision(st.difference(np.ones(st.edge_pos.size)))
+    return st.precision(np.ones(st.edge_pos.size))
 
 
 def build_higmrf_precision(n1: int, n2: int, mask: SpotMask, lam: float) -> PrecisionMatrix:
@@ -221,4 +250,4 @@ def build_higmrf_precision(n1: int, n2: int, mask: SpotMask, lam: float) -> Prec
     st = _stencil(n1, n2)
     e = mask.data
     background = (e[st.edge_row] == 0) & (e[st.edge_col] == 0)
-    return st.precision(st.difference(np.where(background, lam, 1.0)))
+    return st.precision(np.where(background, lam, 1.0))

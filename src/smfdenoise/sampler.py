@@ -11,15 +11,25 @@ Each chain builds one field solver for its lattice (``field_solver``):
 A = kappa_l I + kappa_f Q afresh every sweep, with a banded LAPACK Cholesky
 when the band half-width kd = min(2 min(n1, n2), n1 n2 - 1) is at most
 ``BAND_KD_MAX`` = 256 (any lattice up to 128 pixels on its shorter side) and
-with symmetric-mode SuperLU otherwise.  The banded factor runs on one BLAS
-thread, through OpenBLAS's ``openblas_set_num_threads_local`` where scipy's
-LAPACK provides it.  Either factor failing raises ``SamplerNumericalError``.
+with symmetric-mode SuperLU otherwise.  Either factor failing raises
+``SamplerNumericalError``.
+
+A sweep does only its arithmetic.  Per lattice size, and shared by every
+chain on it, are cached: the index arrays of D and Q (``lattice``), the slot
+of each entry of Q in the band (``_band_layout``) and the mask's window
+bounds (``_windows``).  Per chain are computed once: Z^T Z and the band
+buffer.  Each sweep then fills the band straight from Q's upper-entry sums
+and reads D^T x and |D f|^2 from D's values, so it builds no scipy sparse
+matrix; Q's CSR form is built only for SuperLU and for tests.  The whole
+chain runs on one BLAS thread, in scipy's OpenBLAS and in NumPy's own,
+through OpenBLAS's ``openblas_set_num_threads_local`` where each provides
+it, and the caller's counts are restored afterwards.
 
 ``run_chains`` runs the independent chains of a multi-chain check, chain c
 seeded with ``hp.seed + c``.  ``higmrf`` chains go to a ``fork`` process pool
 of min(chains, CPUs) workers, each on one BLAS thread for its whole life, so
 that two processes never spin two OpenBLAS threads each on two cores.
-``igmrf`` chains run serially: a 30 x 30 ``igmrf`` chain takes about 40 ms,
+``igmrf`` chains run serially: a 30 x 30 ``igmrf`` chain takes about 20 ms,
 less than forking and warming up a pool costs.  On a 2-core x86 machine a
 pooled 4-chain 30 x 30 ``igmrf`` ``diagnose`` took 0.26 s against 0.19-0.23 s
 serially.  Where ``fork`` is not offered, every chain runs serially.
@@ -28,13 +38,15 @@ serially.  Where ``fork`` is not offered, every chain runs serially.
 from __future__ import annotations
 
 import ctypes
+import importlib
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
-from scipy import linalg, sparse
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy import sparse
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dtrtrs
 from scipy.sparse.linalg import splu
 
 from .lattice import (
@@ -73,18 +85,22 @@ class DenoiseResult:
 
 
 def sample_gamma(y: np.ndarray, f: np.ndarray, kappa_l: float, z: np.ndarray,
-                 gamma_precision: float, rng: np.random.Generator) -> np.ndarray:
+                 ztz: np.ndarray, gamma_precision: float,
+                 rng: np.random.Generator) -> np.ndarray:
     """Draw the trend coefficients from N(m, C) with
-    C = (kappa_l Z^T Z + Q_gamma)^-1 and m = kappa_l C Z^T (y - f)."""
-    a = kappa_l * (z.T @ z) + gamma_precision * np.eye(3)
-    try:
-        c = linalg.cho_factor(a, lower=True)
-    except linalg.LinAlgError as exc:
-        raise SamplerNumericalError("trend posterior system not positive definite") from exc
-    m = kappa_l * linalg.cho_solve(c, z.T @ (y - f))
+    C = (kappa_l Z^T Z + Q_gamma)^-1 and m = kappa_l C Z^T (y - f); ``ztz``
+    is Z^T Z, which a chain computes once.  The LAPACK routines are called
+    directly: on a 3 x 3 system the checks of the scipy.linalg wrappers cost
+    more than the arithmetic."""
+    a = kappa_l * ztz
+    a.flat[::4] += gamma_precision  # the diagonal of the 3 x 3 system
+    c, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
+    if info > 0:
+        raise SamplerNumericalError("trend posterior system not positive definite")
+    m = kappa_l * dpotrs(c, z.T @ (y - f), lower=1)[0]
     # x = m + L^-T xi has covariance (L L^T)^-1 = C
     xi = rng.standard_normal(3)
-    return m + linalg.solve_triangular(c[0], xi, lower=True, trans="T")
+    return m + dtrtrs(c, xi, lower=1, trans=1)[0]
 
 
 def sample_kappas(y: np.ndarray, f: np.ndarray, gamma: np.ndarray, design: np.ndarray,
@@ -132,11 +148,6 @@ class SpectralSolver:
         return (self._u1 @ c @ self._u2.T).ravel()
 
 
-def _csr_rows(q: sparse.csr_matrix) -> np.ndarray:
-    """The row of each stored entry of ``q``, in storage order."""
-    return np.repeat(np.arange(q.shape[0]), np.diff(q.indptr))
-
-
 class SuperLUSolver:
     """Sparse direct solve of A x = b, A = kappa_l I + kappa_f Q, for any Q.
 
@@ -148,7 +159,8 @@ class SuperLUSolver:
 
     def __init__(self, precision: PrecisionMatrix):
         q = precision.matrix
-        self._diag = np.flatnonzero(q.indices == _csr_rows(q))
+        rows = np.repeat(np.arange(q.shape[0]), np.diff(q.indptr))
+        self._diag = np.flatnonzero(q.indices == rows)
 
     def solve(self, precision: PrecisionMatrix, noise: NoiseParams,
               b: np.ndarray) -> np.ndarray:
@@ -173,43 +185,68 @@ def _half_width(n1: int, n2: int) -> int:
     return min(2 * min(n1, n2), n1 * n2 - 1)
 
 
-def _blas_thread_setter():
-    """OpenBLAS's ``openblas_set_num_threads_local``, which sets the BLAS
-    thread count and returns the one it replaces, or None when the LAPACK
-    behind ``dpbtrf`` does not export it (a build on another BLAS).  The count
-    it sets is the calling thread's in OpenMP builds but the whole process's
-    in pthreads builds, scipy's own wheels among them.  dlsym on the extension
-    module's handle also searches the libraries that the module links, which
-    is where scipy's OpenBLAS sits."""
-    try:
-        setter = ctypes.CDLL(linalg.lapack._flapack.__file__).openblas_set_num_threads_local
-    except (OSError, AttributeError):
-        return None
-    setter.argtypes = [ctypes.c_int]
-    setter.restype = ctypes.c_int
-    return setter
+def _blas_thread_setters() -> list:
+    """OpenBLAS's ``openblas_set_num_threads_local`` of each OpenBLAS that
+    the sampler calls: scipy's, behind ``dpbtrf`` and the other LAPACK calls,
+    then NumPy's, behind ``@``.  NumPy 2 wheels bundle an OpenBLAS of their
+    own, so the two counts are separate; NumPy 1 is not looked up.  Each
+    setter sets its library's BLAS thread count and returns the one it
+    replaces.  The count is the calling thread's in OpenMP builds but the
+    whole process's in pthreads builds, both wheels' among them.  A library
+    that does not export the symbol (a build on another BLAS) has no setter.
+    dlsym on an extension module's handle also searches the libraries that
+    the module links, which is where each OpenBLAS sits."""
+    setters = []
+    for module in ("scipy.linalg._flapack", "numpy._core._multiarray_umath"):
+        try:
+            path = importlib.import_module(module).__file__
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (ImportError, OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = ctypes.c_int
+        setters.append(setter)
+    return setters
 
 
-_set_blas_threads_local = _blas_thread_setter()
+_blas_setters = _blas_thread_setters()
 
 
 @contextmanager
 def _one_blas_thread():
-    """Run the body on one BLAS thread and restore the previous count on the
-    way out, raised or not.  In scipy's OpenBLAS, a pthreads build, the
-    count is the whole process's, so chains on threads would need a lock
-    around this scope.  ``run_chains`` runs ``higmrf`` chains on a fork pool
-    of min(chains, CPUs) processes instead, each on one BLAS thread for its
-    whole life, and ``igmrf`` chains serially (see the module docstring).
-    Without a setter the body runs on the current count."""
-    if _set_blas_threads_local is None:
-        yield
-        return
-    previous = _set_blas_threads_local(1)
+    """Run the body on one BLAS thread in every OpenBLAS with a setter, and
+    restore each previous count on the way out, raised or not, in reverse
+    order so that two setters of one library leave its count as it was.  In
+    a pthreads OpenBLAS the count is the whole process's, so chains on
+    threads would need a lock around this scope.  ``run_chains`` runs
+    ``higmrf`` chains on a fork pool of min(chains, CPUs) processes instead,
+    each on one BLAS thread for its whole life, and ``igmrf`` chains serially
+    (see the module docstring)."""
+    previous = [setter(1) for setter in _blas_setters]
     try:
         yield
     finally:
-        _set_blas_threads_local(previous)
+        for setter, count in reversed(list(zip(_blas_setters, previous))):
+            setter(count)
+
+
+@lru_cache(maxsize=8)
+def _band_layout(stencil) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The band layout of Q on one lattice, given by its stencil and shared
+    by its chains: kd, the pixel at each band position, the band position of
+    each pixel, and the slot of each upper-triangle entry of Q in the flat
+    lower band."""
+    n1, n2, n = stencil.n1, stencil.n2, stencil.n
+    kd = _half_width(n1, n2)
+    order = np.arange(n).reshape(n1, n2).T.ravel() if n2 > n1 else np.arange(n)
+    rank = np.argsort(order)
+    i, j = rank[stencil.upper_row], rank[stencil.upper_col]
+    lo = np.minimum(i, j)
+    # Q[a, b] and Q[b, a] are one sum, so the lower triangle carries all of Q
+    slots = (np.maximum(i, j) - lo) + lo * (kd + 1)
+    for arr in (order, rank, slots):
+        arr.flags.writeable = False
+    return kd, order, rank, slots
 
 
 class BandedCholeskySolver:
@@ -219,32 +256,22 @@ class BandedCholeskySolver:
     band matrix of half-width kd = ``_half_width(n1, n2)``, so LAPACK's
     ``dpbtrf``/``dpbtrs`` factor and solve it in O(n kd^2) with no ordering
     and no fill outside the band (Rue 2001; Rue & Held 2005, section 2.4).
-    The lower band is one Fortran-ordered (kd + 1, n) array that is reused
-    every sweep; a flat index map, built once per chain from the pattern of
-    the chain's first precision, places each lower-triangle entry of Q in it.
+    The lower band is one Fortran-ordered (kd + 1, n) array per chain, reused
+    every sweep.  Each sweep scatters kappa_f times Q's upper-entry sums
+    straight into it, through a slot map built once per lattice
+    (``_band_layout``), and adds kappa_l on the diagonal.
     """
 
-    def __init__(self, n1: int, n2: int, precision: PrecisionMatrix):
-        n = n1 * n2
-        kd = _half_width(n1, n2)
-        # band position k holds pixel self._order[k]; pixel p sits at self._rank[p]
-        self._order = (np.arange(n).reshape(n1, n2).T.ravel() if n2 > n1
-                       else np.arange(n))
-        self._rank = np.argsort(self._order)
-        q = precision.matrix
-        i, j = self._rank[_csr_rows(q)], self._rank[q.indices]
-        self._lower = np.flatnonzero(i >= j)
-        i, j = i[self._lower], j[self._lower]
-        # Q is symmetric bit for bit, so the lower triangle carries all of it.
-        self._band_pos = (i - j) + j * (kd + 1)
-        self._ab = np.zeros((kd + 1, n), order="F")
+    def __init__(self, precision: PrecisionMatrix):
+        kd, self._order, self._rank, self._slots = _band_layout(precision.stencil)
+        self._ab = np.zeros((kd + 1, precision.n), order="F")
         self._flat = self._ab.reshape(-1, order="F")  # a view, in memory order
 
     def solve(self, precision: PrecisionMatrix, noise: NoiseParams,
               b: np.ndarray) -> np.ndarray:
         # the last sweep's factor fills the whole band, pattern zeros included
         self._flat.fill(0.0)
-        self._flat[self._band_pos] = noise.kappa_f * precision.matrix.data[self._lower]
+        self._flat[self._slots] = noise.kappa_f * precision.upper_sums
         self._ab[0] += noise.kappa_l
         # Past kd = 64, dpbtrf's BLAS-3 calls on its 32-wide blocks go
         # threaded; at 64^2 this solve measured 9.7-12.1 ms on two threads
@@ -273,7 +300,7 @@ def field_solver(variant: str, n1: int, n2: int, precision: PrecisionMatrix,
     if variant == IGMRF:
         return SpectralSolver(n1, n2)
     if _half_width(n1, n2) <= BAND_KD_MAX:
-        return BandedCholeskySolver(n1, n2, precision)
+        return BandedCholeskySolver(precision)
     return SuperLUSolver(precision)
 
 
@@ -293,26 +320,39 @@ def sample_field_given_gamma(y: np.ndarray, gamma: np.ndarray, noise: NoiseParam
     resid = noise.kappa_l * (y - design @ gamma)
     xi1 = rng.standard_normal(n)
     xi2 = rng.standard_normal(n)
-    perturb = np.sqrt(noise.kappa_l) * xi1 + np.sqrt(noise.kappa_f) * (precision.d_op.T @ xi2)
+    perturb = np.sqrt(noise.kappa_l) * xi1 + np.sqrt(noise.kappa_f) * precision.d_transpose(xi2)
     return solver.solve(precision, noise, resid + perturb)
 
 
-def _clipped_window_sums(x: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sums, sums of squares and counts over boundary-clipped square windows."""
-    n1, n2 = x.shape
-    c1 = np.zeros((n1 + 1, n2 + 1))
-    c2 = np.zeros((n1 + 1, n2 + 1))
-    c1[1:, 1:] = x.cumsum(0).cumsum(1)
-    c2[1:, 1:] = (x * x).cumsum(0).cumsum(1)
+@lru_cache(maxsize=8)
+def _windows(n1: int, n2: int, half: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The boundary-clipped (2 half + 1)-square windows of an n1 x n2
+    lattice: the flat indices of their four corners in an (n1 + 1) x (n2 + 1)
+    table of cumulative sums, and their pixel counts."""
     i = np.arange(n1)[:, None]
     j = np.arange(n2)[None, :]
     r0 = np.clip(i - half, 0, n1)
     r1 = np.clip(i + half + 1, 0, n1)
     s0 = np.clip(j - half, 0, n2)
     s1 = np.clip(j + half + 1, 0, n2)
-    def box(c):
-        return c[r1, s1] - c[r0, s1] - c[r1, s0] + c[r0, s0]
+    corners = tuple(r * (n2 + 1) + s for r, s in ((r1, s1), (r0, s1), (r1, s0), (r0, s0)))
     cnt = (r1 - r0) * (s1 - s0)
+    for arr in (*corners, cnt):
+        arr.flags.writeable = False
+    return corners, cnt
+
+
+def _clipped_window_sums(x: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sums, sums of squares and counts over boundary-clipped square windows."""
+    n1, n2 = x.shape
+    (c11, c01, c10, c00), cnt = _windows(n1, n2, half)
+    c1 = np.zeros((n1 + 1, n2 + 1))
+    c2 = np.zeros((n1 + 1, n2 + 1))
+    c1[1:, 1:] = x.cumsum(0).cumsum(1)
+    c2[1:, 1:] = (x * x).cumsum(0).cumsum(1)
+    def box(c):
+        c = c.ravel()
+        return c[c11] - c[c01] - c[c10] + c[c00]
     return box(c1), box(c2), cnt
 
 
@@ -360,28 +400,32 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
     n1, n2 = y.n1, y.n2
     yn, offset, scale = _normalize(y.data)
 
-    design = make_design(n1, n2)
     mask = SpotMask.zeros(n1, n2)
-    precision = build_igmrf_precision(n1, n2)
-    solver = field_solver(variant, n1, n2, precision)
-
     f = yn.copy()
     noise = NoiseParams(kappa_l=hp.alpha_l * hp.beta_l, kappa_f=hp.alpha_f * hp.beta_f)
     theta_trace = np.empty((hp.n_iter, 2))
     gamma_trace = np.empty((hp.n_iter, 3))
     accum = np.zeros(n1 * n2)
 
-    for t in range(1, hp.n_iter + 1):
-        gamma = sample_gamma(yn, f, noise.kappa_l, design, hp.gamma_precision, rng)
-        noise = sample_kappas(yn, f, gamma, design, precision, hp, rng)
-        f = sample_field_given_gamma(yn, gamma, noise, precision, design, rng, solver)
-        if variant == HIGMRF:
-            mask = get_binary_image(Raster(n1, n2, f), hp.h, hp.window)
-            precision = build_higmrf_precision(n1, n2, mask, hp.lam)
-        theta_trace[t - 1] = (noise.kappa_l, noise.kappa_f)
-        gamma_trace[t - 1] = gamma
-        if t > hp.burn_in:
-            accum += design @ gamma + f
+    # Waking a second BLAS thread costs more than it saves on these small
+    # products and solves: on a 2-core machine a 30 x 30 eigh took 0.05 ms
+    # on one thread, and up to 16 ms on two.
+    with _one_blas_thread():
+        design = make_design(n1, n2)
+        ztz = design.T @ design
+        precision = build_igmrf_precision(n1, n2)
+        solver = field_solver(variant, n1, n2, precision)
+        for t in range(1, hp.n_iter + 1):
+            gamma = sample_gamma(yn, f, noise.kappa_l, design, ztz, hp.gamma_precision, rng)
+            noise = sample_kappas(yn, f, gamma, design, precision, hp, rng)
+            f = sample_field_given_gamma(yn, gamma, noise, precision, design, rng, solver)
+            if variant == HIGMRF:
+                mask = get_binary_image(Raster(n1, n2, f), hp.h, hp.window)
+                precision = build_higmrf_precision(n1, n2, mask, hp.lam)
+            theta_trace[t - 1] = (noise.kappa_l, noise.kappa_f)
+            gamma_trace[t - 1] = gamma
+            if t > hp.burn_in:
+                accum += design @ gamma + f
 
     mean_norm = accum / (hp.n_iter - hp.burn_in)
     posterior_mean = Raster(n1, n2, offset + mean_norm * scale)
@@ -395,9 +439,10 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
 
 def _one_blas_thread_for_life():
     """Pool initializer: the worker runs every chain on one BLAS thread.  A
-    forked worker's count is its own, so the parent's is left as it was."""
-    if _set_blas_threads_local is not None:
-        _set_blas_threads_local(1)
+    forked worker's counts are its own, so the parent's are left as they
+    were."""
+    for setter in _blas_setters:
+        setter(1)
 
 
 def _run_chain(y: Raster, hp: HyperParams, variant: str) -> DenoiseResult:

@@ -171,10 +171,11 @@ class TestCriterion4ConditionalOracle:
 
         # trend-coefficient conditional
         f = rng.standard_normal(n) * 0.3
-        c = np.linalg.inv(noise.kappa_l * design.T @ design + gp * np.eye(3))
+        ztz = design.T @ design
+        c = np.linalg.inv(noise.kappa_l * ztz + gp * np.eye(3))
         m_gamma = noise.kappa_l * c @ design.T @ (y - f)
         gdraws = np.array([
-            sample_gamma(y, f, noise.kappa_l, design, gp, rng)
+            sample_gamma(y, f, noise.kappa_l, design, ztz, gp, rng)
             for _ in range(m_draws)
         ])
         g_se = np.sqrt(np.diag(c) / m_draws)

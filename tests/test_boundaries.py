@@ -83,6 +83,6 @@ def test_higmrf_precision_is_symmetric_intrinsic_and_band_solvable(lattice, kapp
     a = kappa_l * np.eye(n) + kappa_f * q
     b = np.random.default_rng(n).standard_normal(n)
     expected = np.linalg.solve(a, b)
-    got = BandedCholeskySolver(n1, n2, precision).solve(precision, noise, b)
+    got = BandedCholeskySolver(precision).solve(precision, noise, b)
     err = np.linalg.norm(got - expected) / np.linalg.norm(expected)
     assert err <= 100 * np.linalg.cond(a) * eps

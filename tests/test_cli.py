@@ -186,6 +186,17 @@ class TestDenoise:
         rc = self.run(tmp_path, str(tmp_path / "ghost.csv"), fast_cfg)
         assert rc == EXIT_IO
 
+    def test_pgm_with_header_comments_is_read(self, tmp_path, fast_cfg, capsys):
+        pixels = bytes(np.random.default_rng(2).integers(0, 256, 36, dtype=np.uint8))
+        good = tmp_path / "c.pgm"
+        good.write_bytes(b"P5\n6 # width\n6 # height\n255\n" + pixels)
+        assert self.run(tmp_path, str(good), fast_cfg) == EXIT_OK
+        short = tmp_path / "short.pgm"
+        short.write_bytes(b"P5\n6 # width\n6 # height\n255\n" + pixels[:-1])
+        assert self.run(tmp_path, str(short), fast_cfg) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "short.pgm: truncated pixel data" in err[0]
+
     def test_unknown_variant_rejected_by_parser(self, tmp_path, noisy_csv, fast_cfg):
         with pytest.raises(SystemExit):
             self.run(tmp_path, noisy_csv, fast_cfg, "--variant", "median")

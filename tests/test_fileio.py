@@ -89,6 +89,36 @@ class TestPgm:
         with pytest.raises(ValueError):
             read_pgm16(path)
 
+    @pytest.mark.parametrize("header", [
+        b"P5 # magic\n3 2\n255\n",
+        b"P5# magic\n3 2\n255\n",
+        b"P5\n3 # w\n2\n255\n",
+        b"P5\n3# w\n# more\n 2\n255\n",
+        b"P5\n3\n2 # h\n255\n",
+        b"P5\n3 2\n255# maxval\n\n",
+        b"P5\r\n3 # w\r2 #h\r\n255\n",
+    ])
+    def test_header_comments_between_any_tokens(self, tmp_path, header):
+        path = tmp_path / "c.pgm"
+        path.write_bytes(header + bytes([0, 1, 2, 10, 35, 255]))
+        back = read_pgm16(path)
+        assert (back.n1, back.n2) == (2, 3)
+        np.testing.assert_array_equal(back.data, [0.0, 1.0, 2.0, 10.0, 35.0, 255.0])
+
+    @pytest.mark.parametrize("header", [b"P5\n3 # w\n2\n255\n", b"P5\n3 2\n255# c\n\n"])
+    def test_commented_header_with_truncated_body_rejected(self, tmp_path, header):
+        path = tmp_path / "t.pgm"
+        path.write_bytes(header + bytes(5))
+        with pytest.raises(ValueError, match="truncated pixel data"):
+            read_pgm16(path)
+
+    def test_comment_ending_the_header_needs_a_whitespace_after_it(self, tmp_path):
+        # Netpbm: the newline that ends a comment does not delimit the raster,
+        # so a raster that begins with a comment is read as raster bytes
+        path = tmp_path / "r.pgm"
+        path.write_bytes(b"P5\n2 1\n255\n#\n")
+        np.testing.assert_array_equal(read_pgm16(path).data, [35.0, 10.0])
+
     def test_not_pgm_rejected(self, tmp_path):
         path = tmp_path / "x.pgm"
         path.write_bytes(b"hello")

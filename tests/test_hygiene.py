@@ -9,6 +9,7 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy
 
@@ -132,11 +133,13 @@ def test_every_traced_attribute_exists():
 
 
 def test_openblas_thread_setter_resolves():
-    # without it the banded factor silently goes back to threaded BLAS-3
-    # calls past kd = 64, so a build that renames the symbol must fail here
-    blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    if "openblas" in blas.lower():
-        assert sampler._set_blas_threads_local is not None, blas
+    # without them the banded factor silently goes back to threaded BLAS-3
+    # calls past kd = 64, and the spectral solve to threaded matmuls, so a
+    # build that renames the symbol must fail here
+    expected = [lib.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+                for lib in (scipy, np)]
+    if all("openblas" in blas.lower() for blas in expected):
+        assert len(sampler._blas_setters) == 2, expected
 
 
 def documented_exit_codes(text, start):

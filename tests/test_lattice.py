@@ -152,3 +152,27 @@ class TestPrecisionMatrix:
         f = rng.standard_normal(6)
         d = dense_difference_oracle(2, 3)
         np.testing.assert_allclose(q.quad_form(f), (d @ f) @ (d @ f), rtol=1e-12)
+
+    def test_quad_form_matches_q_on_masked_lattices(self):
+        rng = np.random.default_rng(1)
+        for n1, n2 in [(1, 7), (7, 1), (6, 9)]:
+            mask = SpotMask.from_2d(rng.integers(0, 2, size=(n1, n2)))
+            q = build_higmrf_precision(n1, n2, mask, 50.0)
+            f = rng.standard_normal(n1 * n2)
+            np.testing.assert_allclose(q.quad_form(f), f @ (q.matrix @ f), rtol=1e-12)
+
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 7), (7, 1), (20, 33), (33, 20), (30, 30)])
+    @pytest.mark.parametrize("lam", [1.5, 50.0])
+    def test_d_transpose_equals_scipy_bit_for_bit(self, n1, n2, lam):
+        # the field draw's perturbation reads D^T x every sweep; it must give
+        # the bits that scipy's CSR product gave
+        rng = np.random.default_rng(n1 * 100 + n2)
+        mask = SpotMask.from_2d(rng.integers(0, 2, size=(n1, n2)))
+        for q in (build_higmrf_precision(n1, n2, mask, lam), build_igmrf_precision(n1, n2)):
+            x = rng.standard_normal(n1 * n2) * 10.0 ** rng.integers(-3, 4, n1 * n2)
+            np.testing.assert_array_equal(q.d_transpose(x), q.d_op.T @ x)
+
+    def test_sparse_forms_are_built_on_first_access_only(self):
+        q = build_igmrf_precision(3, 4)
+        assert "matrix" not in vars(q) and "d_op" not in vars(q)
+        assert q.matrix is q.matrix and q.d_op is q.d_op

@@ -52,7 +52,7 @@ class TestSampleGamma:
         z = self.design
         c = np.linalg.inv(kappa_l * z.T @ z + gp * np.eye(3))
         expected = kappa_l * c @ z.T @ (self.y - self.f)
-        got = sample_gamma(self.y, self.f, kappa_l, self.design, gp, ZeroRng())
+        got = sample_gamma(self.y, self.f, kappa_l, self.design, z.T @ z, gp, ZeroRng())
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_covariance_empirically(self):
@@ -61,10 +61,15 @@ class TestSampleGamma:
         c = np.linalg.inv(kappa_l * z.T @ z + gp * np.eye(3))
         rng = np.random.default_rng(3)
         draws = np.array([
-            sample_gamma(self.y, self.f, kappa_l, self.design, gp, rng)
+            sample_gamma(self.y, self.f, kappa_l, self.design, z.T @ z, gp, rng)
             for _ in range(20000)
         ])
         np.testing.assert_allclose(np.cov(draws.T), c, atol=5e-3)
+
+    def test_not_positive_definite_is_numerical_error(self):
+        # a negative definite Z^T Z stands in for any system dpotrf rejects
+        with pytest.raises(SamplerNumericalError, match="trend posterior"):
+            sample_gamma(self.y, self.f, 4.0, self.design, -np.eye(3), 0.5, ZeroRng())
 
 
 class TestSampleKappas:
@@ -151,7 +156,7 @@ class TestSampleFieldGivenGamma:
         for n1, n2, seed in [(1, 5, 1), (5, 1, 5), (3, 40, 6), (40, 3, 7), (8, 8, 4),
                              (34, 40, 9), (40, 34, 10)]:
             precision = random_mask_precision(n1, n2, seed)
-            self.check_mean(n1, n2, precision, BandedCholeskySolver(n1, n2, precision))
+            self.check_mean(n1, n2, precision, BandedCholeskySolver(precision))
 
     def test_draw_covariance_is_inverse_system(self):
         self.check_covariance(2, 2, build_igmrf_precision(2, 2), SpectralSolver(2, 2))
@@ -163,7 +168,45 @@ class TestSampleFieldGivenGamma:
     def test_banded_draw_covariance_is_inverse_system(self):
         for n1, n2 in [(2, 3), (3, 2)]:
             precision = random_mask_precision(n1, n2, 8)
-            self.check_covariance(n1, n2, precision, BandedCholeskySolver(n1, n2, precision))
+            self.check_covariance(n1, n2, precision, BandedCholeskySolver(precision))
+
+
+def csr_band(precision, n1, n2, noise):
+    """The lower band of A = kappa_l I + kappa_f Q, scattered entry by entry
+    from Q's CSR form, with pixels ordered along the shorter side."""
+    n = n1 * n2
+    kd = min(2 * min(n1, n2), n - 1)
+    order = np.arange(n).reshape(n1, n2).T.ravel() if n2 > n1 else np.arange(n)
+    rank = np.argsort(order)
+    q = precision.matrix
+    i = rank[np.repeat(np.arange(n), np.diff(q.indptr))]
+    j = rank[q.indices]
+    lower = i >= j
+    band = np.zeros((kd + 1, n))
+    band[(i - j)[lower], j[lower]] = noise.kappa_f * q.data[lower]
+    band[0] += noise.kappa_l
+    return band
+
+
+class TestBandAssembly:
+    @pytest.mark.parametrize("n1, n2", [(1, 7), (7, 1), (20, 33), (33, 20), (30, 30)])
+    @pytest.mark.parametrize("lam", [1.5, 50.0])
+    def test_band_from_stencil_equals_band_from_csr(self, monkeypatch, n1, n2, lam):
+        bands = []
+        factor = sampler.dpbtrf
+        def dpbtrf(ab, **kwargs):
+            bands.append(ab.copy())
+            return factor(ab, **kwargs)
+        monkeypatch.setattr(sampler, "dpbtrf", dpbtrf)
+        rng = np.random.default_rng(n1 * n2)
+        solver = None
+        for _ in range(2):  # the second sweep reuses the factored band
+            mask = SpotMask.from_2d(rng.integers(0, 2, size=(n1, n2)))
+            precision = build_higmrf_precision(n1, n2, mask, lam)
+            solver = solver or BandedCholeskySolver(precision)
+            noise = NoiseParams(kappa_l=rng.gamma(5.0), kappa_f=rng.gamma(2.0))
+            solver.solve(precision, noise, rng.standard_normal(n1 * n2))
+            np.testing.assert_array_equal(bands[-1], csr_band(precision, n1, n2, noise))
 
 
 class TestFieldSolver:
@@ -187,25 +230,37 @@ class TestFieldSolver:
             SuperLUSolver(precision).solve(precision, NoiseParams(2.0, 0.5), np.ones(16))
 
 
+def set_blas_threads(count):
+    """Set every OpenBLAS that the sampler caps to ``count`` threads and
+    return the counts in force before, one per library."""
+    return [setter(count) for setter in sampler._blas_setters]
+
+
+def restore_blas_threads(counts):
+    """Give each OpenBLAS back the count that ``set_blas_threads`` returned."""
+    for setter, count in reversed(list(zip(sampler._blas_setters, counts))):
+        setter(count)
+
+
 class TestOneBlasThread:
-    """The banded factor runs on one BLAS thread and gives the caller's
-    count back.  ``openblas_set_num_threads_local`` returns the count it
-    replaces, which is how these tests read it."""
+    """The banded factor and the whole chain run on one BLAS thread, in
+    scipy's OpenBLAS and in NumPy's, and give the caller's counts back.
+    ``openblas_set_num_threads_local`` returns the count it replaces, which
+    is how these tests read it."""
 
     @pytest.fixture
     def set_threads(self):
-        setter = sampler._set_blas_threads_local
-        if setter is None:
-            pytest.skip("scipy's LAPACK exports no openblas_set_num_threads_local")
-        caller = setter(2)
-        yield setter
-        setter(caller)
+        if not sampler._blas_setters:
+            pytest.skip("no OpenBLAS exports openblas_set_num_threads_local")
+        callers = set_blas_threads(2)
+        yield set_blas_threads
+        restore_blas_threads(callers)
 
     @pytest.fixture
     def problem(self):
         # kd = 68, past the width where dpbtrf's BLAS-3 calls go threaded
         precision = random_mask_precision(34, 40, 11)
-        return BandedCholeskySolver(34, 40, precision), precision
+        return BandedCholeskySolver(precision), precision
 
     def test_factor_runs_on_one_thread_and_restores_the_count(self, set_threads, problem,
                                                               monkeypatch):
@@ -217,8 +272,9 @@ class TestOneBlasThread:
         monkeypatch.setattr(sampler, "dpbtrf", dpbtrf)
         solver, precision = problem
         solver.solve(precision, NoiseParams(2.0, 0.5), np.ones(precision.n))
-        assert seen == [1]
-        assert set_threads(2) == 2
+        ones = [1] * len(sampler._blas_setters)
+        assert seen == [ones]
+        assert set_threads(2) == [2] * len(ones)
 
     def test_failed_factor_restores_the_count(self, set_threads, problem, monkeypatch):
         def dpbtrf(ab, **kwargs):
@@ -227,16 +283,75 @@ class TestOneBlasThread:
         solver, precision = problem
         with pytest.raises(SamplerNumericalError):
             solver.solve(precision, NoiseParams(2.0, 0.5), np.ones(precision.n))
-        assert set_threads(2) == 2
+        assert set_threads(2) == [2] * len(sampler._blas_setters)
+
+    @pytest.mark.parametrize("variant", [IGMRF, HIGMRF])
+    def test_chain_runs_on_one_thread_and_restores_the_counts(self, set_threads,
+                                                              monkeypatch, variant):
+        # the spectral solve's matmuls and the Z^T products run on NumPy's
+        # OpenBLAS, so the whole sweep loop is capped, not only the factor
+        seen = []
+        draw = sampler.sample_kappas
+        def sample_kappas(*args):
+            seen.append(set_threads(1))
+            return draw(*args)
+        monkeypatch.setattr(sampler, "sample_kappas", sample_kappas)
+        denoise(TestDenoise().make_input(), HyperParams(n_iter=4, burn_in=2), variant)
+        assert seen == [[1] * len(sampler._blas_setters)] * 4
+        assert set_threads(2) == [2] * len(sampler._blas_setters)
+
+    def test_two_setters_of_one_library_restore_its_count(self, monkeypatch):
+        # a NumPy and a scipy that share one OpenBLAS give two setters of one
+        # count; restoring in reverse order leaves it as it was
+        count = [3]
+        def setter(n):
+            count[0], old = n, count[0]
+            return old
+        monkeypatch.setattr(sampler, "_blas_setters", [setter, setter])
+        with sampler._one_blas_thread():
+            assert count == [1]
+        assert count == [3]
 
     def test_solve_runs_without_a_setter(self, monkeypatch):
-        monkeypatch.setattr(sampler, "_set_blas_threads_local", None)
+        monkeypatch.setattr(sampler, "_blas_setters", [])
         precision = random_mask_precision(34, 40, 12)
         TestSampleFieldGivenGamma().check_mean(34, 40, precision,
-                                               BandedCholeskySolver(34, 40, precision))
+                                               BandedCholeskySolver(precision))
+
+
+def uncached_window_sums(x, half):
+    """Window sums, sums of squares and counts, with every window bound
+    computed afresh; the reference for the cached bounds."""
+    n1, n2 = x.shape
+    c1 = np.zeros((n1 + 1, n2 + 1))
+    c2 = np.zeros((n1 + 1, n2 + 1))
+    c1[1:, 1:] = x.cumsum(0).cumsum(1)
+    c2[1:, 1:] = (x * x).cumsum(0).cumsum(1)
+    i = np.arange(n1)[:, None]
+    j = np.arange(n2)[None, :]
+    r0, r1 = np.clip(i - half, 0, n1), np.clip(i + half + 1, 0, n1)
+    s0, s1 = np.clip(j - half, 0, n2), np.clip(j + half + 1, 0, n2)
+    def box(c):
+        return c[r1, s1] - c[r0, s1] - c[r1, s0] + c[r0, s0]
+    return box(c1), box(c2), (r1 - r0) * (s1 - s0)
 
 
 class TestGetBinaryImage:
+    @pytest.mark.parametrize("n1, n2, window", [(5, 7, 9), (7, 5, 15), (1, 6, 3), (12, 12, 9),
+                                                (30, 30, 9), (3, 3, 101)])
+    def test_cached_windows_match_uncached_bit_for_bit(self, n1, n2, window):
+        rng = np.random.default_rng(n1 * n2 + window)
+        for _ in range(2):  # the second call reads the cached bounds
+            x = rng.standard_normal((n1, n2))
+            got = sampler._clipped_window_sums(x, window // 2)
+            for a, b in zip(got, uncached_window_sums(x, window // 2)):
+                np.testing.assert_array_equal(a, b)
+            r = Raster.from_2d(x)
+            s1, s2, cnt = uncached_window_sums(x, window // 2)
+            mu = s1 / cnt
+            want = x >= mu + 0.1 * np.sqrt(np.maximum(s2 / cnt - mu * mu, 0.0))
+            np.testing.assert_array_equal(get_binary_image(r, 0.1, window).to_2d(), want)
+
     def test_constant_field_is_all_spots(self):
         # sigma = 0 and f == mu, so the >= comparison marks every pixel.
         mask = get_binary_image(Raster.from_2d(np.full((4, 4), 2.0)), h=0.1, window=3)
@@ -327,6 +442,25 @@ class TestDenoise:
             denoise(self.make_input(), HyperParams(n_iter=5, burn_in=5))
 
 
+class TestNoSparseMatrixPerSweep:
+    @pytest.mark.parametrize("variant", [IGMRF, HIGMRF])
+    def test_sparse_constructions_do_not_grow_with_sweeps(self, monkeypatch, variant):
+        # 12 x 12 is a banded lattice; SuperLU, past the band bound, needs Q in CSR
+        from scipy.sparse._compressed import _cs_matrix
+        built = []
+        init = _cs_matrix.__init__
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(_cs_matrix, "__init__", counting_init)
+        counts = []
+        for n_iter in (4, 12):
+            built.clear()
+            denoise(TestDenoise().make_input(), HyperParams(n_iter=n_iter, burn_in=2), variant)
+            counts.append(len(built))
+        assert counts[0] == counts[1], counts
+
+
 class TestRunChains:
     """``run_chains`` pools ``higmrf`` chains in forked workers, each on one
     BLAS thread, and runs ``igmrf`` chains, and every chain where ``fork`` is
@@ -335,12 +469,10 @@ class TestRunChains:
     @pytest.fixture
     def probe(self, monkeypatch):
         """Stand in for ``denoise``: each chain reports its seed, its process
-        and the BLAS thread count it runs on (None without a setter)."""
+        and the BLAS thread counts it runs on, one per OpenBLAS."""
         def denoise(y, hp, variant):
-            setter, threads = sampler._set_blas_threads_local, None
-            if setter is not None:
-                threads = setter(1)  # returns the count in force
-                setter(threads)
+            threads = set_blas_threads(1)  # returns the counts in force
+            restore_blas_threads(threads)
             return hp.seed, os.getpid(), threads
         monkeypatch.setattr(sampler, "denoise", denoise)
 
@@ -379,18 +511,17 @@ class TestRunChains:
                 np.testing.assert_array_equal(res.gamma_trace, want.gamma_trace)
 
     def test_higmrf_chains_run_in_workers_on_one_blas_thread(self, probe):
-        setter = sampler._set_blas_threads_local
-        caller = setter(2) if setter is not None else None
+        callers = set_blas_threads(2)
         try:
             got = run_chains(None, HyperParams(seed=7), HIGMRF, 3)
             assert [seed for seed, _, _ in got] == [7, 8, 9]
             assert os.getpid() not in {pid for _, pid, _ in got}
-            if setter is not None:
-                assert [threads for _, _, threads in got] == [1, 1, 1]
-                assert setter(2) == 2  # the parent's count is as it was
+            ones = [1] * len(sampler._blas_setters)
+            assert [threads for _, _, threads in got] == [ones] * 3
+            # the parent's counts are as they were
+            assert set_blas_threads(2) == [2] * len(ones)
         finally:
-            if setter is not None:
-                setter(caller)
+            restore_blas_threads(callers)
 
     def test_igmrf_chains_run_in_this_process(self, probe, fake_pool):
         got = run_chains(None, HyperParams(seed=3), IGMRF, 4)
@@ -448,6 +579,7 @@ class TestSweepStationarity:
         hp = HyperParams(alpha_l=2.0, beta_l=0.5, alpha_f=3.0, beta_f=0.25,
                          gamma_precision=1.0)
         design = make_design(2, 2)
+        ztz = design.T @ design
         precision = build_igmrf_precision(2, 2)
         solver = SpectralSolver(2, 2)
         rng = np.random.default_rng(123)
@@ -458,7 +590,7 @@ class TestSweepStationarity:
         kl, kf = [], []
         for _ in range(15000):
             y = design @ gamma + f + rng.standard_normal(4) / np.sqrt(noise.kappa_l)
-            gamma = sample_gamma(y, f, noise.kappa_l, design, hp.gamma_precision, rng)
+            gamma = sample_gamma(y, f, noise.kappa_l, design, ztz, hp.gamma_precision, rng)
             noise = sample_kappas(y, f, gamma, design, precision, hp, rng)
             f = sample_field_given_gamma(y, gamma, noise, precision, design, rng, solver)
             kl.append(noise.kappa_l)
