@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from .baselines import FilterConfig
 from .fileio import read_raster_csv, write_raster_csv
 from .lattice import Raster
 from .model import HyperParams
-from .sampler import HIGMRF, IGMRF, denoise
+from .sampler import HIGMRF, IGMRF, denoise, run_jobs
 from .synth import SynthPair
 
 __all__ = [
@@ -118,12 +119,31 @@ def read_external(method: str, truths: list[Raster]) -> list[Raster]:
     return outputs
 
 
+def _timed(method: str, noisy: Raster, hp: HyperParams, fc: FilterConfig,
+           ) -> tuple[Raster, float]:
+    """``run_method`` and its wall time in ms.  A module-level name, so that
+    the chain pool pickles it by reference."""
+    t0 = time.perf_counter()
+    estimate = run_method(method, noisy, hp, fc)
+    return estimate, (time.perf_counter() - t0) * 1e3
+
+
 def run_bench(pairs: list[tuple[Raster, Raster]], methods: list[str],
               hp: HyperParams, fc: FilterConfig,
               external: dict[str, list[Raster]] | None = None) -> list[BenchRow]:
     """Every requested method over every (truth, noisy) pair.  ``external``
     holds the outputs of ``external:`` methods already read by
-    ``read_external``; the others are read here, before any method runs."""
+    ``read_external``; the others are read here, before any method runs.
+
+    The ``higmrf`` and ``igmrf`` images are independent chains, so they run
+    through ``sampler.run_jobs``: on the process's chain pool when there are
+    two or more.  Baselines and metrics run here, meanwhile.  A row's
+    ``wall_ms`` is its own method's time on its image, taken around the chain
+    in the process that ran it, so under concurrency it includes the waits
+    for a core but not the waits for a worker.  The first failure in (image,
+    method) order is the one raised, as in a serial loop, and no job is left
+    behind on the pool.
+    """
     external = dict(external or {})
     for method in methods:
         if method in external or method in BASELINE_METHODS or method in SAMPLER_METHODS:
@@ -131,15 +151,20 @@ def run_bench(pairs: list[tuple[Raster, Raster]], methods: list[str],
         if not method.startswith("external:"):
             raise UnknownMethodError(f"unknown method {method!r}")
         external[method] = read_external(method, [truth for truth, _ in pairs])
+    chains = run_jobs(_timed, [(method, noisy, hp, fc) for _, noisy in pairs
+                               for method in methods if method in SAMPLER_METHODS])
     rows = []
-    for k, (truth, noisy) in enumerate(pairs):
-        for method in methods:
-            t0 = time.perf_counter()
-            estimate = (external[method][k] if method in external
-                        else run_method(method, noisy, hp, fc))
-            wall_ms = (time.perf_counter() - t0) * 1e3
-            rows.append(BenchRow(image=k, method=method,
-                                 report=metrics.evaluate(estimate, truth), wall_ms=wall_ms))
+    with closing(chains):
+        for k, (truth, noisy) in enumerate(pairs):
+            for method in methods:
+                if method in SAMPLER_METHODS:
+                    estimate, wall_ms = next(chains)
+                elif method in external:
+                    estimate, wall_ms = external[method][k], 0.0
+                else:
+                    estimate, wall_ms = _timed(method, noisy, hp, fc)
+                rows.append(BenchRow(image=k, method=method,
+                                     report=metrics.evaluate(estimate, truth), wall_ms=wall_ms))
     return rows
 
 

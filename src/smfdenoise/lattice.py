@@ -57,6 +57,11 @@ class Raster:
     def to_2d(self) -> np.ndarray:
         return self.data.reshape(self.n1, self.n2)
 
+    def __reduce__(self):
+        # unpickled through the constructor, so ``data`` is checked and
+        # read-only again; pickle would otherwise make it writeable
+        return type(self), (self.n1, self.n2, self.data)
+
 
 @dataclass(frozen=True)
 class SpotMask:
@@ -90,8 +95,24 @@ class SpotMask:
             raise ValueError("expected a 2-D array")
         return cls(arr.shape[0], arr.shape[1], arr.ravel())
 
+    @classmethod
+    def from_spots(cls, spots: np.ndarray) -> "SpotMask":
+        """The mask whose spots are the true entries of the 2-D boolean array
+        ``spots``.  A boolean array holds only 0 and 1, so the checks of
+        ``__post_init__`` are skipped: the sampler builds one mask per sweep."""
+        if spots.ndim != 2 or spots.dtype != np.bool_:
+            raise ValueError("expected a 2-D boolean array")
+        data = spots.astype(np.int8).ravel()
+        data.flags.writeable = False
+        mask = object.__new__(cls)
+        for name, value in zip(("n1", "n2", "data"), (*spots.shape, data)):
+            object.__setattr__(mask, name, value)
+        return mask
+
     def to_2d(self) -> np.ndarray:
         return self.data.reshape(self.n1, self.n2)
+
+    __reduce__ = Raster.__reduce__
 
 
 class PrecisionMatrix:

@@ -20,19 +20,24 @@ of each entry of Q in the band (``_band_layout``) and the mask's window
 bounds (``_windows``).  Per chain are computed once: Z^T Z and the band
 buffer.  Each sweep then fills the band straight from Q's upper-entry sums
 and reads D^T x and |D f|^2 from D's values, so it builds no scipy sparse
-matrix; Q's CSR form is built only for SuperLU and for tests.  The whole
-chain runs on one BLAS thread, in scipy's OpenBLAS and in NumPy's own,
+matrix; Q's CSR form is built only for SuperLU and for tests.  Nor does it
+check what it made itself: the mask thresholds the draw's 2-D view into a
+``SpotMask.from_spots``, and only the chain's final mask and mean go through
+the ``SpotMask`` and ``Raster`` checks.  The whole chain runs on one BLAS thread, in scipy's OpenBLAS and in NumPy's own,
 through OpenBLAS's ``openblas_set_num_threads_local`` where each provides
 it, and the caller's counts are restored afterwards.
 
-``run_chains`` runs the independent chains of a multi-chain check, chain c
-seeded with ``hp.seed + c``.  ``higmrf`` chains go to a ``fork`` process pool
-of min(chains, CPUs) workers, each on one BLAS thread for its whole life, so
-that two processes never spin two OpenBLAS threads each on two cores.
-``igmrf`` chains run serially: a 30 x 30 ``igmrf`` chain takes about 20 ms,
-less than forking and warming up a pool costs.  On a 2-core x86 machine a
-pooled 4-chain 30 x 30 ``igmrf`` ``diagnose`` took 0.26 s against 0.19-0.23 s
-serially.  Where ``fork`` is not offered, every chain runs serially.
+``run_jobs`` runs independent chains, ``higmrf`` and ``igmrf`` alike, on
+one ``fork`` process pool per process: built on the first call with two jobs
+or more, with min(jobs, CPUs) workers, replaced by a larger one when a later
+call needs more, and kept warm in between, so a process forks once and each
+worker pays OpenBLAS's thread restart after a fork once.  Each worker runs
+on one BLAS thread for its whole life, so that two processes never spin two
+OpenBLAS threads each on two cores, and exits when its parent dies;
+``concurrent.futures`` joins the workers at interpreter exit.  One job, and
+every job where ``fork`` is not offered, runs in the calling process.
+``run_chains`` runs the chains of a multi-chain check through it, chain c
+seeded with ``hp.seed + c``, and ``bench.run_bench`` its sampler images.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ __all__ = [
     "field_solver",
     "get_binary_image",
     "denoise",
+    "run_jobs",
     "run_chains",
 ]
 
@@ -218,10 +224,9 @@ def _one_blas_thread():
     restore each previous count on the way out, raised or not, in reverse
     order so that two setters of one library leave its count as it was.  In
     a pthreads OpenBLAS the count is the whole process's, so chains on
-    threads would need a lock around this scope.  ``run_chains`` runs
-    ``higmrf`` chains on a fork pool of min(chains, CPUs) processes instead,
-    each on one BLAS thread for its whole life, and ``igmrf`` chains serially
-    (see the module docstring)."""
+    threads would need a lock around this scope.  ``run_jobs`` runs chains
+    on a fork pool of processes instead, each on one BLAS thread for its
+    whole life (see the module docstring)."""
     previous = [setter(1) for setter in _blas_setters]
     try:
         yield
@@ -356,20 +361,19 @@ def _clipped_window_sums(x: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarr
     return box(c1), box(c2), cnt
 
 
-def get_binary_image(f: Raster, h: float, window: int) -> SpotMask:
-    """Local-threshold spot classification.
+def get_binary_image(x: np.ndarray, h: float, window: int) -> SpotMask:
+    """Local-threshold spot classification of the 2-D image ``x``.
 
-    Pixel (i, j) is a spot iff f >= mu_local + h * sigma_local over the
+    Pixel (i, j) is a spot iff x >= mu_local + h * sigma_local over the
     window x window patch centred there (clipped at boundaries; population
     standard deviation).  ``window`` is odd, as ``HyperParams.validate``
     checks.
     """
-    x = f.to_2d()
     s1, s2, cnt = _clipped_window_sums(x, window // 2)
     mu = s1 / cnt
     var = np.maximum(s2 / cnt - mu * mu, 0.0)
     thresh = mu + h * np.sqrt(var)
-    return SpotMask.from_2d((x >= thresh).astype(np.int8))
+    return SpotMask.from_spots(x >= thresh)
 
 
 def _normalize(y: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -420,7 +424,7 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
             noise = sample_kappas(yn, f, gamma, design, precision, hp, rng)
             f = sample_field_given_gamma(yn, gamma, noise, precision, design, rng, solver)
             if variant == HIGMRF:
-                mask = get_binary_image(Raster(n1, n2, f), hp.h, hp.window)
+                mask = get_binary_image(f.reshape(n1, n2), hp.h, hp.window)
                 precision = build_higmrf_precision(n1, n2, mask, hp.lam)
             theta_trace[t - 1] = (noise.kappa_l, noise.kappa_f)
             gamma_trace[t - 1] = gamma
@@ -431,18 +435,107 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
     posterior_mean = Raster(n1, n2, offset + mean_norm * scale)
     return DenoiseResult(
         posterior_mean=posterior_mean,
-        final_mask=mask,
+        final_mask=SpotMask(n1, n2, mask.data),
         theta_trace=theta_trace,
         gamma_trace=gamma_trace,
     )
 
 
-def _one_blas_thread_for_life():
-    """Pool initializer: the worker runs every chain on one BLAS thread.  A
-    forked worker's counts are its own, so the parent's are left as they
-    were."""
+# This process's chain pool, as (executor, workers, owner pid); see _chain_pool.
+_pool = None
+
+
+def _chain_pool(jobs: int):
+    """This process's fork pool, with at least min(jobs, CPUs) workers, or
+    None where ``fork`` is not offered.  A pool is built when none exists or
+    when the current one has fewer workers; a child forked from the owner
+    builds its own rather than use the copy of its parent's."""
+    global _pool
+    # imported here, so that CLI start-up does not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(jobs, cpus)
+    if _pool is not None and _pool[2] != os.getpid():
+        _pool = None
+    if _pool is None or _pool[1] < workers:
+        _close_pool()
+        # A killed worker raises BrokenProcessPool in the caller, where a
+        # multiprocessing.Pool would wait for its result forever.
+        _pool = (ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_init_worker, initargs=(os.getpid(),)),
+                 workers, os.getpid())
+    return _pool[0]
+
+
+def _close_pool():
+    """Shut this process's chain pool down, if it owns one, and wait for its
+    workers to exit; the next pooled call builds a new pool."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None and pool[2] == os.getpid():
+        pool[0].shutdown(wait=True, cancel_futures=True)
+
+
+def _init_worker(parent: int):
+    """Pool initializer: the worker runs every chain on one BLAS thread, and
+    exits when ``parent`` does.  A forked worker's counts are its own, so the
+    parent's are left as they were.  An idle worker waits on a queue whose
+    write end every worker inherited too, so it would never see the parent
+    go; a daemon thread polls for the reparenting instead."""
+    import threading
+    import time
+
     for setter in _blas_setters:
         setter(1)
+
+    def exit_with_parent():
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=exit_with_parent, daemon=True).start()
+
+
+def run_jobs(fn, jobs: list[tuple]):
+    """Yield ``fn(*args)`` for each ``args`` of ``jobs``, in order.
+
+    Two jobs or more run on this process's fork pool (see the module
+    docstring), all submitted when the first result is asked for; one job,
+    and every job where ``fork`` is not offered, runs here when its result
+    is asked for.  ``fn`` is a module-level function, so the pool pickles it
+    by reference and a worker calls whatever the name was bound to when the
+    pool forked.  A job's exception reaches the caller as itself, at that
+    job's turn.  However the iteration ends (a job's exception, or the caller
+    closing the generator), the jobs not yet started are cancelled and the
+    running ones waited for, so the pool is idle afterwards.  A worker that
+    dies breaks the pool: the call raises ``BrokenProcessPool``, the pool is
+    closed, and the next call builds a new one.
+    """
+    pool = _chain_pool(len(jobs)) if len(jobs) > 1 else None
+    if pool is None:
+        for args in jobs:
+            yield fn(*args)
+        return
+    from concurrent.futures import wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    futures = []
+    try:
+        futures.extend(pool.submit(fn, *args) for args in jobs)
+        for future in futures:
+            yield future.result()
+    except BrokenProcessPool:
+        _close_pool()
+        raise
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)
 
 
 def _run_chain(y: Raster, hp: HyperParams, variant: str) -> DenoiseResult:
@@ -454,23 +547,7 @@ def _run_chain(y: Raster, hp: HyperParams, variant: str) -> DenoiseResult:
 def run_chains(y: Raster, hp: HyperParams, variant: str, chains: int,
                ) -> list[DenoiseResult]:
     """Run ``chains`` independent chains on ``y``, chain c seeded with
-    ``hp.seed + c``, and return their results in chain order.  ``higmrf``
-    chains run on a fork pool, the others serially (see the module
-    docstring); an exception raised in a chain reaches the caller as itself.
-    """
-    hps = [replace(hp, seed=hp.seed + c) for c in range(chains)]
-    if variant == HIGMRF:
-        # imported here, so that CLI start-up does not pay for them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
-            # A killed worker raises BrokenProcessPool here, where a
-            # multiprocessing.Pool would wait for its result forever.
-            with ProcessPoolExecutor(min(chains, cpus),
-                                     mp_context=multiprocessing.get_context("fork"),
-                                     initializer=_one_blas_thread_for_life) as pool:
-                return list(pool.map(_run_chain, [y] * chains, hps, [variant] * chains))
-    return [denoise(y, h, variant) for h in hps]
+    ``hp.seed + c``, through ``run_jobs``, and return their results in chain
+    order."""
+    return list(run_jobs(_run_chain, [(y, replace(hp, seed=hp.seed + c), variant)
+                                      for c in range(chains)]))

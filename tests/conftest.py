@@ -1,8 +1,22 @@
-"""Reference constructions shared by the lattice tests and the acceptance gate."""
+"""Reference constructions shared by the lattice tests and the acceptance gate,
+and a fixture that gives each test its own chain pool."""
 
 import numpy as np
+import pytest
+
+from smfdenoise import sampler
 
 _OFFSETS = ((-1, 0), (1, 0), (0, -1), (0, 1))
+
+
+@pytest.fixture(autouse=True)
+def fresh_chain_pool():
+    """Each test starts and ends without a chain pool.  A pool forks on first
+    use, so its workers see the names a test has patched (``sampler.denoise``,
+    ``sampler.dpbtrf``) only if it is built after the patch."""
+    sampler._close_pool()
+    yield
+    sampler._close_pool()
 
 
 def neighbors(i: int, j: int, n1: int, n2: int) -> list[tuple[int, int]]:

@@ -283,7 +283,7 @@ class TestCriterion7ThresholdConformance:
                 patch = x[r0:r1, c0:c1]
                 thresh = patch.mean() + h * patch.std()  # population sd
                 expected[i, j] = 1 if x[i, j] >= thresh else 0
-        got = get_binary_image(Raster.from_2d(x), h=h, window=window).to_2d()
+        got = get_binary_image(x, h=h, window=window).to_2d()
         # the far corners sit in constant windows: sigma=0 and f == mu,
         # so the literal >= comparison marks them as spots
         degenerate_ok = expected[0, 0] == 1 and got[0, 0] == 1

@@ -1,8 +1,13 @@
 """Tests for the benchmark harness and its CSV report."""
 
+import multiprocessing
+import os
+import time
+
 import numpy as np
 import pytest
 
+from smfdenoise import bench
 from smfdenoise.baselines import FilterConfig
 from smfdenoise.bench import (
     MissingExternalError,
@@ -14,6 +19,7 @@ from smfdenoise.bench import (
     write_report,
 )
 from smfdenoise.fileio import write_raster_csv
+from smfdenoise.lattice import Raster
 from smfdenoise.model import HyperParams
 from smfdenoise.synth import SynthConfig, generate_corpus
 
@@ -94,6 +100,86 @@ class TestRunBench:
         with pytest.raises(MissingExternalError) as err:
             run_bench(pairs, [f"external:{ext}"], fast_hp, FilterConfig())
         assert len(err.value.missing) == 2
+
+
+class TestPooledBench:
+    """``run_bench`` runs its sampler images on the chain pool and keeps
+    baselines and metrics here."""
+
+    def test_pooled_rows_equal_serial_rows(self, small_corpus, fast_hp, monkeypatch):
+        pairs = [(p.truth, p.noisy) for p in small_corpus]
+        methods = ["ga", "higmrf", "wi", "igmrf"]
+        pooled = run_bench(pairs, methods, fast_hp, FilterConfig())
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        serial = run_bench(pairs, methods, fast_hp, FilterConfig())
+        assert [(r.image, r.method) for r in pooled] == [
+            (k, m) for k in range(3) for m in methods]
+        assert [(r.image, r.method, r.report) for r in pooled] == [
+            (r.image, r.method, r.report) for r in serial]
+        assert all(r.wall_ms > 0 for r in pooled)
+
+    @pytest.fixture
+    def stub(self, monkeypatch, tmp_path):
+        """Replace ``run_method`` for the sampler images, which the workers
+        inherit: image k's noisy raster holds the value k.  Each call logs
+        its image and process to a file, then behaves as ``behave(k)``
+        says."""
+        log = tmp_path / "calls"
+        run_method = bench.run_method
+
+        def stub(behave):
+            def fake(method, noisy, hp, fc):
+                if method not in ("igmrf", "higmrf"):
+                    return run_method(method, noisy, hp, fc)
+                k = int(noisy.data[0])
+                with open(log, "a") as f:
+                    f.write(f"{k} {os.getpid()}\n")
+                behave(k)
+                return noisy
+            monkeypatch.setattr(bench, "run_method", fake)
+            return log
+        return stub
+
+    @staticmethod
+    def pairs(n):
+        return [(Raster(2, 2, [k + 0.5, k + 2.0, k + 1.0, k + 3.5]),
+                 Raster(2, 2, [k, k + 2.5, k + 1.5, k + 3.0])) for k in range(n)]
+
+    @staticmethod
+    def logged(log):
+        return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+    def test_second_call_reuses_the_workers(self, stub, fast_hp):
+        log = stub(lambda k: None)
+        run_bench(self.pairs(4), ["higmrf", "igmrf"], fast_hp, FilterConfig())
+        workers = {p.pid for p in multiprocessing.active_children()}
+        run_bench(self.pairs(4), ["igmrf"], fast_hp, FilterConfig())
+        assert {p.pid for p in multiprocessing.active_children()} == workers
+        pids = {pid for _, pid in self.logged(log)}
+        assert pids <= workers and os.getpid() not in pids
+
+    def test_earliest_failure_is_raised(self, stub, fast_hp):
+        def behave(k):
+            if k == 1:
+                time.sleep(0.3)  # image 2 fails first in time
+            if k in (1, 2):
+                raise RuntimeError(f"image {k} failed")
+        stub(behave)
+        with pytest.raises(RuntimeError, match="^image 1 failed$"):
+            run_bench(self.pairs(4), ["higmrf"], fast_hp, FilterConfig())
+
+    def test_failed_call_leaves_no_jobs_behind(self, stub, fast_hp):
+        def behave(k):
+            if k == 0:
+                raise RuntimeError("image 0 failed")
+            time.sleep(0.2)
+        log = stub(behave)
+        with pytest.raises(RuntimeError, match="^image 0 failed$"):
+            run_bench(self.pairs(12), ["igmrf"], fast_hp, FilterConfig())
+        started = self.logged(log)
+        time.sleep(0.5)
+        assert self.logged(log) == started
+        assert len(started) < 12
 
 
 class TestReport:

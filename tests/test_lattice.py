@@ -1,5 +1,7 @@
 """Tests for lattice containers and precision-matrix construction."""
 
+import pickle
+
 import numpy as np
 import pytest
 from conftest import dense_difference_oracle, neighbors
@@ -43,6 +45,13 @@ class TestRaster:
         with pytest.raises(ValueError):
             r.data[0] = 9.0
 
+    def test_pickle_round_trip_keeps_data_read_only(self):
+        # chain results come back from pool workers through pickle
+        r = pickle.loads(pickle.dumps(Raster(2, 3, np.arange(6.0))))
+        assert (r.n1, r.n2) == (2, 3)
+        np.testing.assert_array_equal(r.data, np.arange(6.0))
+        assert not r.data.flags.writeable
+
 
 class TestSpotMask:
     def test_values_restricted_to_binary(self):
@@ -53,6 +62,27 @@ class TestSpotMask:
         m = SpotMask.zeros(3, 4)
         assert m.data.sum() == 0
         assert (m.n1, m.n2) == (3, 4)
+
+    def test_from_spots_equals_the_checked_constructor(self):
+        spots = np.array([[True, False, True], [False, False, True]])
+        m = SpotMask.from_spots(spots)
+        want = SpotMask.from_2d(spots.astype(np.int8))
+        assert (m.n1, m.n2) == (want.n1, want.n2)
+        assert m.data.dtype == want.data.dtype and m.data.flags.c_contiguous
+        np.testing.assert_array_equal(m.data, want.data)
+        assert not m.data.flags.writeable
+
+    @pytest.mark.parametrize("spots", [np.array([[0, 2]]), np.array([True, False])],
+                             ids=["int", "1-D"])
+    def test_from_spots_takes_only_a_2d_boolean_array(self, spots):
+        with pytest.raises(ValueError):
+            SpotMask.from_spots(spots)
+
+    def test_pickle_round_trip_keeps_data_read_only(self):
+        m = pickle.loads(pickle.dumps(SpotMask(2, 2, [0, 1, 1, 0])))
+        assert (m.n1, m.n2) == (2, 2)
+        np.testing.assert_array_equal(m.data, [0, 1, 1, 0])
+        assert not m.data.flags.writeable
 
 
 class TestNeighbors:

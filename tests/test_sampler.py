@@ -4,7 +4,11 @@ import concurrent.futures
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,37 +350,35 @@ class TestGetBinaryImage:
             got = sampler._clipped_window_sums(x, window // 2)
             for a, b in zip(got, uncached_window_sums(x, window // 2)):
                 np.testing.assert_array_equal(a, b)
-            r = Raster.from_2d(x)
             s1, s2, cnt = uncached_window_sums(x, window // 2)
             mu = s1 / cnt
             want = x >= mu + 0.1 * np.sqrt(np.maximum(s2 / cnt - mu * mu, 0.0))
-            np.testing.assert_array_equal(get_binary_image(r, 0.1, window).to_2d(), want)
+            np.testing.assert_array_equal(get_binary_image(x, 0.1, window).to_2d(), want)
 
     def test_constant_field_is_all_spots(self):
         # sigma = 0 and f == mu, so the >= comparison marks every pixel.
-        mask = get_binary_image(Raster.from_2d(np.full((4, 4), 2.0)), h=0.1, window=3)
+        mask = get_binary_image(np.full((4, 4), 2.0), h=0.1, window=3)
         assert mask.data.sum() == 16
 
     def test_bright_pixel_detected(self):
         x = np.zeros((5, 5))
         x[2, 2] = 10.0
-        mask = get_binary_image(Raster.from_2d(x), h=0.5, window=5).to_2d()
+        mask = get_binary_image(x, h=0.5, window=5).to_2d()
         assert mask[2, 2] == 1
         assert mask[0, 0] == 0
 
     def test_threshold_scales_with_h(self):
         rng = np.random.default_rng(16)
         x = rng.standard_normal((8, 8))
-        r = Raster.from_2d(x)
-        low = get_binary_image(r, h=0.0, window=5).data.sum()
-        high = get_binary_image(r, h=2.0, window=5).data.sum()
+        low = get_binary_image(x, h=0.0, window=5).data.sum()
+        high = get_binary_image(x, h=2.0, window=5).data.sum()
         assert high < low
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(17)
         x = rng.standard_normal((6, 6))
-        a = get_binary_image(Raster.from_2d(x), h=0.3, window=3)
-        b = get_binary_image(Raster.from_2d(3.0 * x + 5.0), h=0.3, window=3)
+        a = get_binary_image(x, h=0.3, window=3)
+        b = get_binary_image(3.0 * x + 5.0, h=0.3, window=3)
         np.testing.assert_array_equal(a.data, b.data)
 
 
@@ -461,10 +463,31 @@ class TestNoSparseMatrixPerSweep:
         assert counts[0] == counts[1], counts
 
 
+class TestNoValidatedContainerPerSweep:
+    @pytest.mark.parametrize("variant", [IGMRF, HIGMRF])
+    def test_checked_constructions_do_not_grow_with_sweeps(self, monkeypatch, variant):
+        # a sweep thresholds the draw's 2-D view and builds Q from the 0/1
+        # mask; only the chain's input and its results pass the checks
+        checked = []
+        for cls in (Raster, SpotMask):
+            def counting(self, check=cls.__post_init__):
+                checked.append(type(self).__name__)
+                check(self)
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        counts = []
+        for n_iter in (4, 12):
+            y = TestDenoise().make_input()
+            checked.clear()
+            denoise(y, HyperParams(n_iter=n_iter, burn_in=2), variant)
+            counts.append(sorted(checked))
+        assert counts[0] == counts[1], counts
+        assert counts[0].count("SpotMask") <= 2  # the start mask and the final one
+
+
 class TestRunChains:
-    """``run_chains`` pools ``higmrf`` chains in forked workers, each on one
-    BLAS thread, and runs ``igmrf`` chains, and every chain where ``fork`` is
-    not offered, in this process."""
+    """``run_chains`` runs two chains or more, of either variant, on the
+    process's warm fork pool, each worker on one BLAS thread, and one chain,
+    or every chain where ``fork`` is not offered, in this process."""
 
     @pytest.fixture
     def probe(self, monkeypatch):
@@ -478,22 +501,22 @@ class TestRunChains:
 
     @pytest.fixture
     def fake_pool(self, monkeypatch):
-        """Record each pool's size, start method and initializer, and run
-        its chains in this process, so that no worker starts."""
+        """Record each pool's size, start method, initializer and its
+        arguments, and run its chains in this process, so that no worker
+        starts."""
         pools = []
 
         class Executor:
-            def __init__(self, max_workers, mp_context, initializer):
-                pools.append((max_workers, mp_context.get_start_method(), initializer))
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                pools.append((max_workers, mp_context.get_start_method(), initializer, initargs))
 
-            def __enter__(self):
-                return self
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, func, *args):
-                return map(func, *args)
+            def shutdown(self, wait, cancel_futures):
+                pass
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
         return pools
@@ -509,11 +532,14 @@ class TestRunChains:
                 np.testing.assert_array_equal(res.final_mask.data, want.final_mask.data)
                 np.testing.assert_array_equal(res.theta_trace, want.theta_trace)
                 np.testing.assert_array_equal(res.gamma_trace, want.gamma_trace)
+                # pickled back from a worker, yet read-only as a serial result is
+                assert not res.posterior_mean.data.flags.writeable
+                assert not res.final_mask.data.flags.writeable
 
-    def test_higmrf_chains_run_in_workers_on_one_blas_thread(self, probe):
+    def check_workers_on_one_blas_thread(self, variant):
         callers = set_blas_threads(2)
         try:
-            got = run_chains(None, HyperParams(seed=7), HIGMRF, 3)
+            got = run_chains(None, HyperParams(seed=7), variant, 3)
             assert [seed for seed, _, _ in got] == [7, 8, 9]
             assert os.getpid() not in {pid for _, pid, _ in got}
             ones = [1] * len(sampler._blas_setters)
@@ -523,9 +549,23 @@ class TestRunChains:
         finally:
             restore_blas_threads(callers)
 
-    def test_igmrf_chains_run_in_this_process(self, probe, fake_pool):
-        got = run_chains(None, HyperParams(seed=3), IGMRF, 4)
-        assert [(seed, pid) for seed, pid, _ in got] == [(3 + c, os.getpid()) for c in range(4)]
+    def test_higmrf_chains_run_in_workers_on_one_blas_thread(self, probe):
+        self.check_workers_on_one_blas_thread(HIGMRF)
+
+    def test_igmrf_chains_run_in_workers_on_one_blas_thread(self, probe):
+        self.check_workers_on_one_blas_thread(IGMRF)
+
+    def test_later_calls_reuse_the_workers(self, probe):
+        workers = None
+        for seed, variant in ((0, HIGMRF), (10, IGMRF), (20, HIGMRF)):
+            pids = {pid for _, pid, _ in run_chains(None, HyperParams(seed=seed), variant, 4)}
+            workers = workers or {p.pid for p in multiprocessing.active_children()}
+            assert pids <= workers and os.getpid() not in pids
+        assert {p.pid for p in multiprocessing.active_children()} == workers
+
+    def test_one_chain_runs_in_this_process(self, probe, fake_pool):
+        got = run_chains(None, HyperParams(seed=3), HIGMRF, 1)
+        assert [(seed, pid) for seed, pid, _ in got] == [(3, os.getpid())]
         assert fake_pool == []
 
     def test_chains_run_in_this_process_without_fork(self, probe, fake_pool, monkeypatch):
@@ -542,7 +582,13 @@ class TestRunChains:
                             raising=False)
         got = run_chains(None, HyperParams(seed=0), HIGMRF, chains)
         assert [seed for seed, _, _ in got] == list(range(chains))
-        assert fake_pool == [(min(chains, cpus), "fork", sampler._one_blas_thread_for_life)]
+        assert fake_pool == [(min(chains, cpus), "fork", sampler._init_worker, (os.getpid(),))]
+
+    def test_pool_is_replaced_only_to_grow(self, probe, fake_pool, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        for chains in (2, 4, 3, 2, 6):
+            run_chains(None, HyperParams(), IGMRF, chains)
+        assert [size for size, _, _, _ in fake_pool] == [2, 4, 6]
 
     def test_killed_worker_breaks_the_pool_rather_than_hanging(self, monkeypatch):
         parent = os.getpid()
@@ -553,6 +599,8 @@ class TestRunChains:
         monkeypatch.setattr(sampler, "denoise", denoise)
         with pytest.raises(BrokenProcessPool):
             run_chains(None, HyperParams(), HIGMRF, 2)
+        # the broken pool is closed, and the next call builds a fresh one
+        assert run_chains(None, HyperParams(seed=5), HIGMRF, 2) == [5, 6]
 
     def test_worker_error_reaches_the_caller_as_itself(self, monkeypatch):
         def denoise(y, hp, variant):
@@ -563,6 +611,59 @@ class TestRunChains:
         with pytest.raises(SamplerNumericalError, match=r"^chain 1 failed in \d+$") as err:
             run_chains(None, HyperParams(), HIGMRF, 2)
         assert int(str(err.value).rsplit(" ", 1)[1]) != os.getpid()
+
+
+def running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states in /proc")
+class TestPoolLifetime:
+    """The pool's workers leave with the process that owns them, whether it
+    exits or is killed."""
+
+    # Runs two chains on a pool, prints the workers' pids, then exits or
+    # waits to be killed.  Each chain sleeps, so that both workers take one.
+    SCRIPT = """
+import multiprocessing, sys, time
+from smfdenoise import sampler
+from smfdenoise.model import HyperParams
+sampler.denoise = lambda y, hp, variant: time.sleep(0.2)
+sampler.run_chains(None, HyperParams(), "igmrf", 2)
+print(*sorted(p.pid for p in multiprocessing.active_children()), flush=True)
+if sys.argv[1] == "wait":
+    time.sleep(60)
+"""
+
+    def start(self, mode):
+        src = str(Path(sampler.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen([sys.executable, "-c", self.SCRIPT, mode], env=env,
+                                stdout=subprocess.PIPE, text=True)
+        workers = [int(pid) for pid in proc.stdout.readline().split()]
+        assert len(workers) == 2
+        return proc, workers
+
+    def test_normal_exit_joins_the_workers(self):
+        proc, workers = self.start("exit")
+        assert proc.wait(timeout=30) == 0
+        assert not any(running(pid) for pid in workers)
+
+    def test_idle_workers_exit_when_the_parent_is_killed(self):
+        proc, workers = self.start("wait")
+        proc.kill()
+        proc.wait(timeout=30)
+        proc.stdout.close()
+        deadline = time.monotonic() + 5.0
+        while any(running(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(running(pid) for pid in workers)
 
 
 class TestSweepStationarity:
