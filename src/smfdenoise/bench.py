@@ -137,12 +137,13 @@ def run_bench(pairs: list[tuple[Raster, Raster]], methods: list[str],
 
     The ``higmrf`` and ``igmrf`` images are independent chains, so they run
     through ``sampler.run_jobs``: on the process's chain pool when there are
-    two or more.  Baselines and metrics run here, meanwhile.  A row's
-    ``wall_ms`` is its own method's time on its image, taken around the chain
-    in the process that ran it, so under concurrency it includes the waits
-    for a core but not the waits for a worker.  The first failure in (image,
-    method) order is the one raised, as in a serial loop, and no job is left
-    behind on the pool.
+    two or more, submitted before the first row, while baselines and metrics
+    run here.  Only a call with ``higmrf`` among its methods builds the pool
+    (see ``sampler``).  A row's ``wall_ms`` is its own method's time on its
+    image, taken around the chain in the process that ran it, so under
+    concurrency it includes the waits for a core but not the waits for a
+    worker.  The first failure in (image, method) order is the one raised, as
+    in a serial loop, and no job is left behind on the pool.
     """
     external = dict(external or {})
     for method in methods:
@@ -152,7 +153,8 @@ def run_bench(pairs: list[tuple[Raster, Raster]], methods: list[str],
             raise UnknownMethodError(f"unknown method {method!r}")
         external[method] = read_external(method, [truth for truth, _ in pairs])
     chains = run_jobs(_timed, [(method, noisy, hp, fc) for _, noisy in pairs
-                               for method in methods if method in SAMPLER_METHODS])
+                               for method in methods if method in SAMPLER_METHODS],
+                      build=HIGMRF in methods)
     rows = []
     with closing(chains):
         for k, (truth, noisy) in enumerate(pairs):

@@ -74,12 +74,15 @@ class SpotMask:
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError(f"lattice dimensions must be positive, got {self.n1}x{self.n2}")
+        # a boolean array holds only 0 and 1, so it skips the value scan:
+        # the sampler thresholds one mask per sweep
+        binary = isinstance(self.data, np.ndarray) and self.data.dtype == np.bool_
         data = np.ascontiguousarray(np.asarray(self.data, dtype=np.int8)).ravel()
         if data.size != self.n1 * self.n2:
             raise ValueError(
                 f"mask length {data.size} does not match lattice {self.n1}x{self.n2}"
             )
-        if not np.all((data == 0) | (data == 1)):
+        if not binary and not np.all((data == 0) | (data == 1)):
             raise ValueError("mask values must be 0 or 1")
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
@@ -94,20 +97,6 @@ class SpotMask:
         if arr.ndim != 2:
             raise ValueError("expected a 2-D array")
         return cls(arr.shape[0], arr.shape[1], arr.ravel())
-
-    @classmethod
-    def from_spots(cls, spots: np.ndarray) -> "SpotMask":
-        """The mask whose spots are the true entries of the 2-D boolean array
-        ``spots``.  A boolean array holds only 0 and 1, so the checks of
-        ``__post_init__`` are skipped: the sampler builds one mask per sweep."""
-        if spots.ndim != 2 or spots.dtype != np.bool_:
-            raise ValueError("expected a 2-D boolean array")
-        data = spots.astype(np.int8).ravel()
-        data.flags.writeable = False
-        mask = object.__new__(cls)
-        for name, value in zip(("n1", "n2", "data"), (*spots.shape, data)):
-            object.__setattr__(mask, name, value)
-        return mask
 
     def to_2d(self) -> np.ndarray:
         return self.data.reshape(self.n1, self.n2)

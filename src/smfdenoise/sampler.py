@@ -21,23 +21,29 @@ bounds (``_windows``).  Per chain are computed once: Z^T Z and the band
 buffer.  Each sweep then fills the band straight from Q's upper-entry sums
 and reads D^T x and |D f|^2 from D's values, so it builds no scipy sparse
 matrix; Q's CSR form is built only for SuperLU and for tests.  Nor does it
-check what it made itself: the mask thresholds the draw's 2-D view into a
-``SpotMask.from_spots``, and only the chain's final mask and mean go through
-the ``SpotMask`` and ``Raster`` checks.  The whole chain runs on one BLAS thread, in scipy's OpenBLAS and in NumPy's own,
-through OpenBLAS's ``openblas_set_num_threads_local`` where each provides
-it, and the caller's counts are restored afterwards.
+scan what it made itself: the draw stays a bare array, whose 2-D view the
+mask thresholds into a boolean ``SpotMask``, which skips the 0/1 scan; only
+the chain's mean goes through the ``Raster`` check.  The whole chain runs on
+one BLAS thread, in scipy's OpenBLAS and in NumPy's own, through OpenBLAS's
+``openblas_set_num_threads_local`` where each provides it, and the caller's
+counts are restored afterwards.
 
-``run_jobs`` runs independent chains, ``higmrf`` and ``igmrf`` alike, on
-one ``fork`` process pool per process: built on the first call with two jobs
-or more, with min(jobs, CPUs) workers, replaced by a larger one when a later
-call needs more, and kept warm in between, so a process forks once and each
-worker pays OpenBLAS's thread restart after a fork once.  Each worker runs
-on one BLAS thread for its whole life, so that two processes never spin two
-OpenBLAS threads each on two cores, and exits when its parent dies;
-``concurrent.futures`` joins the workers at interpreter exit.  One job, and
-every job where ``fork`` is not offered, runs in the calling process.
-``run_chains`` runs the chains of a multi-chain check through it, chain c
-seeded with ``hp.seed + c``, and ``bench.run_bench`` its sampler images.
+``run_jobs`` runs independent chains on one ``fork`` process pool per
+process: built by the first call that has two jobs or more, ``higmrf`` among
+them, with min(jobs, CPUs) workers, replaced by a larger one when a later
+such call needs more, and kept warm in between.  So a process that makes
+several pooled calls (a script or service that scores corpus after corpus)
+forks once, and each worker pays OpenBLAS's thread restart after a fork once.
+``igmrf`` jobs use a pool that is already warm but never build one: a 30 x 30
+``igmrf`` chain takes about 20 ms, and a one-shot ``diagnose --variant igmrf
+--chains 4`` took 0.79 s pooled against 0.69 s serial (2-core x86).  Each
+worker runs on one BLAS thread for its whole life, so that two processes
+never spin two OpenBLAS threads each on two cores, and exits when its parent
+dies; ``concurrent.futures`` joins the workers at interpreter exit.  One job,
+jobs on one CPU, and every job where ``fork`` is not offered, run in the
+calling process.  ``run_chains`` runs the chains of a multi-chain check
+through it, chain c seeded with ``hp.seed + c``, and ``bench.run_bench`` its
+sampler images.
 """
 
 from __future__ import annotations
@@ -373,7 +379,7 @@ def get_binary_image(x: np.ndarray, h: float, window: int) -> SpotMask:
     mu = s1 / cnt
     var = np.maximum(s2 / cnt - mu * mu, 0.0)
     thresh = mu + h * np.sqrt(var)
-    return SpotMask.from_spots(x >= thresh)
+    return SpotMask(*x.shape, x >= thresh)
 
 
 def _normalize(y: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -435,21 +441,31 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
     posterior_mean = Raster(n1, n2, offset + mean_norm * scale)
     return DenoiseResult(
         posterior_mean=posterior_mean,
-        final_mask=SpotMask(n1, n2, mask.data),
+        final_mask=mask,
         theta_trace=theta_trace,
         gamma_trace=gamma_trace,
     )
 
 
-# This process's chain pool, as (executor, workers, owner pid); see _chain_pool.
+# This process's chain pool, as (executor, workers); see _chain_pool.
 _pool = None
 
 
-def _chain_pool(jobs: int):
-    """This process's fork pool, with at least min(jobs, CPUs) workers, or
-    None where ``fork`` is not offered.  A pool is built when none exists or
-    when the current one has fewer workers; a child forked from the owner
-    builds its own rather than use the copy of its parent's."""
+def _forget_pool():
+    global _pool
+    _pool = None
+
+
+# a forked child builds its own pool rather than use its copy of the parent's
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _chain_pool(jobs: int, build: bool):
+    """This process's fork pool for ``jobs`` jobs, or None to run them here:
+    where ``fork`` is not offered, or fewer than two of them could run at
+    once.  With ``build``, a pool of min(jobs, CPUs) workers is built when
+    none exists or when the current one has fewer workers; without, only a
+    pool that already exists is used."""
     global _pool
     # imported here, so that CLI start-up does not pay for them
     import multiprocessing
@@ -460,24 +476,24 @@ def _chain_pool(jobs: int):
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(jobs, cpus)
-    if _pool is not None and _pool[2] != os.getpid():
-        _pool = None
-    if _pool is None or _pool[1] < workers:
+    if workers < 2:
+        return None
+    if build and (_pool is None or _pool[1] < workers):
         _close_pool()
         # A killed worker raises BrokenProcessPool in the caller, where a
         # multiprocessing.Pool would wait for its result forever.
         _pool = (ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                      initializer=_init_worker, initargs=(os.getpid(),)),
-                 workers, os.getpid())
-    return _pool[0]
+                 workers)
+    return _pool and _pool[0]
 
 
 def _close_pool():
-    """Shut this process's chain pool down, if it owns one, and wait for its
-    workers to exit; the next pooled call builds a new pool."""
-    global _pool
-    pool, _pool = _pool, None
-    if pool is not None and pool[2] == os.getpid():
+    """Shut this process's chain pool down, if there is one, and wait for
+    its workers to exit; the next pooled call builds a new pool."""
+    pool = _pool
+    _forget_pool()
+    if pool is not None:
         pool[0].shutdown(wait=True, cancel_futures=True)
 
 
@@ -501,41 +517,55 @@ def _init_worker(parent: int):
     threading.Thread(target=exit_with_parent, daemon=True).start()
 
 
-def run_jobs(fn, jobs: list[tuple]):
-    """Yield ``fn(*args)`` for each ``args`` of ``jobs``, in order.
+def run_jobs(fn, jobs: list[tuple], build: bool = True):
+    """An iterator over ``fn(*args)`` for each ``args`` of ``jobs``, in order.
 
     Two jobs or more run on this process's fork pool (see the module
-    docstring), all submitted when the first result is asked for; one job,
-    and every job where ``fork`` is not offered, runs here when its result
-    is asked for.  ``fn`` is a module-level function, so the pool pickles it
-    by reference and a worker calls whatever the name was bound to when the
-    pool forked.  A job's exception reaches the caller as itself, at that
-    job's turn.  However the iteration ends (a job's exception, or the caller
+    docstring), all submitted before this returns, so that the workers run
+    while the caller does other work.  ``build`` says whether the call may
+    build the pool, or grow it; without it the jobs use a pool that already
+    exists, or run here.  One job, and every job that gets no pool, runs here
+    when its result is asked for.  ``fn`` is a module-level function, so the
+    pool pickles it by reference and a worker calls whatever the name was
+    bound to when the pool forked.  A job's exception reaches the caller as
+    itself, at that job's turn.
+    """
+    pool = _chain_pool(len(jobs), build) if len(jobs) > 1 else None
+    if pool is None:
+        return (fn(*args) for args in jobs)
+    results = _pooled(pool, fn, jobs)
+    next(results)  # submits every job
+    return results
+
+
+def _pooled(pool, fn, jobs: list[tuple]):
+    """Submit ``jobs`` to ``pool`` and yield once, then yield their results
+    in order.  However the iteration ends (a job's exception, or the caller
     closing the generator), the jobs not yet started are cancelled and the
     running ones waited for, so the pool is idle afterwards.  A worker that
-    dies breaks the pool: the call raises ``BrokenProcessPool``, the pool is
-    closed, and the next call builds a new one.
-    """
-    pool = _chain_pool(len(jobs)) if len(jobs) > 1 else None
-    if pool is None:
-        for args in jobs:
-            yield fn(*args)
-        return
+    dies breaks the pool, whether or not the caller was still asking: the
+    pool is then closed, and the next call builds a new one."""
     from concurrent.futures import wait
     from concurrent.futures.process import BrokenProcessPool
 
     futures = []
+    broken = False
     try:
         futures.extend(pool.submit(fn, *args) for args in jobs)
+        yield
         for future in futures:
             yield future.result()
-    except BrokenProcessPool:
-        _close_pool()
+    except BrokenProcessPool:  # from submit or from a result
+        broken = True
         raise
     finally:
         for future in futures:
             future.cancel()
         wait(futures)
+        if broken or any(not future.cancelled()
+                         and isinstance(future.exception(), BrokenProcessPool)
+                         for future in futures):
+            _close_pool()
 
 
 def _run_chain(y: Raster, hp: HyperParams, variant: str) -> DenoiseResult:
@@ -548,6 +578,6 @@ def run_chains(y: Raster, hp: HyperParams, variant: str, chains: int,
                ) -> list[DenoiseResult]:
     """Run ``chains`` independent chains on ``y``, chain c seeded with
     ``hp.seed + c``, through ``run_jobs``, and return their results in chain
-    order."""
+    order.  Only ``higmrf`` chains build a pool (see the module docstring)."""
     return list(run_jobs(_run_chain, [(y, replace(hp, seed=hp.seed + c), variant)
-                                      for c in range(chains)]))
+                                      for c in range(chains)], build=variant == HIGMRF))

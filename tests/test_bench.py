@@ -158,6 +158,29 @@ class TestPooledBench:
         pids = {pid for _, pid in self.logged(log)}
         assert pids <= workers and os.getpid() not in pids
 
+    def test_igmrf_alone_builds_no_pool(self, stub, fast_hp):
+        log = stub(lambda k: None)
+        run_bench(self.pairs(4), ["igmrf"], fast_hp, FilterConfig())
+        assert multiprocessing.active_children() == []
+        assert self.logged(log) == [(k, os.getpid()) for k in range(4)]
+
+    def test_sampler_images_start_before_the_first_row(self, stub, fast_hp, monkeypatch):
+        log = stub(lambda k: None)
+        run_method = bench.run_method
+        waited = []
+
+        def baseline_waits_for_a_chain(method, noisy, hp, fc):
+            if method == "ga":
+                deadline = time.monotonic() + 5.0
+                while not log.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                waited.append(log.exists())
+            return run_method(method, noisy, hp, fc)
+        monkeypatch.setattr(bench, "run_method", baseline_waits_for_a_chain)
+        run_bench(self.pairs(4), ["ga", "higmrf"], fast_hp, FilterConfig())
+        # image 0's baseline comes first, yet a chain ran meanwhile
+        assert waited == [True] * 4
+
     def test_earliest_failure_is_raised(self, stub, fast_hp):
         def behave(k):
             if k == 1:
@@ -175,7 +198,7 @@ class TestPooledBench:
             time.sleep(0.2)
         log = stub(behave)
         with pytest.raises(RuntimeError, match="^image 0 failed$"):
-            run_bench(self.pairs(12), ["igmrf"], fast_hp, FilterConfig())
+            run_bench(self.pairs(12), ["higmrf"], fast_hp, FilterConfig())
         started = self.logged(log)
         time.sleep(0.5)
         assert self.logged(log) == started

@@ -63,20 +63,22 @@ class TestSpotMask:
         assert m.data.sum() == 0
         assert (m.n1, m.n2) == (3, 4)
 
-    def test_from_spots_equals_the_checked_constructor(self):
+    def test_boolean_data_skips_the_value_scan(self, monkeypatch):
+        # the sampler builds one mask per sweep from a boolean threshold
         spots = np.array([[True, False, True], [False, False, True]])
-        m = SpotMask.from_spots(spots)
         want = SpotMask.from_2d(spots.astype(np.int8))
+        monkeypatch.setattr(np, "all", lambda *a, **k: pytest.fail("scanned a boolean mask"))
+        m = SpotMask.from_2d(spots)
+        monkeypatch.undo()
         assert (m.n1, m.n2) == (want.n1, want.n2)
         assert m.data.dtype == want.data.dtype and m.data.flags.c_contiguous
         np.testing.assert_array_equal(m.data, want.data)
         assert not m.data.flags.writeable
+        assert spots.flags.writeable  # the caller's array is copied, not frozen
 
-    @pytest.mark.parametrize("spots", [np.array([[0, 2]]), np.array([True, False])],
-                             ids=["int", "1-D"])
-    def test_from_spots_takes_only_a_2d_boolean_array(self, spots):
+    def test_boolean_data_must_fit_the_lattice(self):
         with pytest.raises(ValueError):
-            SpotMask.from_spots(spots)
+            SpotMask(2, 2, np.array([True, False]))
 
     def test_pickle_round_trip_keeps_data_read_only(self):
         m = pickle.loads(pickle.dumps(SpotMask(2, 2, [0, 1, 1, 0])))

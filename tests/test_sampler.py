@@ -31,6 +31,7 @@ from smfdenoise.sampler import (
     field_solver,
     get_binary_image,
     run_chains,
+    run_jobs,
     sample_field_given_gamma,
     sample_gamma,
     sample_kappas,
@@ -463,31 +464,34 @@ class TestNoSparseMatrixPerSweep:
         assert counts[0] == counts[1], counts
 
 
-class TestNoValidatedContainerPerSweep:
+class TestNoValueScanPerSweep:
     @pytest.mark.parametrize("variant", [IGMRF, HIGMRF])
-    def test_checked_constructions_do_not_grow_with_sweeps(self, monkeypatch, variant):
-        # a sweep thresholds the draw's 2-D view and builds Q from the 0/1
-        # mask; only the chain's input and its results pass the checks
-        checked = []
+    def test_value_scans_do_not_grow_with_sweeps(self, monkeypatch, variant):
+        # A sweep's draw stays a bare array, and its mask is a boolean
+        # threshold, which SpotMask takes without the 0/1 scan.  So only the
+        # chain's input and results are scanned: a Raster for finite values,
+        # a SpotMask of non-boolean data for 0/1 values.
+        scanned = []
         for cls in (Raster, SpotMask):
             def counting(self, check=cls.__post_init__):
-                checked.append(type(self).__name__)
+                if getattr(self.data, "dtype", None) != np.bool_:
+                    scanned.append(type(self).__name__)
                 check(self)
             monkeypatch.setattr(cls, "__post_init__", counting)
         counts = []
         for n_iter in (4, 12):
             y = TestDenoise().make_input()
-            checked.clear()
+            scanned.clear()
             denoise(y, HyperParams(n_iter=n_iter, burn_in=2), variant)
-            counts.append(sorted(checked))
+            counts.append(sorted(scanned))
         assert counts[0] == counts[1], counts
-        assert counts[0].count("SpotMask") <= 2  # the start mask and the final one
 
 
 class TestRunChains:
-    """``run_chains`` runs two chains or more, of either variant, on the
-    process's warm fork pool, each worker on one BLAS thread, and one chain,
-    or every chain where ``fork`` is not offered, in this process."""
+    """``run_chains`` runs two chains or more on the process's warm fork
+    pool, each worker on one BLAS thread; ``higmrf`` chains build the pool,
+    ``igmrf`` chains only use it.  One chain, chains on one CPU, and every
+    chain where ``fork`` is not offered, run in this process."""
 
     @pytest.fixture
     def probe(self, monkeypatch):
@@ -552,8 +556,15 @@ class TestRunChains:
     def test_higmrf_chains_run_in_workers_on_one_blas_thread(self, probe):
         self.check_workers_on_one_blas_thread(HIGMRF)
 
-    def test_igmrf_chains_run_in_workers_on_one_blas_thread(self, probe):
+    def test_igmrf_chains_run_in_warm_workers_on_one_blas_thread(self, probe):
+        run_chains(None, HyperParams(), HIGMRF, 3)
         self.check_workers_on_one_blas_thread(IGMRF)
+
+    def test_igmrf_chains_run_in_this_process(self, probe, fake_pool):
+        # without a warm pool: igmrf chains build none
+        got = run_chains(None, HyperParams(seed=3), IGMRF, 4)
+        assert [(seed, pid) for seed, pid, _ in got] == [(3 + c, os.getpid()) for c in range(4)]
+        assert fake_pool == []
 
     def test_later_calls_reuse_the_workers(self, probe):
         workers = None
@@ -563,9 +574,29 @@ class TestRunChains:
             assert pids <= workers and os.getpid() not in pids
         assert {p.pid for p in multiprocessing.active_children()} == workers
 
+    def test_forked_child_builds_its_own_pool(self, probe):
+        run_chains(None, HyperParams(), HIGMRF, 2)
+        pid = os.fork()
+        if pid == 0:  # the child: its copy of the parent's pool has no threads
+            code = 1
+            try:
+                signal.alarm(30)  # a chain on the copy would never return
+                got = run_chains(None, HyperParams(seed=3), HIGMRF, 2)
+                code = 0 if [seed for seed, _, _ in got] == [3, 4] else 2
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
     def test_one_chain_runs_in_this_process(self, probe, fake_pool):
         got = run_chains(None, HyperParams(seed=3), HIGMRF, 1)
         assert [(seed, pid) for seed, pid, _ in got] == [(3, os.getpid())]
+        assert fake_pool == []
+
+    def test_chains_run_in_this_process_on_one_cpu(self, probe, fake_pool, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        got = run_chains(None, HyperParams(seed=3), HIGMRF, 2)
+        assert [(seed, pid) for seed, pid, _ in got] == [(3, os.getpid()), (4, os.getpid())]
         assert fake_pool == []
 
     def test_chains_run_in_this_process_without_fork(self, probe, fake_pool, monkeypatch):
@@ -586,20 +617,29 @@ class TestRunChains:
 
     def test_pool_is_replaced_only_to_grow(self, probe, fake_pool, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        for chains in (2, 4, 3, 2, 6):
-            run_chains(None, HyperParams(), IGMRF, chains)
+        # igmrf chains never grow it either
+        for variant, chains in ((HIGMRF, 2), (HIGMRF, 4), (IGMRF, 6), (HIGMRF, 3),
+                                (HIGMRF, 2), (HIGMRF, 6)):
+            run_chains(None, HyperParams(), variant, chains)
         assert [size for size, _, _, _ in fake_pool] == [2, 4, 6]
 
     def test_killed_worker_breaks_the_pool_rather_than_hanging(self, monkeypatch):
         parent = os.getpid()
         def denoise(y, hp, variant):
             if hp.seed == 1 and os.getpid() != parent:
+                time.sleep(0.3)  # chain 0's result is in first
                 os.kill(os.getpid(), signal.SIGKILL)
             return hp.seed
         monkeypatch.setattr(sampler, "denoise", denoise)
         with pytest.raises(BrokenProcessPool):
             run_chains(None, HyperParams(), HIGMRF, 2)
         # the broken pool is closed, and the next call builds a fresh one
+        assert run_chains(None, HyperParams(seed=5), HIGMRF, 2) == [5, 6]
+        # so too when the caller stops asking before the dead worker's turn
+        results = run_jobs(sampler._run_chain,
+                           [(None, HyperParams(seed=seed), HIGMRF) for seed in (0, 1)])
+        assert next(results) == 0
+        results.close()
         assert run_chains(None, HyperParams(seed=5), HIGMRF, 2) == [5, 6]
 
     def test_worker_error_reaches_the_caller_as_itself(self, monkeypatch):
@@ -634,7 +674,7 @@ import multiprocessing, sys, time
 from smfdenoise import sampler
 from smfdenoise.model import HyperParams
 sampler.denoise = lambda y, hp, variant: time.sleep(0.2)
-sampler.run_chains(None, HyperParams(), "igmrf", 2)
+sampler.run_chains(None, HyperParams(), "higmrf", 2)
 print(*sorted(p.pid for p in multiprocessing.active_children()), flush=True)
 if sys.argv[1] == "wait":
     time.sleep(60)
