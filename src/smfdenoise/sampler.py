@@ -467,7 +467,10 @@ def _chain_pool(jobs: int, build: bool):
     none exists or when the current one has fewer workers; without, only a
     pool that already exists is used."""
     global _pool
-    # imported here, so that CLI start-up does not pay for them
+    if _pool is None and not build:
+        return None
+    # imported here, so that neither CLI start-up nor a run with no pool
+    # pays for them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
