@@ -15,11 +15,13 @@ table and prints one "smfdenoise:" line on stderr.  Exit codes:
   6 degenerate traces
   7 numerical failure in the sampler
   8 a quality metric undefined for a bench output
+  9 a chain pool worker died mid-run (say, killed by the out-of-memory killer)
 """
 
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -49,6 +51,7 @@ EXIT_NOT_CONVERGED = 5
 EXIT_DEGENERATE = 6
 EXIT_NUMERICAL = 7
 EXIT_METRIC = 8
+EXIT_WORKER_LOST = 9
 
 
 class UsageError(Exception):
@@ -71,6 +74,8 @@ _EXIT_CODES = {
     DegenerateTraceError: EXIT_DEGENERATE,
     SamplerNumericalError: EXIT_NUMERICAL,
     MetricInstabilityError: EXIT_METRIC,
+    # the base class of BrokenProcessPool, which would load multiprocessing
+    concurrent.futures.BrokenExecutor: EXIT_WORKER_LOST,
 }
 
 

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy import sparse
 
-from .model import SamplerNumericalError
+from .model import NoiseParams, SamplerNumericalError
 
 __all__ = [
     "Raster",
@@ -111,9 +111,9 @@ class PrecisionMatrix:
     the entries of Q's upper triangle in the order of ``stencil.upper_row``
     and ``stencil.upper_col``.
 
-    A Gibbs sweep needs only D^T x, |D f|^2 and the sums, so it builds no
-    sparse matrix.  The CSR forms of Q (``matrix``) and D (``d_op``) are
-    built on first access, for SuperLU and for tests.
+    A pixel-space Gibbs sweep needs only D^T x, |D f|^2 and the sums, so it
+    builds no sparse matrix.  The CSR forms of Q (``matrix``) and D
+    (``d_op``) are built on first access, for SuperLU and for tests.
     """
 
     def __init__(self, stencil: _Stencil, d_data: np.ndarray, upper_sums: np.ndarray):
@@ -146,6 +146,12 @@ class PrecisionMatrix:
         st = self.stencil
         df = np.add.reduceat(self.d_data * f[st.d_indices], st.d_indptr[:-1])
         return float(df @ df)
+
+    def perturbation(self, noise: NoiseParams, xi1: np.ndarray, xi2: np.ndarray,
+                     ) -> np.ndarray:
+        """sqrt(kappa_l) xi1 + sqrt(kappa_f) D^T xi2, a draw from
+        N(0, kappa_l I + kappa_f Q) for standard normal ``xi1`` and ``xi2``."""
+        return np.sqrt(noise.kappa_l) * xi1 + np.sqrt(noise.kappa_f) * self.d_transpose(xi2)
 
 
 def _freeze(*arrays) -> tuple:

@@ -6,21 +6,28 @@ spot mask by local thresholding and rebuilds the field precision from it.
 The denoised image is the average of the post-burn-in noise-free
 reconstructions (trend plus field).
 
-Each chain builds one field solver for its lattice (``field_solver``):
-``igmrf`` solves exactly in the DCT-II eigenbasis, and ``higmrf`` factors
-A = kappa_l I + kappa_f Q afresh every sweep, with a banded LAPACK Cholesky
-when the band half-width kd = min(2 min(n1, n2), n1 n2 - 1) is at most
-``BAND_KD_MAX`` = 256 (any lattice up to 128 pixels on its shorter side) and
-with symmetric-mode SuperLU otherwise.  Either factor failing raises
-``SamplerNumericalError``.
+Both variants run one Gibbs loop.  An ``igmrf`` chain runs in the DCT-II
+eigenbasis of its homogeneous Q (``SpectralPrecision``), where Q and
+A = kappa_l I + kappa_f Q are diagonal: it transforms y and the three trend
+columns into the basis once, keeps its field as coefficients, and
+transforms back only the posterior mean.  A sweep transforms just its two
+noise draws, in one stacked product; the gamma and kappa draws read inner
+products, which the orthonormal basis keeps, so they run unchanged, and
+f^T Q f is sum q c^2.  A ``higmrf`` chain runs in pixel space and builds
+one field solver for its lattice (``field_solver``), which factors A afresh
+every sweep: with a banded LAPACK Cholesky when the band half-width
+kd = min(2 min(n1, n2), n1 n2 - 1) is at most ``BAND_KD_MAX`` = 256 (any
+lattice up to 128 pixels on its shorter side) and with symmetric-mode
+SuperLU otherwise.  Either factor failing raises ``SamplerNumericalError``.
 
 A sweep does only its arithmetic.  Per lattice size, and shared by every
-chain on it, are cached: the index arrays of D and Q (``lattice``), the slot
-of each entry of Q in the band (``_band_layout``) and the mask's window
-bounds (``_windows``).  Per chain are computed once: Z^T Z and the band
-buffer.  Each sweep then fills the band straight from Q's upper-entry sums
-and reads D^T x and |D f|^2 from D's values, so it builds no scipy sparse
-matrix; Q's CSR form is built only for SuperLU and for tests.  Nor does it
+chain on it, are cached: the eigenbasis (``_spectral_precision``), the index
+arrays of D and Q (``lattice``), the slot of each entry of Q in the band
+(``_band_layout``) and the mask's window bounds (``_windows``).  Per chain
+are computed once: Z^T Z and the band buffer.  Each ``higmrf`` sweep then
+fills the band straight from Q's upper-entry sums and reads D^T x and
+|D f|^2 from D's values, so no sweep builds a scipy sparse matrix; Q's CSR
+form is built only for SuperLU and for tests.  Nor does a sweep
 scan what it made itself: the draw stays a bare array, whose 2-D view the
 mask thresholds into a boolean ``SpotMask``, which skips the 0/1 scan; only
 the chain's mean goes through the ``Raster`` check.  The whole chain runs on
@@ -35,11 +42,12 @@ such call needs more, and kept warm in between.  So a process that makes
 several pooled calls (a script or service that scores corpus after corpus)
 forks once, and each worker pays OpenBLAS's thread restart after a fork once.
 ``igmrf`` jobs use a pool that is already warm but never build one: a 30 x 30
-``igmrf`` chain takes about 20 ms, and a one-shot ``diagnose --variant igmrf
---chains 4`` took 0.79 s pooled against 0.69 s serial (2-core x86).  Each
+``igmrf`` chain takes about 13 ms, and a one-shot ``diagnose --variant igmrf
+--chains 4`` took 0.71 s pooled against 0.55 s serial (2-core x86).  Each
 worker runs on one BLAS thread for its whole life, so that two processes
 never spin two OpenBLAS threads each on two cores, and exits when its parent
-dies; ``concurrent.futures`` joins the workers at interpreter exit.  One job,
+dies; ``concurrent.futures`` joins the workers at interpreter exit, and the
+pool is shut down before the modules are torn down.  One job,
 jobs on one CPU, and every job where ``fork`` is not offered, run in the
 calling process.  ``run_chains`` runs the chains of a multi-chain check
 through it, chain c seeded with ``hp.seed + c``, and ``bench.run_bench`` its
@@ -48,6 +56,7 @@ sampler images.
 
 from __future__ import annotations
 
+import atexit
 import ctypes
 import importlib
 import os
@@ -74,7 +83,7 @@ __all__ = [
     "sample_gamma",
     "sample_kappas",
     "sample_field_given_gamma",
-    "SpectralSolver",
+    "SpectralPrecision",
     "SuperLUSolver",
     "BandedCholeskySolver",
     "field_solver",
@@ -136,28 +145,60 @@ def _path_laplacian(n: int) -> np.ndarray:
     return np.diag(adj.sum(axis=1)) - adj
 
 
-class SpectralSolver:
-    """Exact solve of A x = b, A = kappa_l I + kappa_f Q, for the homogeneous Q.
+class SpectralPrecision:
+    """The homogeneous Q in its eigenbasis, where ``igmrf`` chains run.
 
     That Q is L^2, where L = L1 (x) I + I (x) L2 is the free-boundary grid
     Laplacian and L1, L2 are the Laplacians of the lattice's two paths.  The
-    product of their eigenbases U1, U2 (the DCT-II basis; Rue & Held 2005,
-    section 2.6) diagonalizes Q with eigenvalues (l1_i + l2_j)^2, so a solve is
-    two small matmuls in, one division and two matmuls out, with no factor.
+    product U of their eigenbases U1, U2 (the DCT-II basis; Rue & Held 2005,
+    section 2.6) diagonalizes L with eigenvalues l = l1_i + l2_j, and so Q
+    with q = l^2.  A chain in this basis keeps its field as the coefficients
+    c = U^T f.  U is orthonormal, so the inner products that the gamma and
+    kappa draws read are unchanged, f^T Q f is sum q c^2, and A = kappa_l I +
+    kappa_f Q is diagonal: the object is the chain's precision and its
+    solver both.  It is shared by every chain on its lattice, so its arrays
+    are read-only.
     """
 
     def __init__(self, n1: int, n2: int):
         l1, self._u1 = np.linalg.eigh(_path_laplacian(n1))
         l2, self._u2 = np.linalg.eigh(_path_laplacian(n2))
-        self._q_eigs = (l1[:, None] + l2[None, :]) ** 2
+        self.n = n1 * n2
+        self._grid = (n1, n2)
+        self._l = (l1[:, None] + l2[None, :]).ravel()
+        self._q = self._l ** 2
+        for arr in (self._u1, self._u2, self._l, self._q):
+            arr.flags.writeable = False
 
-    def solve(self, precision: PrecisionMatrix, noise: NoiseParams,
+    def to_basis(self, x: np.ndarray) -> np.ndarray:
+        """U^T x for each row of ``x``, of shape (n,) or (k, n)."""
+        grid = x.reshape(*x.shape[:-1], *self._grid)
+        return (self._u1.T @ grid @ self._u2).reshape(x.shape)
+
+    def from_basis(self, c: np.ndarray) -> np.ndarray:
+        """U c for each row of ``c``, of shape (n,) or (k, n)."""
+        grid = c.reshape(*c.shape[:-1], *self._grid)
+        return (self._u1 @ grid @ self._u2.T).reshape(c.shape)
+
+    def quad_form(self, c: np.ndarray) -> float:
+        """f^T Q f for the field with coefficients ``c``."""
+        return float(self._q @ (c * c))
+
+    def perturbation(self, noise: NoiseParams, xi1: np.ndarray, xi2: np.ndarray,
+                     ) -> np.ndarray:
+        """U^T (sqrt(kappa_l) xi1 + sqrt(kappa_f) D^T xi2), in one stacked
+        transform of the two pixel-space draws; D = -L for unit weights."""
+        x1, x2 = self.to_basis(np.stack([xi1, xi2]))
+        return np.sqrt(noise.kappa_l) * x1 - np.sqrt(noise.kappa_f) * (self._l * x2)
+
+    def solve(self, precision: SpectralPrecision, noise: NoiseParams,
               b: np.ndarray) -> np.ndarray:
-        """Solve for the homogeneous ``precision`` of this lattice; its
-        values are known in closed form, so they are not read."""
-        c = self._u1.T @ b.reshape(self._q_eigs.shape) @ self._u2
-        c /= noise.kappa_l + noise.kappa_f * self._q_eigs
-        return (self._u1 @ c @ self._u2.T).ravel()
+        """Solve A c = b in the basis, where A is diagonal."""
+        return b / (noise.kappa_l + noise.kappa_f * self._q)
+
+
+# an igmrf chain's basis, shared by every chain on its lattice
+_spectral_precision = lru_cache(maxsize=8)(SpectralPrecision)
 
 
 class SuperLUSolver:
@@ -304,35 +345,33 @@ class BandedCholeskySolver:
 BAND_KD_MAX = 256
 
 
-def field_solver(variant: str, n1: int, n2: int, precision: PrecisionMatrix,
-                 ) -> SpectralSolver | BandedCholeskySolver | SuperLUSolver:
-    """The solver a chain of ``variant`` builds for its n1 x n2 lattice;
-    ``precision`` is any precision of the lattice (all share one pattern)."""
-    if variant == IGMRF:
-        return SpectralSolver(n1, n2)
-    if _half_width(n1, n2) <= BAND_KD_MAX:
+def field_solver(precision: PrecisionMatrix) -> BandedCholeskySolver | SuperLUSolver:
+    """The solver a ``higmrf`` chain builds for its lattice; ``precision`` is
+    any precision of the lattice (all share one pattern)."""
+    if _half_width(precision.stencil.n1, precision.stencil.n2) <= BAND_KD_MAX:
         return BandedCholeskySolver(precision)
     return SuperLUSolver(precision)
 
 
 def sample_field_given_gamma(y: np.ndarray, gamma: np.ndarray, noise: NoiseParams,
-                             precision: PrecisionMatrix, design: np.ndarray,
-                             rng: np.random.Generator,
-                             solver: SpectralSolver | BandedCholeskySolver | SuperLUSolver,
+                             precision: PrecisionMatrix | SpectralPrecision,
+                             design: np.ndarray, rng: np.random.Generator,
+                             solver: BandedCholeskySolver | SuperLUSolver | SpectralPrecision,
                              ) -> np.ndarray:
     """Draw the field conditional on the current trend draw.
 
     The Gaussian has precision A = kappa_l I + kappa_f Q and mean
-    A^-1 kappa_l (y - Z gamma).  The draw is one solve of A with a perturbed
-    right-hand side built from the difference operator (Papandreou & Yuille
-    2010); ``solver`` is the chain's solver for this lattice.
+    A^-1 kappa_l (y - Z gamma).  The draw is one solve of A with a
+    right-hand side perturbed by sqrt(kappa_l) xi1 + sqrt(kappa_f) D^T xi2,
+    for two standard normal draws xi1, xi2 (Papandreou & Yuille 2010);
+    ``solver`` is the chain's solver for this lattice.  With a
+    ``SpectralPrecision``, ``y``, ``design`` and the draw are in its basis.
     """
     n = precision.n
     resid = noise.kappa_l * (y - design @ gamma)
     xi1 = rng.standard_normal(n)
     xi2 = rng.standard_normal(n)
-    perturb = np.sqrt(noise.kappa_l) * xi1 + np.sqrt(noise.kappa_f) * precision.d_transpose(xi2)
-    return solver.solve(precision, noise, resid + perturb)
+    return solver.solve(precision, noise, resid + precision.perturbation(noise, xi1, xi2))
 
 
 @lru_cache(maxsize=8)
@@ -411,7 +450,6 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
     yn, offset, scale = _normalize(y.data)
 
     mask = SpotMask.zeros(n1, n2)
-    f = yn.copy()
     noise = NoiseParams(kappa_l=hp.alpha_l * hp.beta_l, kappa_f=hp.alpha_f * hp.beta_f)
     theta_trace = np.empty((hp.n_iter, 2))
     gamma_trace = np.empty((hp.n_iter, 3))
@@ -423,8 +461,14 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
     with _one_blas_thread():
         design = make_design(n1, n2)
         ztz = design.T @ design
-        precision = build_igmrf_precision(n1, n2)
-        solver = field_solver(variant, n1, n2, precision)
+        if variant == IGMRF:
+            # the chain runs in Q's eigenbasis, where Z^T Z is the same
+            precision = solver = _spectral_precision(n1, n2)
+            yn, design = precision.to_basis(yn), precision.to_basis(design.T).T
+        else:
+            precision = build_igmrf_precision(n1, n2)
+            solver = field_solver(precision)
+        f = yn.copy()
         for t in range(1, hp.n_iter + 1):
             gamma = sample_gamma(yn, f, noise.kappa_l, design, ztz, hp.gamma_precision, rng)
             noise = sample_kappas(yn, f, gamma, design, precision, hp, rng)
@@ -436,6 +480,8 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
             gamma_trace[t - 1] = gamma
             if t > hp.burn_in:
                 accum += design @ gamma + f
+        if variant == IGMRF:
+            accum = solver.from_basis(accum)
 
     mean_norm = accum / (hp.n_iter - hp.burn_in)
     posterior_mean = Raster(n1, n2, offset + mean_norm * scale)
@@ -500,6 +546,12 @@ def _close_pool():
         pool[0].shutdown(wait=True, cancel_futures=True)
 
 
+# At exit, after concurrent.futures has joined the workers: an executor left
+# for the module teardown to collect runs a callback there that finds
+# concurrent.futures' globals gone and prints "Exception ignored".
+atexit.register(_close_pool)
+
+
 def _init_worker(parent: int):
     """Pool initializer: the worker runs every chain on one BLAS thread, and
     exits when ``parent`` does.  A forked worker's counts are its own, so the
@@ -531,19 +583,31 @@ def run_jobs(fn, jobs: list[tuple], build: bool = True):
     when its result is asked for.  ``fn`` is a module-level function, so the
     pool pickles it by reference and a worker calls whatever the name was
     bound to when the pool forked.  A job's exception reaches the caller as
-    itself, at that job's turn.
+    itself, at that job's turn.  A pool that a worker's death broke while it
+    idled fails the first submit, before any of these jobs ran: it is closed,
+    and the jobs are retried once, on a fresh pool or here.
     """
-    pool = _chain_pool(len(jobs), build) if len(jobs) > 1 else None
-    if pool is None:
-        return (fn(*args) for args in jobs)
-    results = _pooled(pool, fn, jobs)
-    next(results)  # submits every job
-    return results
+    for retry in (True, False):
+        pool = _chain_pool(len(jobs), build) if len(jobs) > 1 else None
+        if pool is None:
+            return (fn(*args) for args in jobs)
+        from concurrent.futures.process import BrokenProcessPool
+        try:
+            first = pool.submit(fn, *jobs[0])
+        except BrokenProcessPool:
+            _close_pool()
+            if not retry:
+                raise
+            continue
+        results = _pooled(pool, fn, jobs, first)
+        next(results)  # submits the other jobs
+        return results
 
 
-def _pooled(pool, fn, jobs: list[tuple]):
-    """Submit ``jobs`` to ``pool`` and yield once, then yield their results
-    in order.  However the iteration ends (a job's exception, or the caller
+def _pooled(pool, fn, jobs: list[tuple], first):
+    """Submit the jobs of ``jobs`` after the first, whose future is
+    ``first``, to ``pool`` and yield once, then yield their results in
+    order.  However the iteration ends (a job's exception, or the caller
     closing the generator), the jobs not yet started are cancelled and the
     running ones waited for, so the pool is idle afterwards.  A worker that
     dies breaks the pool, whether or not the caller was still asking: the
@@ -551,10 +615,10 @@ def _pooled(pool, fn, jobs: list[tuple]):
     from concurrent.futures import wait
     from concurrent.futures.process import BrokenProcessPool
 
-    futures = []
+    futures = [first]
     broken = False
     try:
-        futures.extend(pool.submit(fn, *args) for args in jobs)
+        futures.extend(pool.submit(fn, *args) for args in jobs[1:])
         yield
         for future in futures:
             yield future.result()

@@ -1,10 +1,13 @@
 """Reference constructions shared by the lattice tests and the acceptance gate,
-and a fixture that gives each test its own chain pool."""
+field draws mapped to pixel space for the sampler tests and the gate, and a
+fixture that gives each test its own chain pool."""
 
 import numpy as np
 import pytest
 
 from smfdenoise import sampler
+from smfdenoise.lattice import build_igmrf_precision
+from smfdenoise.sampler import SpectralPrecision, sample_field_given_gamma
 
 _OFFSETS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
@@ -17,6 +20,23 @@ def fresh_chain_pool():
     sampler._close_pool()
     yield
     sampler._close_pool()
+
+
+def draw_in_pixels(y, gamma, noise, precision, design, rng, solver):
+    """A field draw as a chain on ``precision`` makes it, in pixel space: a
+    ``SpectralPrecision`` chain draws in its basis."""
+    if not isinstance(precision, SpectralPrecision):
+        return sample_field_given_gamma(y, gamma, noise, precision, design, rng, solver)
+    c = sample_field_given_gamma(precision.to_basis(y), gamma, noise, precision,
+                                 precision.to_basis(design.T).T, rng, solver)
+    return precision.from_basis(c)
+
+
+def dense_q(n1, n2, precision):
+    """Q in pixel space, dense; a ``SpectralPrecision`` is the homogeneous Q."""
+    if isinstance(precision, SpectralPrecision):
+        precision = build_igmrf_precision(n1, n2)
+    return precision.matrix.toarray()
 
 
 def neighbors(i: int, j: int, n1: int, n2: int) -> list[tuple[int, int]]:

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import dense_difference_oracle
+from conftest import dense_difference_oracle, dense_q, draw_in_pixels
 
 from smfdenoise.baselines import FilterConfig
 from smfdenoise.bench import run_bench, write_corpus, write_report
@@ -26,11 +26,10 @@ from smfdenoise.metrics import kld, psnr, rmse, ssim
 from smfdenoise.model import HyperParams, NoiseParams, make_design
 from smfdenoise.sampler import (
     HIGMRF,
-    SpectralSolver,
+    SpectralPrecision,
     field_solver,
     get_binary_image,
     run_chains,
-    sample_field_given_gamma,
     sample_gamma,
     sample_kappas,
 )
@@ -131,19 +130,20 @@ class TestCriterion3PrecisionOracle:
 
 
 def field_draw_moments(y, precision, solver, rng, m_draws=10000):
-    """Field draws at a fixed gamma against the dense conditional the chain
-    draws from, N(A^-1 kappa_l (y - Z gamma), A^-1) with
-    A = kappa_l I + kappa_f Q: (mean within 3 SE, max z, covariance error)."""
+    """Field draws at a fixed gamma, made as a chain on ``precision`` makes
+    them, against the dense pixel-space conditional it draws from,
+    N(A^-1 kappa_l (y - Z gamma), A^-1) with A = kappa_l I + kappa_f Q:
+    (mean within 3 SE, max z, covariance error)."""
     n1 = n2 = 4
     n = n1 * n2
     design = make_design(n1, n2)
     noise = NoiseParams(kappa_l=2.0, kappa_f=1.0)
     gamma0 = np.array([0.4, -0.3, 0.2])
-    a = noise.kappa_l * np.eye(n) + noise.kappa_f * precision.matrix.toarray()
+    a = noise.kappa_l * np.eye(n) + noise.kappa_f * dense_q(n1, n2, precision)
     sigma = np.linalg.inv(a)
     mu = sigma @ (noise.kappa_l * (y - design @ gamma0))
     draws = np.array([
-        sample_field_given_gamma(y, gamma0, noise, precision, design, rng, solver)
+        draw_in_pixels(y, gamma0, noise, precision, design, rng, solver)
         for _ in range(m_draws)
     ])
     se = np.sqrt(np.diag(sigma) / m_draws)
@@ -165,9 +165,9 @@ class TestCriterion4ConditionalOracle:
         y = rng.standard_normal(n)
         m_draws = 10000
 
-        # homogeneous field conditional, on the solver igmrf chains use
-        mean_ok, z_mean, cov_err = field_draw_moments(
-            y, precision, SpectralSolver(n1, n2), rng, m_draws)
+        # homogeneous field conditional, drawn in the basis igmrf chains run in
+        spectral = SpectralPrecision(n1, n2)
+        mean_ok, z_mean, cov_err = field_draw_moments(y, spectral, spectral, rng, m_draws)
 
         # trend-coefficient conditional
         f = rng.standard_normal(n) * 0.3
@@ -208,7 +208,7 @@ class TestCriterion4ConditionalOracle:
         precision = build_higmrf_precision(4, 4, mask, 50.0)
         y = rng.standard_normal(16)
         mean_ok, z_mean, cov_err = field_draw_moments(
-            y, precision, field_solver(HIGMRF, 4, 4, precision), rng)
+            y, precision, field_solver(precision), rng)
         ok = mean_ok and cov_err < 0.05
         verdict(4, ok,
                 f"heterogeneous field ({int(mask.data.sum())}/16 spot pixels, lam=50): "

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -19,6 +20,7 @@ from smfdenoise.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_WORKER_LOST,
     main,
 )
 from smfdenoise.fileio import read_raster_csv, write_raster_csv
@@ -385,6 +387,23 @@ class TestNumericalFailure:
         assert rc == EXIT_NUMERICAL
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("smfdenoise: banded Cholesky failed at pivot 1 ")
+
+
+def test_worker_killed_mid_run_is_one_line(tmp_path, noisy_csv, fast_cfg, capsys,
+                                           monkeypatch):
+    # a pool worker killed while its chain runs (say, by the out-of-memory
+    # killer) ends diagnose with its own exit code, not a traceback
+    parent = os.getpid()
+    real_denoise = sampler.denoise
+    def denoise(y, hp, variant):
+        if hp.seed == 1 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_denoise(y, hp, variant)
+    monkeypatch.setattr(sampler, "denoise", denoise)
+    rc = main(["diagnose", "--input", noisy_csv, "--config", fast_cfg, "--chains", "2",
+               "--report", str(tmp_path / "r.csv")])
+    assert rc == EXIT_WORKER_LOST
+    assert one_error_line(capsys)
 
 
 def test_cli_import_skips_ndimage_and_fft():

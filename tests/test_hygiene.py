@@ -1,8 +1,8 @@
 """Static checks that keep the package surface small: every exported name
 and every dataclass field has a reader inside the package, no module
 imports what it never uses, every name the benchmark's tracer wraps
-still exists, and the CLI has one error path whose exit codes the docs
-name."""
+still exists and runs as often as the tracer counts it, and the CLI has one
+error path whose exit codes the docs name."""
 
 import ast
 import importlib
@@ -14,6 +14,8 @@ import pytest
 import scipy
 
 from smfdenoise import cli, sampler
+from smfdenoise.lattice import Raster
+from smfdenoise.model import HyperParams
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "smfdenoise"
@@ -130,6 +132,29 @@ def test_every_traced_attribute_exists():
     missing = [f"{module}.{attr}" for module, attr in traced
                if not hasattr(importlib.import_module(f"smfdenoise.{module}"), attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("variant", [sampler.IGMRF, sampler.HIGMRF])
+def test_traced_sampler_names_run_as_the_tracer_counts_them(monkeypatch, variant):
+    # the tracer counts sweeps by sample_field_given_gamma and times each
+    # stage by the name it wraps, so a chain that stopped calling one of
+    # them through the module would drop out of the traced metrics silently
+    n_iter = 7
+    higmrf = n_iter if variant == sampler.HIGMRF else 0
+    expected = {"sample_field_given_gamma": n_iter, "sample_gamma": n_iter,
+                "sample_kappas": n_iter, "get_binary_image": higmrf,
+                "build_higmrf_precision": higmrf,
+                "build_igmrf_precision": int(variant == sampler.HIGMRF), "splu": 0}
+    assert {attr for module, attr in traced_attributes() if module == "sampler"} == set(expected)
+    calls = dict.fromkeys(expected, 0)
+    for name in expected:
+        def counted(*args, name=name, orig=getattr(sampler, name), **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(sampler, name, counted)
+    y = Raster.from_2d(np.random.default_rng(3).standard_normal((12, 12)))
+    sampler.denoise(y, HyperParams(n_iter=n_iter, burn_in=2), variant)
+    assert calls == expected
 
 
 def test_openblas_thread_setter_resolves():

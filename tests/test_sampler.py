@@ -8,10 +8,12 @@ import subprocess
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import dense_q, draw_in_pixels
 
 from smfdenoise import sampler
 from smfdenoise.lattice import (
@@ -25,7 +27,7 @@ from smfdenoise.sampler import (
     HIGMRF,
     IGMRF,
     BandedCholeskySolver,
-    SpectralSolver,
+    SpectralPrecision,
     SuperLUSolver,
     denoise,
     field_solver,
@@ -125,9 +127,9 @@ class TestSampleFieldGivenGamma:
         rng = np.random.default_rng(14)
         y = rng.standard_normal(n)
         gamma = rng.standard_normal(3) * 0.1
-        a = noise.kappa_l * np.eye(n) + noise.kappa_f * precision.matrix.toarray()
+        a = noise.kappa_l * np.eye(n) + noise.kappa_f * dense_q(n1, n2, precision)
         expected = np.linalg.solve(a, noise.kappa_l * (y - design @ gamma))
-        got = sample_field_given_gamma(y, gamma, noise, precision, design, ZeroRng(), solver)
+        got = draw_in_pixels(y, gamma, noise, precision, design, ZeroRng(), solver)
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def check_covariance(self, n1, n2, precision, solver):
@@ -135,11 +137,11 @@ class TestSampleFieldGivenGamma:
         design = make_design(n1, n2)
         noise = NoiseParams(kappa_l=2.0, kappa_f=1.5)
         y = np.linspace(-0.3, 0.4, n)
-        a = noise.kappa_l * np.eye(n) + noise.kappa_f * precision.matrix.toarray()
+        a = noise.kappa_l * np.eye(n) + noise.kappa_f * dense_q(n1, n2, precision)
         sigma = np.linalg.inv(a)
         rng = np.random.default_rng(15)
         draws = np.array([
-            sample_field_given_gamma(y, np.zeros(3), noise, precision, design, rng, solver)
+            draw_in_pixels(y, np.zeros(3), noise, precision, design, rng, solver)
             for _ in range(20000)
         ])
         err = np.linalg.norm(np.cov(draws.T) - sigma) / np.linalg.norm(sigma)
@@ -148,7 +150,8 @@ class TestSampleFieldGivenGamma:
     def test_mean_matches_dense_solve(self):
         # spectral path, including single-row and single-column lattices
         for n1, n2 in [(1, 5), (5, 1), (2, 2), (3, 7), (8, 8)]:
-            self.check_mean(n1, n2, build_igmrf_precision(n1, n2), SpectralSolver(n1, n2))
+            spectral = SpectralPrecision(n1, n2)
+            self.check_mean(n1, n2, spectral, spectral)
 
     def test_superlu_mean_matches_dense_solve(self):
         for n1, n2, seed in [(1, 5, 1), (4, 4, 2), (3, 7, 3), (8, 8, 4)]:
@@ -164,7 +167,8 @@ class TestSampleFieldGivenGamma:
             self.check_mean(n1, n2, precision, BandedCholeskySolver(precision))
 
     def test_draw_covariance_is_inverse_system(self):
-        self.check_covariance(2, 2, build_igmrf_precision(2, 2), SpectralSolver(2, 2))
+        spectral = SpectralPrecision(2, 2)
+        self.check_covariance(2, 2, spectral, spectral)
 
     def test_superlu_draw_covariance_is_inverse_system(self):
         precision = random_mask_precision(2, 3, 8)
@@ -174,6 +178,81 @@ class TestSampleFieldGivenGamma:
         for n1, n2 in [(2, 3), (3, 2)]:
             precision = random_mask_precision(n1, n2, 8)
             self.check_covariance(n1, n2, precision, BandedCholeskySolver(precision))
+
+
+class TestSpectralPrecision:
+    """The homogeneous Q in the DCT-II basis against its pixel-space form."""
+
+    @pytest.mark.parametrize("n1, n2", [(1, 6), (6, 1), (5, 7), (12, 12)])
+    def test_basis_forms_match_pixel_forms(self, n1, n2):
+        n = n1 * n2
+        spectral = SpectralPrecision(n1, n2)
+        precision = build_igmrf_precision(n1, n2)
+        rng = np.random.default_rng(n)
+        f, xi1, xi2 = rng.standard_normal((3, n))
+        c = spectral.to_basis(f)
+        np.testing.assert_allclose(spectral.from_basis(c), f, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(np.linalg.norm(c), np.linalg.norm(f), rtol=1e-14)
+        np.testing.assert_allclose(spectral.quad_form(c), precision.quad_form(f), rtol=1e-12)
+        noise = NoiseParams(kappa_l=2.0, kappa_f=0.5)
+        np.testing.assert_allclose(spectral.perturbation(noise, xi1, xi2),
+                                   spectral.to_basis(precision.perturbation(noise, xi1, xi2)),
+                                   rtol=0, atol=1e-12)
+        # a stack of rows goes through row by row
+        rows = np.stack([f, xi1])
+        np.testing.assert_allclose(spectral.to_basis(rows),
+                                   [spectral.to_basis(f), spectral.to_basis(xi1)],
+                                   rtol=0, atol=1e-13)
+
+
+def pixel_igmrf_chain(y, hp):
+    """The ``igmrf`` chain in pixel space, with the solve that transforms its
+    right-hand side into the DCT-II basis and back every sweep: the
+    reference that the coefficient-space chain must agree with.  Returns the
+    posterior mean and the kappa and gamma traces."""
+    n1, n2, n = y.n1, y.n2, y.n1 * y.n2
+    lo, hi = y.data.min(), y.data.max()
+    yn = (y.data - lo) / (hi - lo)
+    laplacians = []
+    for m in (n1, n2):
+        adj = np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1)
+        laplacians.append(np.linalg.eigh(np.diag(adj.sum(axis=1)) - adj))
+    (l1, u1), (l2, u2) = laplacians
+    q_eigs = (l1[:, None] + l2[None, :]) ** 2
+    design = make_design(n1, n2)
+    ztz = design.T @ design
+    precision = build_igmrf_precision(n1, n2)
+    rng = np.random.default_rng(hp.seed)
+    noise = NoiseParams(kappa_l=hp.alpha_l * hp.beta_l, kappa_f=hp.alpha_f * hp.beta_f)
+    f = yn.copy()
+    theta, gammas, accum = [], [], np.zeros(n)
+    for t in range(1, hp.n_iter + 1):
+        gamma = sample_gamma(yn, f, noise.kappa_l, design, ztz, hp.gamma_precision, rng)
+        noise = sample_kappas(yn, f, gamma, design, precision, hp, rng)
+        xi1 = rng.standard_normal(n)
+        xi2 = rng.standard_normal(n)
+        b = (noise.kappa_l * (yn - design @ gamma) + np.sqrt(noise.kappa_l) * xi1
+             + np.sqrt(noise.kappa_f) * precision.d_transpose(xi2))
+        c = u1.T @ b.reshape(n1, n2) @ u2 / (noise.kappa_l + noise.kappa_f * q_eigs)
+        f = (u1 @ c @ u2.T).ravel()
+        theta.append((noise.kappa_l, noise.kappa_f))
+        gammas.append(gamma)
+        if t > hp.burn_in:
+            accum += design @ gamma + f
+    return lo + accum / (hp.n_iter - hp.burn_in) * (hi - lo), np.array(theta), np.array(gammas)
+
+
+class TestSpectralChain:
+    @pytest.mark.parametrize("n1, n2", [(1, 9), (9, 1), (5, 7), (12, 12)])
+    def test_matches_the_pixel_space_chain(self, n1, n2):
+        # same RNG stream, so the two chains differ only at round-off
+        rng = np.random.default_rng(n1 + 100 * n2)
+        y = Raster.from_2d(rng.standard_normal((n1, n2)))
+        hp = HyperParams(n_iter=60, burn_in=20, seed=13)
+        got = denoise(y, hp, IGMRF)
+        want = pixel_igmrf_chain(y, hp)
+        for a, b in zip((got.posterior_mean.data, got.theta_trace, got.gamma_trace), want):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 def csr_band(precision, n1, n2, noise):
@@ -222,9 +301,7 @@ class TestFieldSolver:
                                  (300, 128, BandedCholeskySolver),
                                  (129, 129, SuperLUSolver)]:
             precision = build_igmrf_precision(n1, n2)
-            assert type(field_solver(HIGMRF, n1, n2, precision)) is expected
-        precision = build_igmrf_precision(4, 4)
-        assert type(field_solver(IGMRF, 4, 4, precision)) is SpectralSolver
+            assert type(field_solver(precision)) is expected
 
     def test_superlu_factor_failure_is_numerical_error(self, monkeypatch):
         def splu(*args, **kwargs):
@@ -487,6 +564,22 @@ class TestNoValueScanPerSweep:
         assert counts[0] == counts[1], counts
 
 
+needs_proc = pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                                reason="reads process states in /proc")
+
+
+def kill_idle_worker_and_wait():
+    """SIGKILL one idle worker of this process's pool and wait until the
+    pool has seen it: a pool that loses a worker terminates and joins the
+    others, so every worker is gone then."""
+    workers = [p.pid for p in multiprocessing.active_children()]
+    os.kill(workers[0], signal.SIGKILL)
+    deadline = time.monotonic() + 10.0
+    while any(Path(f"/proc/{pid}").exists() for pid in workers):
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+
+
 class TestRunChains:
     """``run_chains`` runs two chains or more on the process's warm fork
     pool, each worker on one BLAS thread; ``higmrf`` chains build the pool,
@@ -642,6 +735,27 @@ class TestRunChains:
         results.close()
         assert run_chains(None, HyperParams(seed=5), HIGMRF, 2) == [5, 6]
 
+    @needs_proc
+    def test_pool_broken_while_idle_is_replaced_before_the_next_call(self):
+        y = TestDenoise().make_input()
+        hp = HyperParams(n_iter=10, burn_in=5, seed=2)
+        run_chains(y, hp, HIGMRF, 2)
+        kill_idle_worker_and_wait()
+        got = run_chains(y, hp, HIGMRF, 2)
+        for c, res in enumerate(got):
+            want = denoise(y, replace(hp, seed=hp.seed + c), HIGMRF)
+            np.testing.assert_array_equal(res.posterior_mean.data, want.posterior_mean.data)
+            np.testing.assert_array_equal(res.theta_trace, want.theta_trace)
+        # a fresh pool ran them
+        assert len(multiprocessing.active_children()) == 2
+
+    @needs_proc
+    def test_igmrf_jobs_on_a_pool_broken_while_idle_run_here(self, probe):
+        run_chains(None, HyperParams(), HIGMRF, 2)
+        kill_idle_worker_and_wait()
+        got = run_chains(None, HyperParams(seed=3), IGMRF, 2)
+        assert [(seed, pid) for seed, pid, _ in got] == [(3, os.getpid()), (4, os.getpid())]
+
     def test_worker_error_reaches_the_caller_as_itself(self, monkeypatch):
         def denoise(y, hp, variant):
             if hp.seed == 1:
@@ -662,22 +776,29 @@ def running(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states in /proc")
+@needs_proc
 class TestPoolLifetime:
     """The pool's workers leave with the process that owns them, whether it
     exits or is killed."""
 
-    # Runs two chains on a pool, prints the workers' pids, then exits or
-    # waits to be killed.  Each chain sleeps, so that both workers take one.
+    # Runs two chains on a pool, prints the workers' pids, then exits,
+    # waits to be killed, or kills one idle worker and runs two more chains.
+    # Each chain sleeps, so that both workers take one.
     SCRIPT = """
-import multiprocessing, sys, time
+import multiprocessing, os, signal, sys, time
 from smfdenoise import sampler
 from smfdenoise.model import HyperParams
-sampler.denoise = lambda y, hp, variant: time.sleep(0.2)
+sampler.denoise = lambda y, hp, variant: time.sleep(0.2) or hp.seed
 sampler.run_chains(None, HyperParams(), "higmrf", 2)
-print(*sorted(p.pid for p in multiprocessing.active_children()), flush=True)
+workers = sorted(p.pid for p in multiprocessing.active_children())
+print(*workers, flush=True)
 if sys.argv[1] == "wait":
     time.sleep(60)
+elif sys.argv[1] == "kill-idle":
+    os.kill(workers[0], signal.SIGKILL)
+    while any(os.path.exists(f"/proc/{pid}") for pid in workers):
+        time.sleep(0.01)
+    print(*sampler.run_chains(None, HyperParams(seed=5), "higmrf", 2))
 """
 
     def start(self, mode):
@@ -685,21 +806,30 @@ if sys.argv[1] == "wait":
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.Popen([sys.executable, "-c", self.SCRIPT, mode], env=env,
-                                stdout=subprocess.PIPE, text=True)
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         workers = [int(pid) for pid in proc.stdout.readline().split()]
         assert len(workers) == 2
         return proc, workers
 
     def test_normal_exit_joins_the_workers(self):
         proc, workers = self.start("exit")
-        assert proc.wait(timeout=30) == 0
+        proc.communicate(timeout=30)
+        assert proc.returncode == 0
         assert not any(running(pid) for pid in workers)
+
+    def test_pool_broken_while_idle_leaves_a_clean_exit(self):
+        # the second call retries on a fresh pool, and at interpreter exit
+        # the broken pool's manager-thread callback prints nothing
+        proc, workers = self.start("kill-idle")
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert out.split() == ["5", "6"]
+        assert err == ""
 
     def test_idle_workers_exit_when_the_parent_is_killed(self):
         proc, workers = self.start("wait")
         proc.kill()
-        proc.wait(timeout=30)
-        proc.stdout.close()
+        proc.communicate(timeout=30)
         deadline = time.monotonic() + 5.0
         while any(running(pid) for pid in workers) and time.monotonic() < deadline:
             time.sleep(0.05)
@@ -721,8 +851,10 @@ class TestSweepStationarity:
                          gamma_precision=1.0)
         design = make_design(2, 2)
         ztz = design.T @ design
-        precision = build_igmrf_precision(2, 2)
-        solver = SpectralSolver(2, 2)
+        # the sweep igmrf chains run, in the DCT-II basis; the basis is
+        # orthonormal, so y's noise is drawn there with the same law
+        precision = SpectralPrecision(2, 2)
+        design = precision.to_basis(design.T).T
         rng = np.random.default_rng(123)
         gamma = rng.standard_normal(3)
         noise = NoiseParams(rng.gamma(hp.alpha_l, hp.beta_l),
@@ -733,7 +865,7 @@ class TestSweepStationarity:
             y = design @ gamma + f + rng.standard_normal(4) / np.sqrt(noise.kappa_l)
             gamma = sample_gamma(y, f, noise.kappa_l, design, ztz, hp.gamma_precision, rng)
             noise = sample_kappas(y, f, gamma, design, precision, hp, rng)
-            f = sample_field_given_gamma(y, gamma, noise, precision, design, rng, solver)
+            f = sample_field_given_gamma(y, gamma, noise, precision, design, rng, precision)
             kl.append(noise.kappa_l)
             kf.append(noise.kappa_f)
         kl_mean = np.mean(kl[1000:])
