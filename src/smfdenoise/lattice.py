@@ -3,17 +3,19 @@
 The field prior is an intrinsic GMRF whose precision is Q = D^T D, where row
 (i, j) of D sums the differences to the in-lattice 4-neighbours of pixel
 (i, j).  The heterogeneous variant re-weights each difference according to a
-binary spot/background mask: differences seen from a background pixel towards
-another background pixel carry weight ``lam`` (> 1), all others weight 1.
+binary spot/background mask: a difference between two background pixels
+carries weight ``lam`` (> 1), all others weight 1.  So each weight belongs to
+an edge, the same from both of its ends: D = -L_w for the weighted grid
+Laplacian L_w, and Q = L_w^2.  A precision is its two edge-weight arrays, and
+what a sampler reads from it (D^T x, f^T Q f and Q's entries) comes by 2-D
+slicing, with no sparse matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import sparse
 
 from .model import NoiseParams, SamplerNumericalError
 
@@ -105,165 +107,90 @@ class SpotMask:
 
 
 class PrecisionMatrix:
-    """Symmetric PSD precision Q = D^T D of a lattice field, as two value
-    arrays on the lattice's fixed pattern (``stencil``): ``d_data``, the
-    entries of the difference operator D in CSR order, and ``upper_sums``,
-    the entries of Q's upper triangle in the order of ``stencil.upper_row``
-    and ``stencil.upper_col``.
+    """Symmetric PSD precision Q = D^T D of a lattice field, given by its two
+    edge-weight arrays: ``across[i, j]`` couples pixels (i, j) and (i, j + 1),
+    ``down[i, j]`` couples (i, j) and (i + 1, j).
 
-    A pixel-space Gibbs sweep needs only D^T x, |D f|^2 and the sums, so it
-    builds no sparse matrix.  The CSR forms of Q (``matrix``) and D
-    (``d_op``) are built on first access, for SuperLU and for tests.
+    A weight holds from both ends of its edge, so D = -L_w, where L_w is the
+    weighted grid Laplacian, (L_w x)_a = sum_b w_ab (x_a - x_b), and
+    Q = L_w^2.  A pixel-space sweep reads D^T x = -L_w x and
+    f^T Q f = |L_w f|^2, both by 2-D slicing.  The solvers read Q's upper
+    entries, which have a closed form on seven offsets (Rue & Held 2005,
+    section 2.4): ``upper[(di, dj)][i, j]`` couples pixel a = (i, j + max(0,
+    -dj)) with pixel a + (di, dj).  With deg_a the weight sum of a's edges,
+    they are deg_a^2 + sum_b w_ab^2 on the diagonal, -w_ab (deg_a + deg_b)
+    between neighbours and, two steps apart, the sum of w w over the paths
+    of length 2.  They are computed once per build, where a product or sum
+    that overflows float64 (a huge lam) raises ``SamplerNumericalError``.
     """
 
-    def __init__(self, stencil: _Stencil, d_data: np.ndarray, upper_sums: np.ndarray):
-        self.n = stencil.n
-        self.stencil = stencil
-        self.d_data = d_data
-        self.upper_sums = upper_sums
+    def __init__(self, across: np.ndarray, down: np.ndarray):
+        self.n1, self.n2 = across.shape[0], down.shape[1]
+        self.n = self.n1 * self.n2
+        self.across, self.down = across, down
+        try:
+            with np.errstate(over="raise"):
+                # each pixel's edges up, left, right, down
+                deg = np.zeros((self.n1, self.n2))
+                deg[1:] += down
+                deg[:, 1:] += across
+                deg[:, :-1] += across
+                deg[:-1] += down
+                # Q[a, a] = sum_r D[r, a]^2, over r below, right of, at, left of and above a
+                sq_across, sq_down = across * across, down * down
+                diag = np.zeros((self.n1, self.n2))
+                diag[:-1] += sq_down
+                diag[:, :-1] += sq_across
+                diag += deg * deg
+                diag[:, 1:] += sq_across
+                diag[1:] += sq_down
+                self.upper = {
+                    (0, 0): diag,
+                    (0, 1): -(across * deg[:, 1:] + across * deg[:, :-1]),
+                    (1, 0): -(down * deg[1:] + down * deg[:-1]),
+                    (0, 2): across[:, :-1] * across[:, 1:],
+                    (2, 0): down[:-1] * down[1:],
+                    (1, 1): down[:, :-1] * across[1:] + across[:-1] * down[:, 1:],
+                    (1, -1): across[:-1] * down[:, :-1] + down[:, 1:] * across[1:],
+                }
+        except FloatingPointError as exc:
+            raise SamplerNumericalError(
+                "field precision overflows float64 (lam too large)") from exc
+        self._deg = deg
 
-    @cached_property
-    def matrix(self) -> sparse.csr_matrix:
-        entry, indices, indptr = self.stencil.q_csr
-        return sparse.csr_matrix((self.upper_sums[entry], indices, indptr),
-                                 shape=(self.n, self.n))
-
-    @cached_property
-    def d_op(self) -> sparse.csr_matrix:
-        st = self.stencil
-        return sparse.csr_matrix((self.d_data, st.d_indices, st.d_indptr),
-                                 shape=(self.n, self.n))
-
-    def d_transpose(self, x: np.ndarray) -> np.ndarray:
-        """D^T x.  Each sum runs over D's rows in order, as scipy's
-        ``d_op.T @ x`` does, so the two agree bit for bit."""
-        st = self.stencil
-        return np.bincount(st.d_indices, weights=self.d_data * np.repeat(x, st.d_counts),
-                           minlength=self.n)
+    def laplacian(self, x: np.ndarray) -> np.ndarray:
+        """L_w x = -D^T x.  Each sum adds its terms in the row-major order of
+        the pixels they come from, as a sparse product over D's rows does."""
+        x = x.reshape(self.n1, self.n2)
+        out = np.zeros((self.n1, self.n2))
+        out[1:] -= self.down * x[:-1]
+        out[:, 1:] -= self.across * x[:, :-1]
+        out += self._deg * x
+        out[:, :-1] -= self.across * x[:, 1:]
+        out[:-1] -= self.down * x[1:]
+        return out.ravel()
 
     def quad_form(self, f: np.ndarray) -> float:
-        """f^T Q f, as |D f|^2."""
-        st = self.stencil
-        df = np.add.reduceat(self.d_data * f[st.d_indices], st.d_indptr[:-1])
-        return float(df @ df)
+        """f^T Q f, as |L_w f|^2."""
+        lf = self.laplacian(f)
+        return float(lf @ lf)
 
     def perturbation(self, noise: NoiseParams, xi1: np.ndarray, xi2: np.ndarray,
                      ) -> np.ndarray:
         """sqrt(kappa_l) xi1 + sqrt(kappa_f) D^T xi2, a draw from
         N(0, kappa_l I + kappa_f Q) for standard normal ``xi1`` and ``xi2``."""
-        return np.sqrt(noise.kappa_l) * xi1 + np.sqrt(noise.kappa_f) * self.d_transpose(xi2)
-
-
-def _freeze(*arrays) -> tuple:
-    """Make the arrays among ``arrays`` read-only and return them all."""
-    for arr in arrays:
-        if isinstance(arr, np.ndarray):
-            arr.flags.writeable = False
-    return arrays
-
-
-# The entries of row r of D, in column order: up, left, r itself, right, down.
-_SLOTS = ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0))
-_SELF = 2
-
-
-class _Stencil:
-    """Fixed sparsity pattern of D and of Q = D^T D on one n1 x n2 lattice.
-
-    Only the edge weights change between builds, so the index arrays are
-    computed once per lattice and each build fills in values.  The arrays are
-    read-only because every precision of the lattice shares them.
-    """
-
-    def __init__(self, n1: int, n2: int):
-        n = n1 * n2
-        i, j = np.divmod(np.arange(n), n2)
-        cols = np.full((n, len(_SLOTS)), -1)
-        for s, (di, dj) in enumerate(_SLOTS):
-            ok = (i + di >= 0) & (i + di < n1) & (j + dj >= 0) & (j + dj < n2)
-            cols[ok, s] = (i[ok] + di) * n2 + j[ok] + dj
-        valid = cols >= 0
-        pos = np.full(cols.shape, -1)
-        pos[valid] = np.arange(np.count_nonzero(valid))  # index into D's data
-
-        self.n1, self.n2, self.n = n1, n2, n
-        self.d_indices = cols[valid]
-        self.d_counts = valid.sum(axis=1)
-        self.d_indptr = np.concatenate([[0], np.cumsum(self.d_counts)])
-        off = valid.copy()
-        off[:, _SELF] = False
-        self.edge_pos = pos[off]
-        self.edge_row = np.nonzero(off)[0]
-        self.edge_col = cols[off]
-        self.diag_pos = pos[:, _SELF]
-
-        # Q[a, b] = sum_r D[r, a] D[r, b]: each pair of slots s <= t of row r
-        # adds one product to the upper-triangle entry (cols[r, s], cols[r, t]).
-        left, right, keys = [], [], []
-        for s in range(len(_SLOTS)):
-            for t in range(s, len(_SLOTS)):
-                r = np.flatnonzero(valid[:, s] & valid[:, t])
-                left.append(pos[r, s])
-                right.append(pos[r, t])
-                keys.append(cols[r, s] * n + cols[r, t])
-        self.prod_left = np.concatenate(left)
-        self.prod_right = np.concatenate(right)
-        upper, self.prod_entry = np.unique(np.concatenate(keys), return_inverse=True)
-        self.n_upper = upper.size
-        # upper-triangle entry k sits at (upper_row[k], upper_col[k]), row <= col
-        self.upper_row, self.upper_col = (a.astype(np.int32) for a in np.divmod(upper, n))
-        _freeze(*vars(self).values())
-
-    @cached_property
-    def q_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Q's CSR pattern: the upper entry behind each stored value, the
-        column indices and the row pointers.  Q[a, b] and Q[b, a] both read
-        the sum of entry (a, b), so Q is symmetric bit for bit."""
-        a, b = self.upper_row, self.upper_col
-        below = np.flatnonzero(a < b)
-        rows = np.concatenate([a, b[below]])
-        cols = np.concatenate([b, a[below]])
-        entry = np.concatenate([np.arange(self.n_upper), below])
-        order = np.lexsort((cols, rows))
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=self.n))])
-        # scipy and SuperLU take 32-bit sparse indices without a copy
-        return _freeze(entry[order], cols[order], indptr.astype(np.int32))
-
-    def precision(self, w: np.ndarray) -> PrecisionMatrix:
-        """Q = D^T D for the D with weight ``w[e]`` on edge e (``edge_row`` ->
-        ``edge_col``) and minus the row's weight sum on the diagonal.  A
-        product of two entries of D that overflows (a huge lam) raises
-        ``SamplerNumericalError``."""
-        d = np.empty(self.d_indices.size)
-        d[self.edge_pos] = w
-        d[self.diag_pos] = -np.bincount(self.edge_row, weights=w, minlength=self.n)
-        try:
-            with np.errstate(over="raise"):
-                prods = d[self.prod_left] * d[self.prod_right]
-        except FloatingPointError as exc:
-            raise SamplerNumericalError(
-                "field precision overflows float64 (lam too large)") from exc
-        sums = np.bincount(self.prod_entry, weights=prods, minlength=self.n_upper)
-        return PrecisionMatrix(self, d, sums)
-
-
-_stencil = lru_cache(maxsize=8)(_Stencil)
+        return np.sqrt(noise.kappa_l) * xi1 - np.sqrt(noise.kappa_f) * self.laplacian(xi2)
 
 
 def build_igmrf_precision(n1: int, n2: int) -> PrecisionMatrix:
     """Q = D^T D for the homogeneous first-order prior (every weight 1)."""
-    st = _stencil(n1, n2)
-    return st.precision(np.ones(st.edge_pos.size))
+    return PrecisionMatrix(np.ones((n1, n2 - 1)), np.ones((n1 - 1, n2)))
 
 
-def build_higmrf_precision(n1: int, n2: int, mask: SpotMask, lam: float) -> PrecisionMatrix:
-    """Q = D^T D for the mask-weighted heterogeneous prior.
-
-    ``mask`` lies on the same n1 x n2 lattice.  From a spot pixel every
-    difference has weight 1; from a background pixel the difference towards a
-    background neighbour has weight lam, towards a spot neighbour weight 1.
-    """
-    st = _stencil(n1, n2)
-    e = mask.data
-    background = (e[st.edge_row] == 0) & (e[st.edge_col] == 0)
-    return st.precision(np.where(background, lam, 1.0))
+def build_higmrf_precision(mask: SpotMask, lam: float) -> PrecisionMatrix:
+    """Q = D^T D for the mask-weighted heterogeneous prior, on the mask's
+    lattice: an edge between two background pixels has weight lam, an edge
+    with a spot pixel at either end weight 1."""
+    background = mask.to_2d() == 0
+    return PrecisionMatrix(np.where(background[:, :-1] & background[:, 1:], lam, 1.0),
+                           np.where(background[:-1] & background[1:], lam, 1.0))

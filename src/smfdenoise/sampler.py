@@ -21,17 +21,18 @@ lattice up to 128 pixels on its shorter side) and with symmetric-mode
 SuperLU otherwise.  Either factor failing raises ``SamplerNumericalError``.
 
 A sweep does only its arithmetic.  Per lattice size, and shared by every
-chain on it, are cached: the eigenbasis (``_spectral_precision``), the index
-arrays of D and Q (``lattice``), the slot of each entry of Q in the band
-(``_band_layout``) and the mask's window bounds (``_windows``).  Per chain
-are computed once: Z^T Z and the band buffer.  Each ``higmrf`` sweep then
-fills the band straight from Q's upper-entry sums and reads D^T x and
-|D f|^2 from D's values, so no sweep builds a scipy sparse matrix; Q's CSR
-form is built only for SuperLU and for tests.  Nor does a sweep
-scan what it made itself: the draw stays a bare array, whose 2-D view the
-mask thresholds into a boolean ``SpotMask``, which skips the 0/1 scan; only
-the chain's mean goes through the ``Raster`` check.  The whole chain runs on
-one BLAS thread, in scipy's OpenBLAS and in NumPy's own, through OpenBLAS's
+chain on it, are cached: the eigenbasis (``_spectral_precision``) and the
+mask's window bounds (``_windows``).  Per chain are computed once: Z^T Z and
+the band buffer.  Each sweep forms the trend Z gamma once.  A ``higmrf``
+precision is its two edge-weight arrays and Q's closed-form entries on seven
+offsets (``lattice``); a sweep reads D^T x and f^T Q f from the weights and
+writes the entries into the band's rows, all by slicing, so no banded sweep
+builds a scipy sparse matrix.  Past the band bound, SuperLU gets A as a CSC
+matrix assembled from the same entries.  Nor does a sweep scan what it made
+itself: the draw stays a bare array, whose 2-D view the mask thresholds into
+a boolean ``SpotMask``, which skips the 0/1 scan; only the chain's mean goes
+through the ``Raster`` check.  The whole chain runs on one BLAS thread, in
+scipy's OpenBLAS and in NumPy's own, through OpenBLAS's
 ``openblas_set_num_threads_local`` where each provides it, and the caller's
 counts are restored afterwards.
 
@@ -124,13 +125,14 @@ def sample_gamma(y: np.ndarray, f: np.ndarray, kappa_l: float, z: np.ndarray,
     return m + dtrtrs(c, xi, lower=1, trans=1)[0]
 
 
-def sample_kappas(y: np.ndarray, f: np.ndarray, gamma: np.ndarray, design: np.ndarray,
+def sample_kappas(y: np.ndarray, f: np.ndarray, zg: np.ndarray,
                   precision: PrecisionMatrix, hp: HyperParams,
                   rng: np.random.Generator) -> NoiseParams:
     """Draw the two precisions from their conjugate gamma conditionals
-    (shape-scale convention, mean alpha * beta)."""
+    (shape-scale convention, mean alpha * beta); ``zg`` is the trend
+    Z gamma of the current draw."""
     n = y.size
-    r = y - design @ gamma - f
+    r = y - zg - f
     beta_l_star = 1.0 / (0.5 * float(r @ r) + 1.0 / hp.beta_l)
     beta_f_star = 1.0 / (0.5 * precision.quad_form(f) + 1.0 / hp.beta_f)
     kappa_l = rng.gamma(shape=0.5 * n + hp.alpha_l, scale=beta_l_star)
@@ -201,27 +203,46 @@ class SpectralPrecision:
 _spectral_precision = lru_cache(maxsize=8)(SpectralPrecision)
 
 
+def _diagonals(precision: PrecisionMatrix, transposed: bool = False) -> list:
+    """Where Q's upper entries lie, as (offset, k, region) for each offset of
+    ``precision.upper`` that has a pixel pair: with the lattice's pixels in
+    row-major order, or its transpose's with ``transposed``, the offset's
+    entries (transposed with the lattice) are Q[a, a + k] for the pixels a
+    of ``region``, a pair of slices of that grid."""
+    m1, m2 = (precision.n2, precision.n1) if transposed else (precision.n1, precision.n2)
+    layout = []
+    for offset, e in precision.upper.items():
+        di, dj = offset
+        # pixel (i, j) is pixel (j, i) of the transposed lattice, so an
+        # offset (di, dj) becomes (dj, di); the pairs of (1, -1) keep it
+        if transposed and dj >= 0:
+            di, dj = dj, di
+        if e.size:
+            layout.append((offset, di * m2 + dj,
+                           (slice(m1 - di), slice(max(0, -dj), m2 - max(0, dj)))))
+    return layout
+
+
 class SuperLUSolver:
     """Sparse direct solve of A x = b, A = kappa_l I + kappa_f Q, for any Q.
 
-    A is symmetric positive definite, so SuperLU orders on A + A^T and keeps
-    the diagonal pivots.  Every Q of one lattice has the same sparsity
-    pattern, so the diagonal's positions are read once, from the chain's
-    first precision.
+    A is assembled in CSC form from Q's diagonals.  It is symmetric
+    positive definite, so SuperLU orders on A + A^T and keeps the diagonal
+    pivots.
     """
-
-    def __init__(self, precision: PrecisionMatrix):
-        q = precision.matrix
-        rows = np.repeat(np.arange(q.shape[0]), np.diff(q.indptr))
-        self._diag = np.flatnonzero(q.indices == rows)
 
     def solve(self, precision: PrecisionMatrix, noise: NoiseParams,
               b: np.ndarray) -> np.ndarray:
-        q = precision.matrix
-        data = noise.kappa_f * q.data
-        data[self._diag] += noise.kappa_l
-        # Q is symmetric, so its CSR arrays are also its CSC arrays.
-        a = sparse.csc_matrix((data, q.indices, q.indptr), shape=q.shape)
+        n = precision.n
+        rows = {}  # k -> Q[a, a + k] for every pixel a
+        for offset, k, region in _diagonals(precision):
+            row = rows.setdefault(k, np.zeros(n)).reshape(precision.n1, precision.n2)
+            row[region] = precision.upper[offset]
+        diagonals = [noise.kappa_f * row[:n - k] for k, row in rows.items()]
+        diagonals[0] += noise.kappa_l  # k = 0 comes first
+        upper = list(rows)
+        a = sparse.diags(diagonals + diagonals[1:], upper + [-k for k in upper[1:]],
+                         format="csc")
         try:
             lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                       options={"SymmetricMode": True})
@@ -282,25 +303,6 @@ def _one_blas_thread():
             setter(count)
 
 
-@lru_cache(maxsize=8)
-def _band_layout(stencil) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """The band layout of Q on one lattice, given by its stencil and shared
-    by its chains: kd, the pixel at each band position, the band position of
-    each pixel, and the slot of each upper-triangle entry of Q in the flat
-    lower band."""
-    n1, n2, n = stencil.n1, stencil.n2, stencil.n
-    kd = _half_width(n1, n2)
-    order = np.arange(n).reshape(n1, n2).T.ravel() if n2 > n1 else np.arange(n)
-    rank = np.argsort(order)
-    i, j = rank[stencil.upper_row], rank[stencil.upper_col]
-    lo = np.minimum(i, j)
-    # Q[a, b] and Q[b, a] are one sum, so the lower triangle carries all of Q
-    slots = (np.maximum(i, j) - lo) + lo * (kd + 1)
-    for arr in (order, rank, slots):
-        arr.flags.writeable = False
-    return kd, order, rank, slots
-
-
 class BandedCholeskySolver:
     """Banded Cholesky solve of A x = b, A = kappa_l I + kappa_f Q, for any Q.
 
@@ -309,22 +311,30 @@ class BandedCholeskySolver:
     ``dpbtrf``/``dpbtrs`` factor and solve it in O(n kd^2) with no ordering
     and no fill outside the band (Rue 2001; Rue & Held 2005, section 2.4).
     The lower band is one Fortran-ordered (kd + 1, n) array per chain, reused
-    every sweep.  Each sweep scatters kappa_f times Q's upper-entry sums
-    straight into it, through a slot map built once per lattice
-    (``_band_layout``), and adds kappa_l on the diagonal.
+    every sweep.  Row k of the band holds Q[a, a + k] at column a, so each
+    sweep writes kappa_f times each offset's entries of Q into a 2-D view of
+    its row, taken by slicing once per chain, and adds kappa_l on the
+    diagonal.
     """
 
     def __init__(self, precision: PrecisionMatrix):
-        kd, self._order, self._rank, self._slots = _band_layout(precision.stencil)
-        self._ab = np.zeros((kd + 1, precision.n), order="F")
-        self._flat = self._ab.reshape(-1, order="F")  # a view, in memory order
+        n1, n2 = precision.n1, precision.n2
+        self._transposed = n2 > n1
+        self._grid = (n2, n1) if self._transposed else (n1, n2)
+        self._ab = np.zeros((_half_width(n1, n2) + 1, precision.n), order="F")
+        self._rows = [(offset, self._ab[k].reshape(self._grid)[region])
+                      for offset, k, region in _diagonals(precision, self._transposed)]
 
     def solve(self, precision: PrecisionMatrix, noise: NoiseParams,
               b: np.ndarray) -> np.ndarray:
         # the last sweep's factor fills the whole band, pattern zeros included
-        self._flat.fill(0.0)
-        self._flat[self._slots] = noise.kappa_f * precision.upper_sums
+        self._ab.fill(0.0)
+        for offset, row in self._rows:
+            e = precision.upper[offset]
+            np.multiply(e.T if self._transposed else e, noise.kappa_f, out=row)
         self._ab[0] += noise.kappa_l
+        if self._transposed:
+            b = b.reshape(self._grid[::-1]).T.ravel()
         # Past kd = 64, dpbtrf's BLAS-3 calls on its 32-wide blocks go
         # threaded; at 64^2 this solve measured 9.7-12.1 ms on two threads
         # (cpu/wall 2.0) against 7.0-9.5 ms on one.
@@ -334,8 +344,8 @@ class BandedCholeskySolver:
                 raise SamplerNumericalError(
                     f"banded Cholesky failed at pivot {info} (n={precision.n}, "
                     f"kappa_l={noise.kappa_l}, kappa_f={noise.kappa_f})")
-            x_band, _ = dpbtrs(chol, b[self._order], lower=1)
-        return x_band[self._rank]
+            x, _ = dpbtrs(chol, b, lower=1)
+        return x.reshape(self._grid).T.ravel() if self._transposed else x
 
 
 # The bound is about time and memory.  The band is (kd + 1) n 8 bytes: 34 MB
@@ -347,28 +357,29 @@ BAND_KD_MAX = 256
 
 def field_solver(precision: PrecisionMatrix) -> BandedCholeskySolver | SuperLUSolver:
     """The solver a ``higmrf`` chain builds for its lattice; ``precision`` is
-    any precision of the lattice (all share one pattern)."""
-    if _half_width(precision.stencil.n1, precision.stencil.n2) <= BAND_KD_MAX:
+    any precision of the lattice."""
+    if _half_width(precision.n1, precision.n2) <= BAND_KD_MAX:
         return BandedCholeskySolver(precision)
-    return SuperLUSolver(precision)
+    return SuperLUSolver()
 
 
-def sample_field_given_gamma(y: np.ndarray, gamma: np.ndarray, noise: NoiseParams,
+def sample_field_given_gamma(y: np.ndarray, zg: np.ndarray, noise: NoiseParams,
                              precision: PrecisionMatrix | SpectralPrecision,
-                             design: np.ndarray, rng: np.random.Generator,
+                             rng: np.random.Generator,
                              solver: BandedCholeskySolver | SuperLUSolver | SpectralPrecision,
                              ) -> np.ndarray:
-    """Draw the field conditional on the current trend draw.
+    """Draw the field conditional on the current trend draw, whose trend
+    Z gamma is ``zg``.
 
     The Gaussian has precision A = kappa_l I + kappa_f Q and mean
     A^-1 kappa_l (y - Z gamma).  The draw is one solve of A with a
     right-hand side perturbed by sqrt(kappa_l) xi1 + sqrt(kappa_f) D^T xi2,
     for two standard normal draws xi1, xi2 (Papandreou & Yuille 2010);
     ``solver`` is the chain's solver for this lattice.  With a
-    ``SpectralPrecision``, ``y``, ``design`` and the draw are in its basis.
+    ``SpectralPrecision``, ``y``, ``zg`` and the draw are in its basis.
     """
     n = precision.n
-    resid = noise.kappa_l * (y - design @ gamma)
+    resid = noise.kappa_l * (y - zg)
     xi1 = rng.standard_normal(n)
     xi2 = rng.standard_normal(n)
     return solver.solve(precision, noise, resid + precision.perturbation(noise, xi1, xi2))
@@ -471,15 +482,16 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
         f = yn.copy()
         for t in range(1, hp.n_iter + 1):
             gamma = sample_gamma(yn, f, noise.kappa_l, design, ztz, hp.gamma_precision, rng)
-            noise = sample_kappas(yn, f, gamma, design, precision, hp, rng)
-            f = sample_field_given_gamma(yn, gamma, noise, precision, design, rng, solver)
+            zg = design @ gamma
+            noise = sample_kappas(yn, f, zg, precision, hp, rng)
+            f = sample_field_given_gamma(yn, zg, noise, precision, rng, solver)
             if variant == HIGMRF:
                 mask = get_binary_image(f.reshape(n1, n2), hp.h, hp.window)
-                precision = build_higmrf_precision(n1, n2, mask, hp.lam)
+                precision = build_higmrf_precision(mask, hp.lam)
             theta_trace[t - 1] = (noise.kappa_l, noise.kappa_f)
             gamma_trace[t - 1] = gamma
             if t > hp.burn_in:
-                accum += design @ gamma + f
+                accum += zg + f
         if variant == IGMRF:
             accum = solver.from_basis(accum)
 

@@ -22,21 +22,36 @@ def fresh_chain_pool():
     sampler._close_pool()
 
 
-def draw_in_pixels(y, gamma, noise, precision, design, rng, solver):
+def draw_in_pixels(y, zg, noise, precision, rng, solver):
     """A field draw as a chain on ``precision`` makes it, in pixel space: a
     ``SpectralPrecision`` chain draws in its basis."""
     if not isinstance(precision, SpectralPrecision):
-        return sample_field_given_gamma(y, gamma, noise, precision, design, rng, solver)
-    c = sample_field_given_gamma(precision.to_basis(y), gamma, noise, precision,
-                                 precision.to_basis(design.T).T, rng, solver)
+        return sample_field_given_gamma(y, zg, noise, precision, rng, solver)
+    c = sample_field_given_gamma(precision.to_basis(y), precision.to_basis(zg), noise,
+                                 precision, rng, solver)
     return precision.from_basis(c)
 
 
 def dense_q(n1, n2, precision):
-    """Q in pixel space, dense; a ``SpectralPrecision`` is the homogeneous Q."""
+    """Q in pixel space, dense, expanded from the closed-form entries that the
+    solvers read: entry [i, j] of offset (di, dj) couples pixel
+    (i, j + max(0, -dj)) with that pixel plus (di, dj).  A
+    ``SpectralPrecision`` is the homogeneous Q."""
     if isinstance(precision, SpectralPrecision):
         precision = build_igmrf_precision(n1, n2)
-    return precision.matrix.toarray()
+    q = np.zeros((n1 * n2, n1 * n2))
+    for (di, dj), e in precision.upper.items():
+        i, j = np.indices(e.shape)
+        j = j + max(0, -dj)
+        a, b = i * n2 + j, (i + di) * n2 + j + dj
+        q[a, b] = q[b, a] = e
+    return q
+
+
+def dense_d(precision):
+    """D = -L_w in pixel space, dense, column by column from the precision's
+    L_w x; D is symmetric, so its columns are its rows."""
+    return -np.column_stack([precision.laplacian(e) for e in np.eye(precision.n)])
 
 
 def neighbors(i: int, j: int, n1: int, n2: int) -> list[tuple[int, int]]:

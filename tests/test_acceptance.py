@@ -117,13 +117,12 @@ class TestCriterion3PrecisionOracle:
             mask2d = rng.integers(0, 2, size=(n1, n2)).astype(np.int8)
             d = dense_difference_oracle(n1, n2, mask2d, lam)
             oracle = d.T @ d
-            got = build_higmrf_precision(n1, n2, SpotMask.from_2d(mask2d), lam).matrix.toarray()
+            got = dense_q(n1, n2, build_higmrf_precision(SpotMask.from_2d(mask2d), lam))
             worst = max(worst, float(np.abs(got - oracle).max()))
             checked += 1
-        all_spot = build_higmrf_precision(
-            5, 5, SpotMask(5, 5, np.ones(25, dtype=np.int8)), lam
-        ).matrix.toarray()
-        igmrf_match = np.array_equal(all_spot, build_igmrf_precision(5, 5).matrix.toarray())
+        all_spot = SpotMask(5, 5, np.ones(25, dtype=np.int8))
+        igmrf_match = np.array_equal(dense_q(5, 5, build_higmrf_precision(all_spot, lam)),
+                                     dense_q(5, 5, build_igmrf_precision(5, 5)))
         ok = worst <= 1e-12 and igmrf_match
         verdict(3, ok, f"{checked} random masks on 2x2..8x8, max |diff|={worst:.2e}; "
                        f"all-spot == homogeneous: {igmrf_match}")
@@ -141,9 +140,10 @@ def field_draw_moments(y, precision, solver, rng, m_draws=10000):
     gamma0 = np.array([0.4, -0.3, 0.2])
     a = noise.kappa_l * np.eye(n) + noise.kappa_f * dense_q(n1, n2, precision)
     sigma = np.linalg.inv(a)
-    mu = sigma @ (noise.kappa_l * (y - design @ gamma0))
+    zg = design @ gamma0
+    mu = sigma @ (noise.kappa_l * (y - zg))
     draws = np.array([
-        draw_in_pixels(y, gamma0, noise, precision, design, rng, solver)
+        draw_in_pixels(y, zg, noise, precision, rng, solver)
         for _ in range(m_draws)
     ])
     se = np.sqrt(np.diag(sigma) / m_draws)
@@ -184,11 +184,11 @@ class TestCriterion4ConditionalOracle:
 
         # precision conditionals
         hp = HyperParams()
-        gamma = np.zeros(3)
+        zg = design @ np.zeros(3)
         rss = float((y - f) @ (y - f))
         exp_kl = (n / 2 + hp.alpha_l) / (rss / 2 + 1 / hp.beta_l)
         exp_kf = (n / 2 + hp.alpha_f) / (precision.quad_form(f) / 2 + 1 / hp.beta_f)
-        kdraws = [sample_kappas(y, f, gamma, design, precision, hp, rng)
+        kdraws = [sample_kappas(y, f, zg, precision, hp, rng)
                   for _ in range(m_draws)]
         kl_err = abs(np.mean([k.kappa_l for k in kdraws]) - exp_kl) / exp_kl
         kf_err = abs(np.mean([k.kappa_f for k in kdraws]) - exp_kf) / exp_kf
@@ -205,7 +205,7 @@ class TestCriterion4ConditionalOracle:
         # denoise picks for this lattice
         rng = np.random.default_rng(74)
         mask = SpotMask.from_2d(rng.integers(0, 2, size=(4, 4)).astype(np.int8))
-        precision = build_higmrf_precision(4, 4, mask, 50.0)
+        precision = build_higmrf_precision(mask, 50.0)
         y = rng.standard_normal(16)
         mean_ok, z_mean, cov_err = field_draw_moments(
             y, precision, field_solver(precision), rng)

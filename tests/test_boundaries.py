@@ -8,6 +8,7 @@ from dataclasses import fields
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from conftest import dense_q
 from hypothesis.extra.numpy import arrays
 
 from smfdenoise.config import ConfigError, effective_config_lines, load_config, parse_config_text
@@ -72,8 +73,8 @@ def masked_lattices(draw):
        st.floats(min_value=1e-2, max_value=1e2), st.floats(min_value=1e-2, max_value=1e2))
 def test_higmrf_precision_is_symmetric_intrinsic_and_band_solvable(lattice, kappa_l, kappa_f):
     n1, n2, mask, lam = lattice
-    precision = build_higmrf_precision(n1, n2, mask, lam)
-    q = precision.matrix.toarray()
+    precision = build_higmrf_precision(mask, lam)
+    q = dense_q(n1, n2, precision)
     n = n1 * n2
     np.testing.assert_array_equal(q, q.T)
     # each row of Q sums to 0 before rounding; about 20 roundings per row

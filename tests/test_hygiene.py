@@ -1,12 +1,14 @@
 """Static checks that keep the package surface small: every exported name
 and every dataclass field has a reader inside the package, no module
-imports what it never uses, every name the benchmark's tracer wraps
-still exists and runs as often as the tracer counts it, and the CLI has one
-error path whose exit codes the docs name."""
+imports what it never uses, the lattice loads no scipy, every name the
+benchmark's tracer wraps still exists and runs as often as the tracer
+counts it, and the CLI has one error path whose exit codes the docs name."""
 
 import ast
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +104,20 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"line {line}: {name}" for name, line in imported(tree) if name not in used]
     assert unused == []
+
+
+def test_lattice_loads_no_scipy():
+    # a precision is its edge weights and Q's closed-form entries; a sparse
+    # form of Q would load scipy with the lattice.  The package __init__
+    # re-exports the sampler, which loads scipy, so the module is imported
+    # into a bare package.
+    code = ("import sys, types; pkg = types.ModuleType('smfdenoise'); "
+            "pkg.__path__ = [sys.argv[1]]; sys.modules['smfdenoise'] = pkg; "
+            "import smfdenoise.lattice; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, str(PACKAGE)], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def traced_attributes():

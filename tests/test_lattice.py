@@ -4,7 +4,8 @@ import pickle
 
 import numpy as np
 import pytest
-from conftest import dense_difference_oracle, neighbors
+from conftest import dense_d, dense_difference_oracle, dense_q, neighbors
+from scipy import sparse
 
 from smfdenoise.lattice import (
     Raster,
@@ -107,18 +108,18 @@ class TestNeighbors:
 class TestIgmrfPrecision:
     def test_2x2_first_row(self):
         # D rows on 2x2: diag -2, two +1 entries; Q = D^T D.
-        q = build_igmrf_precision(2, 2).matrix.toarray()
+        q = dense_q(2, 2, build_igmrf_precision(2, 2))
         np.testing.assert_allclose(q[0], [6.0, -4.0, -4.0, 2.0])
 
     def test_matches_dense_oracle(self):
         for n1, n2 in [(2, 2), (3, 4), (5, 3), (1, 6)]:
             d = dense_difference_oracle(n1, n2)
             precision = build_igmrf_precision(n1, n2)
-            np.testing.assert_array_equal(precision.d_op.toarray(), d)
-            np.testing.assert_allclose(precision.matrix.toarray(), d.T @ d, atol=1e-12)
+            np.testing.assert_array_equal(dense_d(precision), d)
+            np.testing.assert_allclose(dense_q(n1, n2, precision), d.T @ d, atol=1e-12)
 
     def test_symmetric_psd_with_constant_null_space(self):
-        q = build_igmrf_precision(4, 5).matrix.toarray()
+        q = dense_q(4, 5, build_igmrf_precision(4, 5))
         np.testing.assert_array_equal(q, q.T)
         eigs = np.linalg.eigvalsh(q)
         assert eigs.min() > -1e-10
@@ -127,20 +128,20 @@ class TestIgmrfPrecision:
     def test_single_pixel_has_zero_precision(self):
         # a lone pixel has no neighbours, so the prior adds nothing
         q = build_igmrf_precision(1, 1)
-        assert q.matrix.toarray().tolist() == [[0.0]]
-        assert q.d_op.toarray().tolist() == [[0.0]]
+        assert dense_q(1, 1, q).tolist() == [[0.0]]
+        assert dense_d(q).tolist() == [[0.0]]
 
 
 class TestHigmrfPrecision:
     def test_2x2_all_background_difference_row(self):
         mask = SpotMask.zeros(2, 2)
-        d = build_higmrf_precision(2, 2, mask, 50.0).d_op.toarray()
+        d = dense_d(build_higmrf_precision(mask, 50.0))
         np.testing.assert_allclose(d[0], [-100.0, 50.0, 50.0, 0.0])
 
     def test_all_spots_reduces_to_igmrf(self):
         mask = SpotMask(3, 3, np.ones(9, dtype=np.int8))
-        q_het = build_higmrf_precision(3, 3, mask, 50.0).matrix.toarray()
-        q_hom = build_igmrf_precision(3, 3).matrix.toarray()
+        q_het = dense_q(3, 3, build_higmrf_precision(mask, 50.0))
+        q_hom = dense_q(3, 3, build_igmrf_precision(3, 3))
         np.testing.assert_array_equal(q_het, q_hom)
 
     def test_matches_dense_oracle_random_masks(self):
@@ -151,20 +152,28 @@ class TestHigmrfPrecision:
             n2 = int(rng.integers(2, 6))
             mask2d = rng.integers(0, 2, size=(n1, n2)).astype(np.int8)
             d = dense_difference_oracle(n1, n2, mask2d, lam)
-            precision = build_higmrf_precision(n1, n2, SpotMask.from_2d(mask2d), lam)
-            np.testing.assert_array_equal(precision.d_op.toarray(), d)
-            np.testing.assert_allclose(precision.matrix.toarray(), d.T @ d, atol=1e-12)
+            precision = build_higmrf_precision(SpotMask.from_2d(mask2d), lam)
+            np.testing.assert_array_equal(dense_d(precision), d)
+            np.testing.assert_allclose(dense_q(n1, n2, precision), d.T @ d, atol=1e-12)
+
+    def test_mask_carries_its_lattice(self):
+        # a 5 x 7 mask gives a 35-pixel Q, not one read off a guessed lattice
+        mask2d = np.random.default_rng(9).integers(0, 2, size=(5, 7)).astype(np.int8)
+        precision = build_higmrf_precision(SpotMask.from_2d(mask2d), 50.0)
+        assert (precision.n1, precision.n2, precision.n) == (5, 7, 35)
+        d = dense_difference_oracle(5, 7, mask2d, 50.0)
+        np.testing.assert_array_equal(dense_q(5, 7, precision), d.T @ d)
 
     def test_rows_sum_to_zero(self):
         rng = np.random.default_rng(7)
         mask = SpotMask.from_2d(rng.integers(0, 2, size=(4, 4)).astype(np.int8))
-        q = build_higmrf_precision(4, 4, mask, 50.0).matrix.toarray()
+        q = dense_q(4, 4, build_higmrf_precision(mask, 50.0))
         np.testing.assert_allclose(q.sum(axis=1), 0.0, atol=1e-10)
 
     def test_background_coupling_grows_with_lam(self):
         mask = SpotMask.zeros(3, 3)
-        q1 = build_higmrf_precision(3, 3, mask, 10.0).matrix.toarray()
-        q2 = build_higmrf_precision(3, 3, mask, 100.0).matrix.toarray()
+        q1 = dense_q(3, 3, build_higmrf_precision(mask, 10.0))
+        q2 = dense_q(3, 3, build_higmrf_precision(mask, 100.0))
         assert q2[0, 0] > q1[0, 0]
 
     def test_lam_must_exceed_one(self):
@@ -189,22 +198,19 @@ class TestPrecisionMatrix:
         rng = np.random.default_rng(1)
         for n1, n2 in [(1, 7), (7, 1), (6, 9)]:
             mask = SpotMask.from_2d(rng.integers(0, 2, size=(n1, n2)))
-            q = build_higmrf_precision(n1, n2, mask, 50.0)
+            q = build_higmrf_precision(mask, 50.0)
             f = rng.standard_normal(n1 * n2)
-            np.testing.assert_allclose(q.quad_form(f), f @ (q.matrix @ f), rtol=1e-12)
+            np.testing.assert_allclose(q.quad_form(f), f @ (dense_q(n1, n2, q) @ f), rtol=1e-12)
 
     @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 7), (7, 1), (20, 33), (33, 20), (30, 30)])
     @pytest.mark.parametrize("lam", [1.5, 50.0])
     def test_d_transpose_equals_scipy_bit_for_bit(self, n1, n2, lam):
-        # the field draw's perturbation reads D^T x every sweep; it must give
-        # the bits that scipy's CSR product gave
+        # the field draw's perturbation reads D^T x = -L_w x every sweep; it
+        # sums in the order of scipy's product over the oracle's CSR rows
         rng = np.random.default_rng(n1 * 100 + n2)
-        mask = SpotMask.from_2d(rng.integers(0, 2, size=(n1, n2)))
-        for q in (build_higmrf_precision(n1, n2, mask, lam), build_igmrf_precision(n1, n2)):
+        mask2d = rng.integers(0, 2, size=(n1, n2))
+        for q, d in ((build_higmrf_precision(SpotMask.from_2d(mask2d), lam),
+                      dense_difference_oracle(n1, n2, mask2d, lam)),
+                     (build_igmrf_precision(n1, n2), dense_difference_oracle(n1, n2))):
             x = rng.standard_normal(n1 * n2) * 10.0 ** rng.integers(-3, 4, n1 * n2)
-            np.testing.assert_array_equal(q.d_transpose(x), q.d_op.T @ x)
-
-    def test_sparse_forms_are_built_on_first_access_only(self):
-        q = build_igmrf_precision(3, 4)
-        assert "matrix" not in vars(q) and "d_op" not in vars(q)
-        assert q.matrix is q.matrix and q.d_op is q.d_op
+            np.testing.assert_array_equal(-q.laplacian(x), sparse.csr_matrix(d).T @ x)

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import dense_q, draw_in_pixels
+from conftest import dense_difference_oracle, dense_q, draw_in_pixels
+from scipy import sparse
 
 from smfdenoise import sampler
 from smfdenoise.lattice import (
@@ -90,7 +91,7 @@ class TestSampleKappas:
         y = np.array([1.0, -1.0, 0.0, 0.0]) * np.sqrt(1.0)  # RSS = 2
         rng = np.random.default_rng(4)
         draws = np.array([
-            sample_kappas(y, f, gamma, design, precision, hp, rng).kappa_l
+            sample_kappas(y, f, design @ gamma, precision, hp, rng).kappa_l
             for _ in range(50000)
         ])
         expected_mean = 3.0 / 1.1
@@ -106,7 +107,7 @@ class TestSampleKappas:
         y = f.copy()
         rng = np.random.default_rng(5)
         draws = np.array([
-            sample_kappas(y, f, np.zeros(3), design, precision, hp, rng).kappa_f
+            sample_kappas(y, f, design @ np.zeros(3), precision, hp, rng).kappa_f
             for _ in range(50000)
         ])
         expected = (2.0 + 10.0) * 0.01
@@ -116,7 +117,7 @@ class TestSampleKappas:
 def random_mask_precision(n1, n2, seed):
     rng = np.random.default_rng(seed)
     mask = SpotMask.from_2d(rng.integers(0, 2, size=(n1, n2)).astype(np.int8))
-    return build_higmrf_precision(n1, n2, mask, 50.0)
+    return build_higmrf_precision(mask, 50.0)
 
 
 class TestSampleFieldGivenGamma:
@@ -129,7 +130,7 @@ class TestSampleFieldGivenGamma:
         gamma = rng.standard_normal(3) * 0.1
         a = noise.kappa_l * np.eye(n) + noise.kappa_f * dense_q(n1, n2, precision)
         expected = np.linalg.solve(a, noise.kappa_l * (y - design @ gamma))
-        got = draw_in_pixels(y, gamma, noise, precision, design, ZeroRng(), solver)
+        got = draw_in_pixels(y, design @ gamma, noise, precision, ZeroRng(), solver)
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def check_covariance(self, n1, n2, precision, solver):
@@ -141,7 +142,7 @@ class TestSampleFieldGivenGamma:
         sigma = np.linalg.inv(a)
         rng = np.random.default_rng(15)
         draws = np.array([
-            draw_in_pixels(y, np.zeros(3), noise, precision, design, rng, solver)
+            draw_in_pixels(y, design @ np.zeros(3), noise, precision, rng, solver)
             for _ in range(20000)
         ])
         err = np.linalg.norm(np.cov(draws.T) - sigma) / np.linalg.norm(sigma)
@@ -156,7 +157,7 @@ class TestSampleFieldGivenGamma:
     def test_superlu_mean_matches_dense_solve(self):
         for n1, n2, seed in [(1, 5, 1), (4, 4, 2), (3, 7, 3), (8, 8, 4)]:
             precision = random_mask_precision(n1, n2, seed)
-            self.check_mean(n1, n2, precision, SuperLUSolver(precision))
+            self.check_mean(n1, n2, precision, SuperLUSolver())
 
     def test_banded_mean_matches_dense_solve(self):
         # band along the rows (n2 <= n1) and along the columns (transposed);
@@ -172,7 +173,7 @@ class TestSampleFieldGivenGamma:
 
     def test_superlu_draw_covariance_is_inverse_system(self):
         precision = random_mask_precision(2, 3, 8)
-        self.check_covariance(2, 3, precision, SuperLUSolver(precision))
+        self.check_covariance(2, 3, precision, SuperLUSolver())
 
     def test_banded_draw_covariance_is_inverse_system(self):
         for n1, n2 in [(2, 3), (3, 2)]:
@@ -228,17 +229,18 @@ def pixel_igmrf_chain(y, hp):
     theta, gammas, accum = [], [], np.zeros(n)
     for t in range(1, hp.n_iter + 1):
         gamma = sample_gamma(yn, f, noise.kappa_l, design, ztz, hp.gamma_precision, rng)
-        noise = sample_kappas(yn, f, gamma, design, precision, hp, rng)
+        zg = design @ gamma
+        noise = sample_kappas(yn, f, zg, precision, hp, rng)
         xi1 = rng.standard_normal(n)
         xi2 = rng.standard_normal(n)
-        b = (noise.kappa_l * (yn - design @ gamma) + np.sqrt(noise.kappa_l) * xi1
-             + np.sqrt(noise.kappa_f) * precision.d_transpose(xi2))
+        b = (noise.kappa_l * (yn - zg) + np.sqrt(noise.kappa_l) * xi1
+             - np.sqrt(noise.kappa_f) * precision.laplacian(xi2))
         c = u1.T @ b.reshape(n1, n2) @ u2 / (noise.kappa_l + noise.kappa_f * q_eigs)
         f = (u1 @ c @ u2.T).ravel()
         theta.append((noise.kappa_l, noise.kappa_f))
         gammas.append(gamma)
         if t > hp.burn_in:
-            accum += design @ gamma + f
+            accum += zg + f
     return lo + accum / (hp.n_iter - hp.burn_in) * (hi - lo), np.array(theta), np.array(gammas)
 
 
@@ -255,14 +257,13 @@ class TestSpectralChain:
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
-def csr_band(precision, n1, n2, noise):
+def csr_band(q, n1, n2, noise):
     """The lower band of A = kappa_l I + kappa_f Q, scattered entry by entry
-    from Q's CSR form, with pixels ordered along the shorter side."""
+    from Q's CSR form ``q``, with pixels ordered along the shorter side."""
     n = n1 * n2
     kd = min(2 * min(n1, n2), n - 1)
     order = np.arange(n).reshape(n1, n2).T.ravel() if n2 > n1 else np.arange(n)
     rank = np.argsort(order)
-    q = precision.matrix
     i = rank[np.repeat(np.arange(n), np.diff(q.indptr))]
     j = rank[q.indices]
     lower = i >= j
@@ -276,6 +277,9 @@ class TestBandAssembly:
     @pytest.mark.parametrize("n1, n2", [(1, 7), (7, 1), (20, 33), (33, 20), (30, 30)])
     @pytest.mark.parametrize("lam", [1.5, 50.0])
     def test_band_from_stencil_equals_band_from_csr(self, monkeypatch, n1, n2, lam):
+        # the band written from Q's closed-form entries on its seven offsets
+        # against the oracle's Q scattered into the band; at these lam every
+        # entry is exact, so the two agree bit for bit
         bands = []
         factor = sampler.dpbtrf
         def dpbtrf(ab, **kwargs):
@@ -285,12 +289,14 @@ class TestBandAssembly:
         rng = np.random.default_rng(n1 * n2)
         solver = None
         for _ in range(2):  # the second sweep reuses the factored band
-            mask = SpotMask.from_2d(rng.integers(0, 2, size=(n1, n2)))
-            precision = build_higmrf_precision(n1, n2, mask, lam)
+            mask2d = rng.integers(0, 2, size=(n1, n2))
+            precision = build_higmrf_precision(SpotMask.from_2d(mask2d), lam)
             solver = solver or BandedCholeskySolver(precision)
             noise = NoiseParams(kappa_l=rng.gamma(5.0), kappa_f=rng.gamma(2.0))
             solver.solve(precision, noise, rng.standard_normal(n1 * n2))
-            np.testing.assert_array_equal(bands[-1], csr_band(precision, n1, n2, noise))
+            d = dense_difference_oracle(n1, n2, mask2d, lam)
+            oracle = csr_band(sparse.csr_matrix(d.T @ d), n1, n2, noise)
+            np.testing.assert_array_equal(bands[-1], oracle)
 
 
 class TestFieldSolver:
@@ -309,7 +315,7 @@ class TestFieldSolver:
         monkeypatch.setattr(sampler, "splu", splu)
         precision = random_mask_precision(4, 4, 2)
         with pytest.raises(SamplerNumericalError):
-            SuperLUSolver(precision).solve(precision, NoiseParams(2.0, 0.5), np.ones(16))
+            SuperLUSolver().solve(precision, NoiseParams(2.0, 0.5), np.ones(16))
 
 
 def set_blas_threads(count):
@@ -525,7 +531,7 @@ class TestDenoise:
 class TestNoSparseMatrixPerSweep:
     @pytest.mark.parametrize("variant", [IGMRF, HIGMRF])
     def test_sparse_constructions_do_not_grow_with_sweeps(self, monkeypatch, variant):
-        # 12 x 12 is a banded lattice; SuperLU, past the band bound, needs Q in CSR
+        # 12 x 12 is a banded lattice; SuperLU, past the band bound, needs A in CSC
         from scipy.sparse._compressed import _cs_matrix
         built = []
         init = _cs_matrix.__init__
@@ -864,8 +870,9 @@ class TestSweepStationarity:
         for _ in range(15000):
             y = design @ gamma + f + rng.standard_normal(4) / np.sqrt(noise.kappa_l)
             gamma = sample_gamma(y, f, noise.kappa_l, design, ztz, hp.gamma_precision, rng)
-            noise = sample_kappas(y, f, gamma, design, precision, hp, rng)
-            f = sample_field_given_gamma(y, gamma, noise, precision, design, rng, precision)
+            zg = design @ gamma
+            noise = sample_kappas(y, f, zg, precision, hp, rng)
+            f = sample_field_given_gamma(y, zg, noise, precision, rng, precision)
             kl.append(noise.kappa_l)
             kf.append(noise.kappa_f)
         kl_mean = np.mean(kl[1000:])
