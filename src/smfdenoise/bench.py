@@ -14,7 +14,8 @@ from .baselines import FilterConfig
 from .fileio import read_raster_csv, write_raster_csv
 from .lattice import Raster
 from .model import HyperParams
-from .sampler import HIGMRF, IGMRF, denoise, run_jobs
+from .pool import run_jobs
+from .sampler import HIGMRF, IGMRF, denoise
 from .synth import SynthPair
 
 __all__ = [
@@ -119,15 +120,6 @@ def read_external(method: str, truths: list[Raster]) -> list[Raster]:
     return outputs
 
 
-def _timed(method: str, noisy: Raster, hp: HyperParams, fc: FilterConfig,
-           ) -> tuple[Raster, float]:
-    """``run_method`` and its wall time in ms.  A module-level name, so that
-    the chain pool pickles it by reference."""
-    t0 = time.perf_counter()
-    estimate = run_method(method, noisy, hp, fc)
-    return estimate, (time.perf_counter() - t0) * 1e3
-
-
 def run_bench(pairs: list[tuple[Raster, Raster]], methods: list[str],
               hp: HyperParams, fc: FilterConfig,
               external: dict[str, list[Raster]] | None = None) -> list[BenchRow]:
@@ -136,14 +128,13 @@ def run_bench(pairs: list[tuple[Raster, Raster]], methods: list[str],
     ``read_external``; the others are read here, before any method runs.
 
     The ``higmrf`` and ``igmrf`` images are independent chains, so they run
-    through ``sampler.run_jobs``: on the process's chain pool when there are
-    two or more, submitted before the first row, while baselines and metrics
-    run here.  Only a call with ``higmrf`` among its methods builds the pool
-    (see ``sampler``).  A row's ``wall_ms`` is its own method's time on its
-    image, taken around the chain in the process that ran it, so under
-    concurrency it includes the waits for a core but not the waits for a
-    worker.  The first failure in (image, method) order is the one raised, as
-    in a serial loop, and no job is left behind on the pool.
+    through ``pool.run_jobs``, submitted before the first row, while
+    baselines and metrics run here.  A row's ``wall_ms`` is its own method's
+    time on its image; a sampler row's is its chain's ``wall_ms``, taken in
+    the process that ran it, so under concurrency it includes the waits for
+    a core but not the waits for a worker.  The first failure in (image,
+    method) order is the one raised, as in a serial loop, and no chain is
+    left behind on the pool.
     """
     external = dict(external or {})
     for method in methods:
@@ -152,19 +143,21 @@ def run_bench(pairs: list[tuple[Raster, Raster]], methods: list[str],
         if not method.startswith("external:"):
             raise UnknownMethodError(f"unknown method {method!r}")
         external[method] = read_external(method, [truth for truth, _ in pairs])
-    chains = run_jobs(_timed, [(method, noisy, hp, fc) for _, noisy in pairs
-                               for method in methods if method in SAMPLER_METHODS],
-                      build=HIGMRF in methods)
+    chains = run_jobs([(noisy, hp, method) for _, noisy in pairs
+                       for method in methods if method in SAMPLER_METHODS])
     rows = []
     with closing(chains):
         for k, (truth, noisy) in enumerate(pairs):
             for method in methods:
                 if method in SAMPLER_METHODS:
-                    estimate, wall_ms = next(chains)
+                    chain = next(chains)
+                    estimate, wall_ms = chain.posterior_mean, chain.wall_ms
                 elif method in external:
                     estimate, wall_ms = external[method][k], 0.0
                 else:
-                    estimate, wall_ms = _timed(method, noisy, hp, fc)
+                    t0 = time.perf_counter()
+                    estimate = run_method(method, noisy, hp, fc)
+                    wall_ms = (time.perf_counter() - t0) * 1e3
                 rows.append(BenchRow(image=k, method=method,
                                      report=metrics.evaluate(estimate, truth), wall_ms=wall_ms))
     return rows

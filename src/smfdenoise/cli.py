@@ -6,8 +6,8 @@ table and prints one "smfdenoise:" line on stderr.  Exit codes:
 
   0 success
   2 usage or bad configuration (an input under 2 pixels, a bad crop, too few
-    chains or post-burn-in draws, an unknown method, a corpus that cannot be
-    generated)
+    chains or post-burn-in draws, an unknown or repeated method, a corpus
+    that cannot be generated)
   3 a config, input, corpus or external-output file that cannot be read or
     parsed, or an output that cannot be written
   4 missing external outputs
@@ -40,7 +40,8 @@ from .fileio import load_raster, write_raster_csv
 from .lattice import Raster
 from .metrics import MetricInstabilityError
 from .model import SamplerNumericalError
-from .sampler import HIGMRF, IGMRF, denoise, run_chains
+from .pool import run_chains
+from .sampler import HIGMRF, IGMRF, denoise
 from .synth import CorpusError, generate_corpus
 
 EXIT_OK = 0
@@ -149,6 +150,8 @@ def cmd_bench(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise UsageError("no methods requested")
+    if len(set(methods)) < len(methods):
+        raise UsageError(f"a method is repeated in {args.methods!r}")
     with _files("read corpus"):
         pairs = bench_mod.read_corpus(args.corpus)
     with _files("read external outputs"):

@@ -35,34 +35,15 @@ through the ``Raster`` check.  The whole chain runs on one BLAS thread, in
 scipy's OpenBLAS and in NumPy's own, through OpenBLAS's
 ``openblas_set_num_threads_local`` where each provides it, and the caller's
 counts are restored afterwards.
-
-``run_jobs`` runs independent chains on one ``fork`` process pool per
-process: built by the first call that has two jobs or more, ``higmrf`` among
-them, with min(jobs, CPUs) workers, replaced by a larger one when a later
-such call needs more, and kept warm in between.  So a process that makes
-several pooled calls (a script or service that scores corpus after corpus)
-forks once, and each worker pays OpenBLAS's thread restart after a fork once.
-``igmrf`` jobs use a pool that is already warm but never build one: a 30 x 30
-``igmrf`` chain takes about 13 ms, and a one-shot ``diagnose --variant igmrf
---chains 4`` took 0.71 s pooled against 0.55 s serial (2-core x86).  Each
-worker runs on one BLAS thread for its whole life, so that two processes
-never spin two OpenBLAS threads each on two cores, and exits when its parent
-dies; ``concurrent.futures`` joins the workers at interpreter exit, and the
-pool is shut down before the modules are torn down.  One job,
-jobs on one CPU, and every job where ``fork`` is not offered, run in the
-calling process.  ``run_chains`` runs the chains of a multi-chain check
-through it, chain c seeded with ``hp.seed + c``, and ``bench.run_bench`` its
-sampler images.
 """
 
 from __future__ import annotations
 
-import atexit
 import ctypes
 import importlib
-import os
+import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -90,8 +71,6 @@ __all__ = [
     "field_solver",
     "get_binary_image",
     "denoise",
-    "run_jobs",
-    "run_chains",
 ]
 
 IGMRF = "igmrf"
@@ -104,6 +83,7 @@ class DenoiseResult:
     final_mask: SpotMask
     theta_trace: np.ndarray  # (T, 2): kappa_l, kappa_f per iteration
     gamma_trace: np.ndarray  # (T, 3)
+    wall_ms: float  # the whole denoise call, in the process that ran it
 
 
 def sample_gamma(y: np.ndarray, f: np.ndarray, kappa_l: float, z: np.ndarray,
@@ -292,9 +272,8 @@ def _one_blas_thread():
     restore each previous count on the way out, raised or not, in reverse
     order so that two setters of one library leave its count as it was.  In
     a pthreads OpenBLAS the count is the whole process's, so chains on
-    threads would need a lock around this scope.  ``run_jobs`` runs chains
-    on a fork pool of processes instead, each on one BLAS thread for its
-    whole life (see the module docstring)."""
+    threads would need a lock around this scope; ``pool`` runs chains on
+    processes instead, each on one BLAS thread for its whole life."""
     previous = [setter(1) for setter in _blas_setters]
     try:
         yield
@@ -335,16 +314,12 @@ class BandedCholeskySolver:
         self._ab[0] += noise.kappa_l
         if self._transposed:
             b = b.reshape(self._grid[::-1]).T.ravel()
-        # Past kd = 64, dpbtrf's BLAS-3 calls on its 32-wide blocks go
-        # threaded; at 64^2 this solve measured 9.7-12.1 ms on two threads
-        # (cpu/wall 2.0) against 7.0-9.5 ms on one.
-        with _one_blas_thread():
-            chol, info = dpbtrf(self._ab, lower=1, overwrite_ab=1)
-            if info > 0:
-                raise SamplerNumericalError(
-                    f"banded Cholesky failed at pivot {info} (n={precision.n}, "
-                    f"kappa_l={noise.kappa_l}, kappa_f={noise.kappa_f})")
-            x, _ = dpbtrs(chol, b, lower=1)
+        chol, info = dpbtrf(self._ab, lower=1, overwrite_ab=1)
+        if info > 0:
+            raise SamplerNumericalError(
+                f"banded Cholesky failed at pivot {info} (n={precision.n}, "
+                f"kappa_l={noise.kappa_l}, kappa_f={noise.kappa_f})")
+        x, _ = dpbtrs(chol, b, lower=1)
         return x.reshape(self._grid).T.ravel() if self._transposed else x
 
 
@@ -453,6 +428,7 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
     weakly identified (a flat field absorbs any trend), so each alone mixes
     far more slowly than their sum.
     """
+    t0 = time.perf_counter()
     if variant not in (IGMRF, HIGMRF):
         raise ValueError(f"unknown variant {variant!r}")
     hp.validate()
@@ -468,7 +444,10 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
 
     # Waking a second BLAS thread costs more than it saves on these small
     # products and solves: on a 2-core machine a 30 x 30 eigh took 0.05 ms
-    # on one thread, and up to 16 ms on two.
+    # on one thread, and up to 16 ms on two.  Past kd = 64, dpbtrf's BLAS-3
+    # calls on its 32-wide blocks go threaded; at 64^2 a banded solve
+    # measured 9.7-12.1 ms on two threads (cpu/wall 2.0) against 7.0-9.5 ms
+    # on one.
     with _one_blas_thread():
         design = make_design(n1, n2)
         ztz = design.T @ design
@@ -502,161 +481,5 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
         final_mask=mask,
         theta_trace=theta_trace,
         gamma_trace=gamma_trace,
+        wall_ms=(time.perf_counter() - t0) * 1e3,
     )
-
-
-# This process's chain pool, as (executor, workers); see _chain_pool.
-_pool = None
-
-
-def _forget_pool():
-    global _pool
-    _pool = None
-
-
-# a forked child builds its own pool rather than use its copy of the parent's
-os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _chain_pool(jobs: int, build: bool):
-    """This process's fork pool for ``jobs`` jobs, or None to run them here:
-    where ``fork`` is not offered, or fewer than two of them could run at
-    once.  With ``build``, a pool of min(jobs, CPUs) workers is built when
-    none exists or when the current one has fewer workers; without, only a
-    pool that already exists is used."""
-    global _pool
-    if _pool is None and not build:
-        return None
-    # imported here, so that neither CLI start-up nor a run with no pool
-    # pays for them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(jobs, cpus)
-    if workers < 2:
-        return None
-    if build and (_pool is None or _pool[1] < workers):
-        _close_pool()
-        # A killed worker raises BrokenProcessPool in the caller, where a
-        # multiprocessing.Pool would wait for its result forever.
-        _pool = (ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                     initializer=_init_worker, initargs=(os.getpid(),)),
-                 workers)
-    return _pool and _pool[0]
-
-
-def _close_pool():
-    """Shut this process's chain pool down, if there is one, and wait for
-    its workers to exit; the next pooled call builds a new pool."""
-    pool = _pool
-    _forget_pool()
-    if pool is not None:
-        pool[0].shutdown(wait=True, cancel_futures=True)
-
-
-# At exit, after concurrent.futures has joined the workers: an executor left
-# for the module teardown to collect runs a callback there that finds
-# concurrent.futures' globals gone and prints "Exception ignored".
-atexit.register(_close_pool)
-
-
-def _init_worker(parent: int):
-    """Pool initializer: the worker runs every chain on one BLAS thread, and
-    exits when ``parent`` does.  A forked worker's counts are its own, so the
-    parent's are left as they were.  An idle worker waits on a queue whose
-    write end every worker inherited too, so it would never see the parent
-    go; a daemon thread polls for the reparenting instead."""
-    import threading
-    import time
-
-    for setter in _blas_setters:
-        setter(1)
-
-    def exit_with_parent():
-        while os.getppid() == parent:
-            time.sleep(0.5)
-        os._exit(1)
-
-    threading.Thread(target=exit_with_parent, daemon=True).start()
-
-
-def run_jobs(fn, jobs: list[tuple], build: bool = True):
-    """An iterator over ``fn(*args)`` for each ``args`` of ``jobs``, in order.
-
-    Two jobs or more run on this process's fork pool (see the module
-    docstring), all submitted before this returns, so that the workers run
-    while the caller does other work.  ``build`` says whether the call may
-    build the pool, or grow it; without it the jobs use a pool that already
-    exists, or run here.  One job, and every job that gets no pool, runs here
-    when its result is asked for.  ``fn`` is a module-level function, so the
-    pool pickles it by reference and a worker calls whatever the name was
-    bound to when the pool forked.  A job's exception reaches the caller as
-    itself, at that job's turn.  A pool that a worker's death broke while it
-    idled fails the first submit, before any of these jobs ran: it is closed,
-    and the jobs are retried once, on a fresh pool or here.
-    """
-    for retry in (True, False):
-        pool = _chain_pool(len(jobs), build) if len(jobs) > 1 else None
-        if pool is None:
-            return (fn(*args) for args in jobs)
-        from concurrent.futures.process import BrokenProcessPool
-        try:
-            first = pool.submit(fn, *jobs[0])
-        except BrokenProcessPool:
-            _close_pool()
-            if not retry:
-                raise
-            continue
-        results = _pooled(pool, fn, jobs, first)
-        next(results)  # submits the other jobs
-        return results
-
-
-def _pooled(pool, fn, jobs: list[tuple], first):
-    """Submit the jobs of ``jobs`` after the first, whose future is
-    ``first``, to ``pool`` and yield once, then yield their results in
-    order.  However the iteration ends (a job's exception, or the caller
-    closing the generator), the jobs not yet started are cancelled and the
-    running ones waited for, so the pool is idle afterwards.  A worker that
-    dies breaks the pool, whether or not the caller was still asking: the
-    pool is then closed, and the next call builds a new one."""
-    from concurrent.futures import wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    futures = [first]
-    broken = False
-    try:
-        futures.extend(pool.submit(fn, *args) for args in jobs[1:])
-        yield
-        for future in futures:
-            yield future.result()
-    except BrokenProcessPool:  # from submit or from a result
-        broken = True
-        raise
-    finally:
-        for future in futures:
-            future.cancel()
-        wait(futures)
-        if broken or any(not future.cancelled()
-                         and isinstance(future.exception(), BrokenProcessPool)
-                         for future in futures):
-            _close_pool()
-
-
-def _run_chain(y: Raster, hp: HyperParams, variant: str) -> DenoiseResult:
-    # a module-level name, so the pool pickles it by reference and the
-    # forked worker calls whatever ``denoise`` the parent had bound
-    return denoise(y, hp, variant)
-
-
-def run_chains(y: Raster, hp: HyperParams, variant: str, chains: int,
-               ) -> list[DenoiseResult]:
-    """Run ``chains`` independent chains on ``y``, chain c seeded with
-    ``hp.seed + c``, through ``run_jobs``, and return their results in chain
-    order.  Only ``higmrf`` chains build a pool (see the module docstring)."""
-    return list(run_jobs(_run_chain, [(y, replace(hp, seed=hp.seed + c), variant)
-                                      for c in range(chains)], build=variant == HIGMRF))

@@ -5,7 +5,7 @@ fixture that gives each test its own chain pool."""
 import numpy as np
 import pytest
 
-from smfdenoise import sampler
+from smfdenoise import pool
 from smfdenoise.lattice import build_igmrf_precision
 from smfdenoise.sampler import SpectralPrecision, sample_field_given_gamma
 
@@ -17,9 +17,9 @@ def fresh_chain_pool():
     """Each test starts and ends without a chain pool.  A pool forks on first
     use, so its workers see the names a test has patched (``sampler.denoise``,
     ``sampler.dpbtrf``) only if it is built after the patch."""
-    sampler._close_pool()
+    pool._close_pool()
     yield
-    sampler._close_pool()
+    pool._close_pool()
 
 
 def draw_in_pixels(y, zg, noise, precision, rng, solver):

@@ -24,12 +24,12 @@ from smfdenoise.lattice import (
 )
 from smfdenoise.metrics import kld, psnr, rmse, ssim
 from smfdenoise.model import HyperParams, NoiseParams, make_design
+from smfdenoise.pool import run_chains
 from smfdenoise.sampler import (
     HIGMRF,
     SpectralPrecision,
     field_solver,
     get_binary_image,
-    run_chains,
     sample_gamma,
     sample_kappas,
 )

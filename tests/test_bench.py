@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from smfdenoise import bench
+from smfdenoise import bench, sampler
 from smfdenoise.baselines import FilterConfig
 from smfdenoise.bench import (
     MissingExternalError,
@@ -19,7 +19,7 @@ from smfdenoise.bench import (
     write_report,
 )
 from smfdenoise.fileio import write_raster_csv
-from smfdenoise.lattice import Raster
+from smfdenoise.lattice import Raster, SpotMask
 from smfdenoise.model import HyperParams
 from smfdenoise.synth import SynthConfig, generate_corpus
 
@@ -117,26 +117,25 @@ class TestPooledBench:
         assert [(r.image, r.method, r.report) for r in pooled] == [
             (r.image, r.method, r.report) for r in serial]
         assert all(r.wall_ms > 0 for r in pooled)
+        assert all(r.wall_ms > 0 for r in serial)
 
     @pytest.fixture
     def stub(self, monkeypatch, tmp_path):
-        """Replace ``run_method`` for the sampler images, which the workers
+        """Replace ``denoise`` for the sampler images, which the workers
         inherit: image k's noisy raster holds the value k.  Each call logs
         its image and process to a file, then behaves as ``behave(k)``
         says."""
         log = tmp_path / "calls"
-        run_method = bench.run_method
 
         def stub(behave):
-            def fake(method, noisy, hp, fc):
-                if method not in ("igmrf", "higmrf"):
-                    return run_method(method, noisy, hp, fc)
+            def fake(noisy, hp, variant):
                 k = int(noisy.data[0])
                 with open(log, "a") as f:
                     f.write(f"{k} {os.getpid()}\n")
                 behave(k)
-                return noisy
-            monkeypatch.setattr(bench, "run_method", fake)
+                return sampler.DenoiseResult(noisy, SpotMask.zeros(noisy.n1, noisy.n2),
+                                             np.zeros((0, 2)), np.zeros((0, 3)), wall_ms=1.0)
+            monkeypatch.setattr(sampler, "denoise", fake)
             return log
         return stub
 

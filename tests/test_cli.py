@@ -227,6 +227,20 @@ class TestBench:
                    "--config", fast_cfg, "--report", str(tmp_path / "r.csv")])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("methods", ["ga,ga,higmrf,higmrf", "igmrf, ga,igmrf"])
+    def test_repeated_method_is_usage_error(self, tmp_path, fast_cfg, methods, capsys,
+                                            monkeypatch):
+        # a repeated method would run twice per image and write every row twice
+        corpus = self.make_corpus(tmp_path, fast_cfg)
+        capsys.readouterr()
+        monkeypatch.setattr(bench, "run_bench", lambda *a: pytest.fail("a method ran"))
+        report = tmp_path / "r.csv"
+        rc = main(["bench", "--corpus", str(corpus), "--methods", methods,
+                   "--config", fast_cfg, "--report", str(report)])
+        assert rc == EXIT_USAGE
+        assert one_error_line(capsys)
+        assert not report.exists()
+
     def test_missing_external_outputs(self, tmp_path, fast_cfg):
         corpus = self.make_corpus(tmp_path, fast_cfg)
         ext = tmp_path / "ext"

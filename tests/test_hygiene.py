@@ -1,8 +1,9 @@
 """Static checks that keep the package surface small: every exported name
 and every dataclass field has a reader inside the package, no module
-imports what it never uses, the lattice loads no scipy, every name the
-benchmark's tracer wraps still exists and runs as often as the tracer
-counts it, and the CLI has one error path whose exit codes the docs name."""
+imports what it never uses, the lattice loads no scipy, the sampler holds
+no process plumbing, every name the benchmark's tracer wraps still exists
+and runs as often as the tracer counts it, and the CLI has one error path
+whose exit codes the docs name."""
 
 import ast
 import importlib
@@ -118,6 +119,19 @@ def test_lattice_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code, str(PACKAGE)], capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_sampler_holds_no_process_plumbing():
+    # the chain pool lives in pool.py, so sampler.py is the Gibbs chain alone
+    banned = ("atexit", "os", "multiprocessing", "concurrent.futures")
+    modules = set()
+    for node in ast.walk(parse(PACKAGE / "sampler.py")):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module)
+    assert sorted(m for m in modules
+                  if any(m == b or m.startswith(b + ".") for b in banned)) == []
 
 
 def traced_attributes():

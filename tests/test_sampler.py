@@ -16,7 +16,7 @@ import pytest
 from conftest import dense_difference_oracle, dense_q, draw_in_pixels
 from scipy import sparse
 
-from smfdenoise import sampler
+from smfdenoise import pool, sampler
 from smfdenoise.lattice import (
     Raster,
     SpotMask,
@@ -24,6 +24,7 @@ from smfdenoise.lattice import (
     build_igmrf_precision,
 )
 from smfdenoise.model import HyperParams, NoiseParams, SamplerNumericalError, make_design
+from smfdenoise.pool import run_chains, run_jobs
 from smfdenoise.sampler import (
     HIGMRF,
     IGMRF,
@@ -33,8 +34,6 @@ from smfdenoise.sampler import (
     denoise,
     field_solver,
     get_binary_image,
-    run_chains,
-    run_jobs,
     sample_field_given_gamma,
     sample_gamma,
     sample_kappas,
@@ -346,9 +345,10 @@ class TestOneBlasThread:
 
     @pytest.fixture
     def problem(self):
-        # kd = 68, past the width where dpbtrf's BLAS-3 calls go threaded
-        precision = random_mask_precision(34, 40, 11)
-        return BandedCholeskySolver(precision), precision
+        # a 34 x 40 higmrf chain: kd = 68, past the width where dpbtrf's
+        # BLAS-3 calls go threaded; the chain's scope is the factor's
+        y = Raster.from_2d(np.random.default_rng(11).standard_normal((34, 40)))
+        return lambda: denoise(y, HyperParams(n_iter=3, burn_in=1), HIGMRF)
 
     def test_factor_runs_on_one_thread_and_restores_the_count(self, set_threads, problem,
                                                               monkeypatch):
@@ -358,19 +358,17 @@ class TestOneBlasThread:
             seen.append(set_threads(1))  # the count in force during the factor
             return factor(ab, **kwargs)
         monkeypatch.setattr(sampler, "dpbtrf", dpbtrf)
-        solver, precision = problem
-        solver.solve(precision, NoiseParams(2.0, 0.5), np.ones(precision.n))
+        problem()
         ones = [1] * len(sampler._blas_setters)
-        assert seen == [ones]
+        assert seen == [ones] * 3
         assert set_threads(2) == [2] * len(ones)
 
     def test_failed_factor_restores_the_count(self, set_threads, problem, monkeypatch):
         def dpbtrf(ab, **kwargs):
             return ab, 1  # leading minor 1 not positive definite
         monkeypatch.setattr(sampler, "dpbtrf", dpbtrf)
-        solver, precision = problem
         with pytest.raises(SamplerNumericalError):
-            solver.solve(precision, NoiseParams(2.0, 0.5), np.ones(precision.n))
+            problem()
         assert set_threads(2) == [2] * len(sampler._blas_setters)
 
     @pytest.mark.parametrize("variant", [IGMRF, HIGMRF])
@@ -663,6 +661,9 @@ class TestRunChains:
         # without a warm pool: igmrf chains build none
         got = run_chains(None, HyperParams(seed=3), IGMRF, 4)
         assert [(seed, pid) for seed, pid, _ in got] == [(3 + c, os.getpid()) for c in range(4)]
+        # nor does a job list of igmrf chains, whatever their seeds
+        got = run_jobs([(None, HyperParams(seed=seed), IGMRF) for seed in (9, 2)])
+        assert [(seed, pid) for seed, pid, _ in got] == [(9, os.getpid()), (2, os.getpid())]
         assert fake_pool == []
 
     def test_later_calls_reuse_the_workers(self, probe):
@@ -712,7 +713,13 @@ class TestRunChains:
                             raising=False)
         got = run_chains(None, HyperParams(seed=0), HIGMRF, chains)
         assert [seed for seed, _, _ in got] == list(range(chains))
-        assert fake_pool == [(min(chains, cpus), "fork", sampler._init_worker, (os.getpid(),))]
+        assert fake_pool == [(min(chains, cpus), "fork", pool._init_worker, (os.getpid(),))]
+        # one higmrf chain among igmrf ones builds the same pool
+        pool._close_pool()
+        got = run_jobs([(None, HyperParams(seed=c), HIGMRF if c == 1 else IGMRF)
+                        for c in range(chains)])
+        assert [seed for seed, _, _ in got] == list(range(chains))
+        assert fake_pool == [(min(chains, cpus), "fork", pool._init_worker, (os.getpid(),))] * 2
 
     def test_pool_is_replaced_only_to_grow(self, probe, fake_pool, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
@@ -735,8 +742,7 @@ class TestRunChains:
         # the broken pool is closed, and the next call builds a fresh one
         assert run_chains(None, HyperParams(seed=5), HIGMRF, 2) == [5, 6]
         # so too when the caller stops asking before the dead worker's turn
-        results = run_jobs(sampler._run_chain,
-                           [(None, HyperParams(seed=seed), HIGMRF) for seed in (0, 1)])
+        results = run_jobs([(None, HyperParams(seed=seed), HIGMRF) for seed in (0, 1)])
         assert next(results) == 0
         results.close()
         assert run_chains(None, HyperParams(seed=5), HIGMRF, 2) == [5, 6]
@@ -792,10 +798,10 @@ class TestPoolLifetime:
     # Each chain sleeps, so that both workers take one.
     SCRIPT = """
 import multiprocessing, os, signal, sys, time
-from smfdenoise import sampler
+from smfdenoise import pool, sampler
 from smfdenoise.model import HyperParams
 sampler.denoise = lambda y, hp, variant: time.sleep(0.2) or hp.seed
-sampler.run_chains(None, HyperParams(), "higmrf", 2)
+pool.run_chains(None, HyperParams(), "higmrf", 2)
 workers = sorted(p.pid for p in multiprocessing.active_children())
 print(*workers, flush=True)
 if sys.argv[1] == "wait":
@@ -804,7 +810,7 @@ elif sys.argv[1] == "kill-idle":
     os.kill(workers[0], signal.SIGKILL)
     while any(os.path.exists(f"/proc/{pid}") for pid in workers):
         time.sleep(0.01)
-    print(*sampler.run_chains(None, HyperParams(seed=5), "higmrf", 2))
+    print(*pool.run_chains(None, HyperParams(seed=5), "higmrf", 2))
 """
 
     def start(self, mode):
