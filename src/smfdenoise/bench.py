@@ -15,7 +15,7 @@ from .fileio import read_raster_csv, write_raster_csv
 from .lattice import Raster
 from .model import HyperParams
 from .pool import run_jobs
-from .sampler import HIGMRF, IGMRF, denoise
+from .sampler import HIGMRF, IGMRF
 from .synth import SynthPair
 
 __all__ = [
@@ -90,8 +90,9 @@ def read_corpus(corpus_dir) -> list[tuple[Raster, Raster]]:
              read_raster_csv(corpus_dir / f"noisy_{k}.csv")) for k in sorted(indices)]
 
 
-def run_method(method: str, noisy: Raster, hp: HyperParams, fc: FilterConfig) -> Raster:
-    """Denoise one raster with a named method."""
+def run_method(method: str, noisy: Raster, fc: FilterConfig) -> Raster:
+    """Denoise one raster with a named baseline method.  The sampler methods
+    run as chains, through ``pool.run_jobs``."""
     if method == "ga":
         return baselines.gaussian_filter(noisy, fc.gaussian_sigma, fc.gaussian_size)
     if method == "av":
@@ -100,8 +101,6 @@ def run_method(method: str, noisy: Raster, hp: HyperParams, fc: FilterConfig) ->
         return baselines.wiener_filter(noisy, fc.wiener_size)
     if method == "nlm":
         return baselines.nlm_filter(noisy, fc.nlm_patch, fc.nlm_search, fc.nlm_h)
-    if method in SAMPLER_METHODS:
-        return denoise(noisy, hp, variant=method).posterior_mean
     raise UnknownMethodError(f"unknown method {method!r}")
 
 
@@ -156,7 +155,7 @@ def run_bench(pairs: list[tuple[Raster, Raster]], methods: list[str],
                     estimate, wall_ms = external[method][k], 0.0
                 else:
                     t0 = time.perf_counter()
-                    estimate = run_method(method, noisy, hp, fc)
+                    estimate = run_method(method, noisy, fc)
                     wall_ms = (time.perf_counter() - t0) * 1e3
                 rows.append(BenchRow(image=k, method=method,
                                      report=metrics.evaluate(estimate, truth), wall_ms=wall_ms))

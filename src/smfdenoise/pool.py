@@ -1,12 +1,9 @@
 """One fork process pool per process, on which independent Gibbs chains run.
 
-The pool is built by the first ``run_jobs`` call that has two chains or
-more, ``higmrf`` among them, with min(chains, CPUs) workers, replaced by a
-larger one when a later such call needs more, and kept warm in between, so a
-process that scores corpus after corpus forks once.  All-``igmrf`` calls use
-a warm pool but never build one: a 30 x 30 ``igmrf`` chain takes about
-13 ms, and a one-shot ``diagnose --variant igmrf --chains 4`` took 0.71 s
-pooled against 0.55 s serial (2-core x86).  Each worker runs on one BLAS
+Which ``run_jobs`` calls may build the pool, and why, is the build rule in
+README's "Chain pool" section.  The pool has min(chains, CPUs) workers, is
+replaced only by a larger one, and is kept warm in between, so a process
+that scores corpus after corpus forks once.  Each worker runs on one BLAS
 thread for its whole life, so that two processes never spin two OpenBLAS
 threads each on two cores, and exits when its parent dies; the pool is shut
 down at interpreter exit, before the modules are torn down.
@@ -113,14 +110,14 @@ def run_jobs(jobs: list[tuple[Raster, HyperParams, str]]):
     """An iterator over the ``DenoiseResult`` of each chain of ``jobs``, given
     as (raster, hyperparameters, variant), in order.
 
-    Two chains or more run on the pool (see the module docstring), all
-    submitted before this returns, so that the workers run while the caller
-    does other work; the call may build or grow the pool exactly when one of
-    its chains is ``higmrf``.  A chain that gets no pool runs here when its
-    result is asked for.  A chain's exception reaches the caller as itself,
-    at that chain's turn.  A pool that a worker's death broke while it idled
-    fails the first submit, before any chain ran: it is closed, and the
-    chains are retried once, on a fresh pool or here.
+    Two chains or more run on the pool, all submitted before this returns,
+    so that the workers run while the caller does other work; whether the
+    call may build or grow the pool follows from its variants, by the build
+    rule (see the module docstring).  A chain that gets no pool runs here
+    when its result is asked for.  A chain's exception reaches the caller as
+    itself, at that chain's turn.  A pool that a worker's death broke while
+    it idled fails the first submit, before any chain ran: it is closed, and
+    the chains are retried once, on a fresh pool or here.
     """
     build = any(variant == sampler.HIGMRF for _, _, variant in jobs)
     for retry in (True, False):

@@ -57,15 +57,15 @@ class TestCorpusIo:
 
 
 class TestRunMethod:
-    def test_all_builtin_methods_produce_rasters(self, small_corpus, fast_hp):
+    def test_all_builtin_methods_produce_rasters(self, small_corpus):
         noisy = small_corpus[0].noisy
-        for m in ("ga", "av", "wi", "nlm", "igmrf", "higmrf"):
-            out = run_method(m, noisy, fast_hp, FilterConfig())
+        for m in ("ga", "av", "wi", "nlm"):
+            out = run_method(m, noisy, FilterConfig())
             assert (out.n1, out.n2) == (noisy.n1, noisy.n2)
 
-    def test_unknown_method_rejected(self, small_corpus, fast_hp):
+    def test_unknown_method_rejected(self, small_corpus):
         with pytest.raises(UnknownMethodError):
-            run_method("median", small_corpus[0].noisy, fast_hp, FilterConfig())
+            run_method("median", small_corpus[0].noisy, FilterConfig())
 
 
 class TestRunBench:
@@ -168,13 +168,13 @@ class TestPooledBench:
         run_method = bench.run_method
         waited = []
 
-        def baseline_waits_for_a_chain(method, noisy, hp, fc):
+        def baseline_waits_for_a_chain(method, noisy, fc):
             if method == "ga":
                 deadline = time.monotonic() + 5.0
                 while not log.exists() and time.monotonic() < deadline:
                     time.sleep(0.01)
                 waited.append(log.exists())
-            return run_method(method, noisy, hp, fc)
+            return run_method(method, noisy, fc)
         monkeypatch.setattr(bench, "run_method", baseline_waits_for_a_chain)
         run_bench(self.pairs(4), ["ga", "higmrf"], fast_hp, FilterConfig())
         # image 0's baseline comes first, yet a chain ran meanwhile
