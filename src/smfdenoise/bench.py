@@ -73,7 +73,8 @@ def write_corpus(out_dir, pairs: list[SynthPair], config_lines: list[str]):
 
 
 def read_corpus(corpus_dir) -> list[tuple[Raster, Raster]]:
-    """(truth, noisy) pairs per the manifest in corpus_dir."""
+    """(truth, noisy) pairs per the manifest in corpus_dir, each pair on one
+    lattice."""
     corpus_dir = Path(corpus_dir)
     manifest = corpus_dir / "manifest.csv"
     if not manifest.exists():
@@ -86,8 +87,14 @@ def read_corpus(corpus_dir) -> list[tuple[Raster, Raster]]:
         indices.append(int(line.split(",", 1)[0]))
     if not indices:
         raise ValueError(f"{manifest} lists no images")
-    return [(read_raster_csv(corpus_dir / f"truth_{k}.csv"),
-             read_raster_csv(corpus_dir / f"noisy_{k}.csv")) for k in sorted(indices)]
+    indices.sort()
+    pairs = [(read_raster_csv(corpus_dir / f"truth_{k}.csv"),
+              read_raster_csv(corpus_dir / f"noisy_{k}.csv")) for k in indices]
+    for k, (truth, noisy) in zip(indices, pairs):
+        if (truth.n1, truth.n2) != (noisy.n1, noisy.n2):
+            raise ValueError(f"{corpus_dir}: truth_{k}.csv is {truth.n1}x{truth.n2}, "
+                             f"noisy_{k}.csv {noisy.n1}x{noisy.n2}")
+    return pairs
 
 
 def run_method(method: str, noisy: Raster, fc: FilterConfig) -> Raster:
@@ -123,8 +130,9 @@ def run_bench(pairs: list[tuple[Raster, Raster]], methods: list[str],
               hp: HyperParams, fc: FilterConfig,
               external: dict[str, list[Raster]] | None = None) -> list[BenchRow]:
     """Every requested method over every (truth, noisy) pair.  ``external``
-    holds the outputs of ``external:`` methods already read by
-    ``read_external``; the others are read here, before any method runs.
+    holds the outputs of each ``external:`` method, as ``read_external``
+    reads them; a method that is neither there nor built in raises
+    ``UnknownMethodError`` before any method runs.
 
     The ``higmrf`` and ``igmrf`` images are independent chains, so they run
     through ``pool.run_jobs``, submitted before the first row, while
@@ -135,13 +143,10 @@ def run_bench(pairs: list[tuple[Raster, Raster]], methods: list[str],
     method) order is the one raised, as in a serial loop, and no chain is
     left behind on the pool.
     """
-    external = dict(external or {})
+    external = external or {}
     for method in methods:
-        if method in external or method in BASELINE_METHODS or method in SAMPLER_METHODS:
-            continue
-        if not method.startswith("external:"):
+        if method not in (*BASELINE_METHODS, *SAMPLER_METHODS, *external):
             raise UnknownMethodError(f"unknown method {method!r}")
-        external[method] = read_external(method, [truth for truth, _ in pairs])
     chains = run_jobs([(noisy, hp, method) for _, noisy in pairs
                        for method in methods if method in SAMPLER_METHODS])
     rows = []

@@ -16,6 +16,7 @@ table and prints one "smfdenoise:" line on stderr.  Exit codes:
   7 numerical failure in the sampler
   8 a quality metric undefined for a bench output
   9 a chain pool worker died mid-run (say, killed by the out-of-memory killer)
+ 10 out of memory: a run whose arrays cannot be allocated
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ EXIT_DEGENERATE = 6
 EXIT_NUMERICAL = 7
 EXIT_METRIC = 8
 EXIT_WORKER_LOST = 9
+EXIT_MEMORY = 10
 
 
 class UsageError(Exception):
@@ -77,6 +79,7 @@ _EXIT_CODES = {
     MetricInstabilityError: EXIT_METRIC,
     # the base class of BrokenProcessPool, which would load multiprocessing
     concurrent.futures.BrokenExecutor: EXIT_WORKER_LOST,
+    MemoryError: EXIT_MEMORY,
 }
 
 
@@ -133,14 +136,13 @@ def cmd_denoise(args) -> int:
     y = _read_input(args.input, args.crop)
     result = denoise(y, hp, variant=args.variant)
     echo = effective_config_lines(hp, fc, sc) + [f"variant={args.variant}"]
-    mask = result.final_mask
     trace_lines = [f"# {c}" for c in echo]
     trace_lines.append("iteration,kappa_l,kappa_f,gamma1,gamma2,gamma3")
     for t, row in enumerate(np.hstack([result.theta_trace, result.gamma_trace]), start=1):
         trace_lines.append(f"{t}," + ",".join(f"{v:.9g}" for v in row))
     with _files("write outputs"):
         write_raster_csv(args.out_mean, result.posterior_mean, echo)
-        write_raster_csv(args.out_mask, Raster(mask.n1, mask.n2, mask.data.astype(float)), echo)
+        write_raster_csv(args.out_mask, result.final_mask, echo)
         Path(args.out_trace).write_text("\n".join(trace_lines) + "\n")
     return EXIT_OK
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import Raster
+from .lattice import Raster, SpotMask
 
 __all__ = [
     "write_raster_csv",
@@ -29,7 +29,7 @@ _PGM_HEADER = re.compile(rb"P5" + _PGM_GAP + rb"(\d+)" + _PGM_GAP + rb"(\d+)" + 
                          + rb"(\d+)(?:#[^\r\n]*[\r\n])*\s")
 
 
-def write_raster_csv(path, raster: Raster, comments: list[str] | None = None):
+def write_raster_csv(path, raster: Raster | SpotMask, comments: list[str] | None = None):
     path = Path(path)
     lines = []
     for c in comments or []:

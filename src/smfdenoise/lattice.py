@@ -29,8 +29,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Raster:
-    """A rectangular grid of finite intensities, row-major in a 1-D vector."""
+class _Grid:
+    """A rectangular grid, row-major in a read-only 1-D vector of the
+    subclass's ``_dtype`` that its ``_check_values`` accepts: the one
+    constructor of ``Raster`` and ``SpotMask``."""
 
     n1: int
     n2: int
@@ -39,19 +41,17 @@ class Raster:
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError(f"lattice dimensions must be positive, got {self.n1}x{self.n2}")
-        data = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64)).ravel()
+        data = np.ascontiguousarray(np.asarray(self.data, dtype=self._dtype)).ravel()
         if data.size != self.n1 * self.n2:
-            raise ValueError(
-                f"data length {data.size} does not match lattice {self.n1}x{self.n2}"
-            )
-        if not np.all(np.isfinite(data)):
-            raise ValueError("raster contains non-finite values")
+            raise ValueError(f"data length {data.size} does not match lattice "
+                             f"{self.n1}x{self.n2}")
+        self._check_values(data)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
     @classmethod
-    def from_2d(cls, arr) -> "Raster":
-        arr = np.asarray(arr, dtype=np.float64)
+    def from_2d(cls, arr):
+        arr = np.asarray(arr)
         if arr.ndim != 2:
             raise ValueError("expected a 2-D array")
         return cls(arr.shape[0], arr.shape[1], arr.ravel())
@@ -65,45 +65,31 @@ class Raster:
         return type(self), (self.n1, self.n2, self.data)
 
 
-@dataclass(frozen=True)
-class SpotMask:
+class Raster(_Grid):
+    """A rectangular grid of finite intensities."""
+
+    _dtype = np.float64
+
+    def _check_values(self, data):
+        if not np.all(np.isfinite(data)):
+            raise ValueError("raster contains non-finite values")
+
+
+class SpotMask(_Grid):
     """Per-pixel binary classification: 1 = spot, 0 = background."""
 
-    n1: int
-    n2: int
-    data: np.ndarray
+    _dtype = np.int8
 
-    def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1:
-            raise ValueError(f"lattice dimensions must be positive, got {self.n1}x{self.n2}")
+    def _check_values(self, data):
         # a boolean array holds only 0 and 1, so it skips the value scan:
         # the sampler thresholds one mask per sweep
-        binary = isinstance(self.data, np.ndarray) and self.data.dtype == np.bool_
-        data = np.ascontiguousarray(np.asarray(self.data, dtype=np.int8)).ravel()
-        if data.size != self.n1 * self.n2:
-            raise ValueError(
-                f"mask length {data.size} does not match lattice {self.n1}x{self.n2}"
-            )
-        if not binary and not np.all((data == 0) | (data == 1)):
+        if (getattr(self.data, "dtype", None) != np.bool_
+                and not np.all((data == 0) | (data == 1))):
             raise ValueError("mask values must be 0 or 1")
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
 
     @classmethod
     def zeros(cls, n1: int, n2: int) -> "SpotMask":
         return cls(n1, n2, np.zeros(n1 * n2, dtype=np.int8))
-
-    @classmethod
-    def from_2d(cls, arr) -> "SpotMask":
-        arr = np.asarray(arr)
-        if arr.ndim != 2:
-            raise ValueError("expected a 2-D array")
-        return cls(arr.shape[0], arr.shape[1], arr.ravel())
-
-    def to_2d(self) -> np.ndarray:
-        return self.data.reshape(self.n1, self.n2)
-
-    __reduce__ = Raster.__reduce__
 
 
 class PrecisionMatrix:

@@ -55,8 +55,10 @@ class HyperParams:
             raise ValueError(f"lam must be {need}, got {self.lam}")
         if not np.isfinite(self.h):
             raise ValueError(f"h must be finite, got {self.h}")
-        if self.n_iter < 1:
-            raise ValueError(f"n_iter must be positive, got {self.n_iter}")
+        # past the upper bound, NumPy cannot size the chain's (n_iter, 3) float64 trace
+        if not 1 <= self.n_iter <= np.iinfo(np.intp).max // 24:
+            raise ValueError(f"n_iter must lie in [1, {np.iinfo(np.intp).max // 24}], "
+                             f"got {self.n_iter}")
         if not (0 < self.burn_in < self.n_iter):
             raise ValueError(
                 f"burn_in must lie in (0, n_iter), got {self.burn_in} with n_iter={self.n_iter}"

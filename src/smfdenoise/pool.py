@@ -115,9 +115,9 @@ def run_jobs(jobs: list[tuple[Raster, HyperParams, str]]):
     call may build or grow the pool follows from its variants, by the build
     rule (see the module docstring).  A chain that gets no pool runs here
     when its result is asked for.  A chain's exception reaches the caller as
-    itself, at that chain's turn.  A pool that a worker's death broke while
-    it idled fails the first submit, before any chain ran: it is closed, and
-    the chains are retried once, on a fresh pool or here.
+    itself, at that chain's turn.  A pool found broken by any submit (a
+    worker died, while the pool idled or since) is closed, and the chains
+    are retried once, on a fresh pool or here.
     """
     build = any(variant == sampler.HIGMRF for _, _, variant in jobs)
     for retry in (True, False):
@@ -125,46 +125,43 @@ def run_jobs(jobs: list[tuple[Raster, HyperParams, str]]):
         if pool is None:
             return (_run_chain(*job) for job in jobs)
         from concurrent.futures.process import BrokenProcessPool
+        results = _pooled(pool, jobs)
         try:
-            first = pool.submit(_run_chain, *jobs[0])
+            next(results)  # submits every chain
         except BrokenProcessPool:
-            _close_pool()
             if not retry:
                 raise
             continue
-        results = _pooled(pool, jobs, first)
-        next(results)  # submits the other chains
         return results
 
 
-def _pooled(pool, jobs: list[tuple], first):
-    """Submit the chains of ``jobs`` after the first, whose future is
-    ``first``, to ``pool`` and yield once, then yield their results in
-    order.  However the iteration ends (a chain's exception, or the caller
-    closing the generator), the chains not yet started are cancelled and the
-    running ones waited for, so the pool is idle afterwards.  A worker that
-    dies breaks the pool, whether or not the caller was still asking: the
-    pool is then closed, and the next call builds a new one."""
+def _pooled(pool, jobs: list[tuple]):
+    """Submit the chains of ``jobs`` to ``pool`` and yield once, then yield
+    their results in order.  However the iteration ends (a chain's
+    exception, or the caller closing the generator), the chains not yet
+    started are cancelled and the running ones waited for, so the pool is
+    idle afterwards.  A worker that dies breaks the pool, whether or not the
+    caller was still asking: the pool is then closed, and the next call
+    builds a new one."""
     from concurrent.futures import wait
     from concurrent.futures.process import BrokenProcessPool
 
-    futures = [first]
-    broken = False
+    futures = []
     try:
-        futures.extend(pool.submit(_run_chain, *job) for job in jobs[1:])
+        # a submit that raises leaves the futures before it in the list
+        futures.extend(pool.submit(_run_chain, *job) for job in jobs)
         yield
         for future in futures:
             yield future.result()
-    except BrokenProcessPool:  # from submit or from a result
-        broken = True
+    except BrokenProcessPool:  # from a submit or from a result
+        _close_pool()
         raise
     finally:
         for future in futures:
             future.cancel()
         wait(futures)
-        if broken or any(not future.cancelled()
-                         and isinstance(future.exception(), BrokenProcessPool)
-                         for future in futures):
+        if any(not future.cancelled() and isinstance(future.exception(), BrokenProcessPool)
+               for future in futures):
             _close_pool()
 
 

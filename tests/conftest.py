@@ -1,12 +1,13 @@
 """Reference constructions shared by the lattice tests and the acceptance gate,
-field draws mapped to pixel space for the sampler tests and the gate, and a
-fixture that gives each test its own chain pool."""
+field draws mapped to pixel space for the sampler tests and the gate, a
+small spot image and the BLAS thread counts for the chain and pool tests,
+and a fixture that gives each test its own chain pool."""
 
 import numpy as np
 import pytest
 
-from smfdenoise import pool
-from smfdenoise.lattice import build_igmrf_precision
+from smfdenoise import pool, sampler
+from smfdenoise.lattice import Raster, build_igmrf_precision
 from smfdenoise.sampler import SpectralPrecision, sample_field_given_gamma
 
 _OFFSETS = ((-1, 0), (1, 0), (0, -1), (0, 1))
@@ -20,6 +21,27 @@ def fresh_chain_pool():
     pool._close_pool()
     yield
     pool._close_pool()
+
+
+def spot_input(seed=21, n=12):
+    """An n x n image of two spots under light noise."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros((n, n))
+    x[n // 2, n // 2] = 1.0
+    x[2, 3] = 0.8
+    return Raster.from_2d(x + 0.05 * rng.standard_normal((n, n)))
+
+
+def set_blas_threads(count):
+    """Set every OpenBLAS that the sampler caps to ``count`` threads and
+    return the counts in force before, one per library."""
+    return [setter(count) for setter in sampler._blas_setters]
+
+
+def restore_blas_threads(counts):
+    """Give each OpenBLAS back the count that ``set_blas_threads`` returned."""
+    for setter, count in reversed(list(zip(sampler._blas_setters, counts))):
+        setter(count)
 
 
 def draw_in_pixels(y, zg, noise, precision, rng, solver):

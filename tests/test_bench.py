@@ -13,6 +13,7 @@ from smfdenoise.bench import (
     MissingExternalError,
     UnknownMethodError,
     read_corpus,
+    read_external,
     run_bench,
     run_method,
     write_corpus,
@@ -88,7 +89,9 @@ class TestRunBench:
         ext.mkdir()
         for k, p in enumerate(small_corpus):
             write_raster_csv(ext / f"denoised_{k}.csv", p.truth)
-        rows = run_bench(pairs, [f"external:{ext}"], fast_hp, FilterConfig())
+        method = f"external:{ext}"
+        outputs = read_external(method, [truth for truth, _ in pairs])
+        rows = run_bench(pairs, [method], fast_hp, FilterConfig(), {method: outputs})
         # external method returned the truth itself: zero error
         assert all(r.report.rmse < 1e-8 for r in rows)
 
@@ -98,8 +101,12 @@ class TestRunBench:
         ext.mkdir()
         write_raster_csv(ext / "denoised_0.csv", small_corpus[0].truth)
         with pytest.raises(MissingExternalError) as err:
-            run_bench(pairs, [f"external:{ext}"], fast_hp, FilterConfig())
+            read_external(f"external:{ext}", [truth for truth, _ in pairs])
         assert len(err.value.missing) == 2
+        # run_bench reads no outputs itself: an external method it was not
+        # given is unknown to it
+        with pytest.raises(UnknownMethodError):
+            run_bench(pairs, [f"external:{ext}"], fast_hp, FilterConfig())
 
 
 class TestPooledBench:

@@ -15,6 +15,7 @@ import smfdenoise
 from smfdenoise import bench, cli, sampler
 from smfdenoise.cli import (
     EXIT_IO,
+    EXIT_MEMORY,
     EXIT_METRIC,
     EXIT_MISSING,
     EXIT_NUMERICAL,
@@ -188,6 +189,22 @@ class TestDenoise:
         rc = self.run(tmp_path, str(tmp_path / "ghost.csv"), fast_cfg)
         assert rc == EXIT_IO
 
+    def test_unallocatable_trace_is_memory_error(self, tmp_path, noisy_csv, capsys):
+        # a (T, 2) trace of 146 TiB, more than a 64-bit user address space
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(FAST_CFG + "T=10000000000000\n")
+        assert self.run(tmp_path, noisy_csv, str(cfg)) == EXIT_MEMORY
+        assert one_error_line(capsys)
+        assert not (tmp_path / "mean.csv").exists()
+
+    def test_unsizable_trace_is_usage_error(self, tmp_path, noisy_csv, capsys):
+        # a (T, 3) float64 trace past the largest size NumPy can express
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(FAST_CFG + f"T={10**18}\n")
+        assert self.run(tmp_path, noisy_csv, str(cfg)) == EXIT_USAGE
+        assert one_error_line(capsys)
+        assert not (tmp_path / "mean.csv").exists()
+
     def test_pgm_with_header_comments_is_read(self, tmp_path, fast_cfg, capsys):
         pixels = bytes(np.random.default_rng(2).integers(0, 256, 36, dtype=np.uint8))
         good = tmp_path / "c.pgm"
@@ -277,6 +294,20 @@ class TestBench:
                    "--config", fast_cfg, "--report", str(tmp_path / "r.csv")])
         assert rc == EXIT_IO
         assert one_error_line(capsys)
+
+    def test_pair_on_two_lattices_is_io_error(self, tmp_path, fast_cfg, capsys, monkeypatch):
+        corpus = self.make_corpus(tmp_path, fast_cfg)
+        write_raster_csv(corpus / "noisy_1.csv", Raster.from_2d(np.ones((3, 3))))
+        monkeypatch.setattr(bench, "run_bench", lambda *a: pytest.fail("a method ran"))
+        capsys.readouterr()
+        report = tmp_path / "r.csv"
+        rc = main(["bench", "--corpus", str(corpus), "--methods", "ga,igmrf",
+                   "--config", fast_cfg, "--report", str(report)])
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("smfdenoise: ")
+        assert "truth_1.csv" in err[0] and "noisy_1.csv" in err[0]
+        assert not report.exists()
 
     # each output is read and checked against its truth before any method runs
     @pytest.mark.parametrize("text", ["1,x\n", "1,2\n3,4\n"], ids=["unparsable", "shape"])

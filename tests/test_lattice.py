@@ -17,10 +17,15 @@ from smfdenoise.model import HyperParams
 from smfdenoise.sampler import denoise
 
 
+# each test of the constructor both grids share runs on each, on values it holds
+GRIDS = pytest.mark.parametrize("grid", [Raster, SpotMask])
+
+
 class TestRaster:
-    def test_round_trip_2d(self):
-        arr = np.arange(6.0).reshape(2, 3)
-        r = Raster.from_2d(arr)
+    @GRIDS
+    def test_round_trip_2d(self, grid):
+        arr = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+        r = grid.from_2d(arr)
         assert (r.n1, r.n2) == (2, 3)
         np.testing.assert_array_equal(r.to_2d(), arr)
 
@@ -29,22 +34,25 @@ class TestRaster:
         assert r.to_2d()[0, 1] == 2.0
         assert r.to_2d()[1, 0] == 3.0
 
-    def test_rejects_wrong_length(self):
+    @GRIDS
+    def test_rejects_wrong_length(self, grid):
         with pytest.raises(ValueError):
-            Raster(2, 2, [1.0, 2.0, 3.0])
+            grid(2, 2, [1.0, 0.0, 1.0])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Raster(1, 2, [1.0, np.nan])
 
-    def test_rejects_bad_dims(self):
+    @GRIDS
+    def test_rejects_bad_dims(self, grid):
         with pytest.raises(ValueError):
-            Raster(0, 3, [])
+            grid(0, 3, [])
 
-    def test_data_is_read_only(self):
-        r = Raster(1, 2, [1.0, 2.0])
+    @GRIDS
+    def test_data_is_read_only(self, grid):
+        r = grid(1, 2, [1.0, 0.0])
         with pytest.raises(ValueError):
-            r.data[0] = 9.0
+            r.data[0] = 1
 
     def test_pickle_round_trip_keeps_data_read_only(self):
         # chain results come back from pool workers through pickle
