@@ -7,8 +7,8 @@ binary spot/background mask: a difference between two background pixels
 carries weight ``lam`` (> 1), all others weight 1.  So each weight belongs to
 an edge, the same from both of its ends: D = -L_w for the weighted grid
 Laplacian L_w, and Q = L_w^2.  A precision is its two edge-weight arrays, and
-what a sampler reads from it (D^T x, f^T Q f and Q's entries) comes by 2-D
-slicing, with no sparse matrix.
+what a sampler reads from it (D^T x, f^T Q f and Q's entries, one lattice
+grid per offset) comes by 2-D slicing, with no sparse matrix.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class _Grid:
-    """A rectangular grid, row-major in a read-only 1-D vector of the
-    subclass's ``_dtype`` that its ``_check_values`` accepts: the one
-    constructor of ``Raster`` and ``SpotMask``."""
+    """A rectangular grid, row-major in a read-only 1-D vector that the
+    subclass's ``_values`` checks and casts: the one constructor of
+    ``Raster`` and ``SpotMask``."""
 
     n1: int
     n2: int
@@ -41,11 +41,10 @@ class _Grid:
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError(f"lattice dimensions must be positive, got {self.n1}x{self.n2}")
-        data = np.ascontiguousarray(np.asarray(self.data, dtype=self._dtype)).ravel()
+        data = np.ascontiguousarray(self._values(self.data)).ravel()
         if data.size != self.n1 * self.n2:
             raise ValueError(f"data length {data.size} does not match lattice "
                              f"{self.n1}x{self.n2}")
-        self._check_values(data)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
@@ -68,24 +67,26 @@ class _Grid:
 class Raster(_Grid):
     """A rectangular grid of finite intensities."""
 
-    _dtype = np.float64
-
-    def _check_values(self, data):
+    @staticmethod
+    def _values(data):
+        data = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(data)):
             raise ValueError("raster contains non-finite values")
+        return data
 
 
 class SpotMask(_Grid):
     """Per-pixel binary classification: 1 = spot, 0 = background."""
 
-    _dtype = np.int8
-
-    def _check_values(self, data):
-        # a boolean array holds only 0 and 1, so it skips the value scan:
-        # the sampler thresholds one mask per sweep
-        if (getattr(self.data, "dtype", None) != np.bool_
-                and not np.all((data == 0) | (data == 1))):
+    @staticmethod
+    def _values(data):
+        # checked before the int8 cast, which would wrap or truncate a value
+        # that is not 0 or 1; a boolean array holds only 0 and 1, so it
+        # skips the scan: the sampler thresholds one mask per sweep
+        data = np.asarray(data)
+        if data.dtype != np.bool_ and not np.all((data == 0) | (data == 1)):
             raise ValueError("mask values must be 0 or 1")
+        return data.astype(np.int8, copy=False)
 
     @classmethod
     def zeros(cls, n1: int, n2: int) -> "SpotMask":
@@ -102,12 +103,17 @@ class PrecisionMatrix:
     Q = L_w^2.  A pixel-space sweep reads D^T x = -L_w x and
     f^T Q f = |L_w f|^2, both by 2-D slicing.  The solvers read Q's upper
     entries, which have a closed form on seven offsets (Rue & Held 2005,
-    section 2.4): ``upper[(di, dj)][i, j]`` couples pixel a = (i, j + max(0,
-    -dj)) with pixel a + (di, dj).  With deg_a the weight sum of a's edges,
-    they are deg_a^2 + sum_b w_ab^2 on the diagonal, -w_ab (deg_a + deg_b)
-    between neighbours and, two steps apart, the sum of w w over the paths
-    of length 2.  They are computed once per build, where a product or sum
-    that overflows float64 (a huge lam) raises ``SamplerNumericalError``.
+    section 2.4).  ``upper[(di, dj)]`` is an (n1, n2) grid whose entry
+    [i, j] is Q[(i, j), (i + di, j + dj)], zero where that pixel leaves the
+    lattice.  So with pixels a in row-major order, the grid's entry at a is
+    Q[a, a + k] for k = di n2 + dj: a solver adds it into diagonal k.  Two
+    offsets share a k only on lattices one or two pixels wide, and then
+    never a nonzero entry.  With deg_a the weight sum of a's edges, the
+    entries are deg_a^2 + sum_b w_ab^2 on the diagonal, -w_ab (deg_a +
+    deg_b) between neighbours and, two steps apart, the sum of w w over the
+    paths of length 2.  They are computed once per build, into zeroed grids,
+    where a product or sum that overflows float64 (a huge lam) raises
+    ``SamplerNumericalError``.
     """
 
     def __init__(self, across: np.ndarray, down: np.ndarray):
@@ -130,14 +136,22 @@ class PrecisionMatrix:
                 diag += deg * deg
                 diag[:, 1:] += sq_across
                 diag[1:] += sq_down
+
+                def grid(region, entries):
+                    out = np.zeros((self.n1, self.n2))
+                    out[region] = entries
+                    return out
+
                 self.upper = {
                     (0, 0): diag,
-                    (0, 1): -(across * deg[:, 1:] + across * deg[:, :-1]),
-                    (1, 0): -(down * deg[1:] + down * deg[:-1]),
-                    (0, 2): across[:, :-1] * across[:, 1:],
-                    (2, 0): down[:-1] * down[1:],
-                    (1, 1): down[:, :-1] * across[1:] + across[:-1] * down[:, 1:],
-                    (1, -1): across[:-1] * down[:, :-1] + down[:, 1:] * across[1:],
+                    (0, 1): grid(np.s_[:, :-1], -(across * deg[:, 1:] + across * deg[:, :-1])),
+                    (1, 0): grid(np.s_[:-1], -(down * deg[1:] + down * deg[:-1])),
+                    (0, 2): grid(np.s_[:, :-2], across[:, :-1] * across[:, 1:]),
+                    (2, 0): grid(np.s_[:-2], down[:-1] * down[1:]),
+                    (1, 1): grid(np.s_[:-1, :-1],
+                                 down[:, :-1] * across[1:] + across[:-1] * down[:, 1:]),
+                    (1, -1): grid(np.s_[:-1, 1:],
+                                  across[:-1] * down[:, :-1] + down[:, 1:] * across[1:]),
                 }
         except FloatingPointError as exc:
             raise SamplerNumericalError(

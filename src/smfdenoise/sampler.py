@@ -16,25 +16,25 @@ products, which the orthonormal basis keeps, so they run unchanged, and
 f^T Q f is sum q c^2.  A ``higmrf`` chain runs in pixel space and builds
 one field solver for its lattice (``field_solver``), which factors A afresh
 every sweep: with a banded LAPACK Cholesky when the band half-width
-kd = min(2 min(n1, n2), n1 n2 - 1) is at most ``BAND_KD_MAX`` = 256 (any
-lattice up to 128 pixels on its shorter side) and with symmetric-mode
-SuperLU otherwise.  Either factor failing raises ``SamplerNumericalError``.
+kd = 2 min(n1, n2) is at most ``BAND_KD_MAX`` = 256 (any lattice up to 128
+pixels on its shorter side) and with symmetric-mode SuperLU otherwise.
+Either factor failing raises ``SamplerNumericalError``.
 
 A sweep does only its arithmetic.  Per lattice size, and shared by every
 chain on it, are cached: the eigenbasis (``_spectral_precision``) and the
 mask's window bounds (``_windows``).  Per chain are computed once: Z^T Z and
 the band buffer.  Each sweep forms the trend Z gamma once.  A ``higmrf``
 precision is its two edge-weight arrays and Q's closed-form entries on seven
-offsets (``lattice``); a sweep reads D^T x and f^T Q f from the weights and
-writes the entries into the band's rows, all by slicing, so no banded sweep
-builds a scipy sparse matrix.  Past the band bound, SuperLU gets A as a CSC
-matrix assembled from the same entries.  Nor does a sweep scan what it made
-itself: the draw stays a bare array, whose 2-D view the mask thresholds into
-a boolean ``SpotMask``, which skips the 0/1 scan; only the chain's mean goes
-through the ``Raster`` check.  The whole chain runs on one BLAS thread, in
-scipy's OpenBLAS and in NumPy's own, through OpenBLAS's
-``openblas_set_num_threads_local`` where each provides it, and the caller's
-counts are restored afterwards.
+offsets, one lattice grid each (``lattice``); a sweep reads D^T x and
+f^T Q f from the weights and adds each grid, raveled, into the band's row
+k = di n2 + dj, so no banded sweep builds a scipy sparse matrix.  Past the
+band bound, SuperLU gets A as a CSC matrix assembled from the same
+diagonals.  Nor does a sweep scan what it made itself: the draw stays a
+bare array, whose 2-D view the mask thresholds into a boolean ``SpotMask``,
+which skips the 0/1 scan; only the chain's mean goes through the ``Raster``
+check.  The whole chain runs on one BLAS thread, in scipy's OpenBLAS and in
+NumPy's own, through OpenBLAS's ``openblas_set_num_threads_local`` where
+each provides it, and the caller's counts are restored afterwards.
 """
 
 from __future__ import annotations
@@ -183,26 +183,6 @@ class SpectralPrecision:
 _spectral_precision = lru_cache(maxsize=8)(SpectralPrecision)
 
 
-def _diagonals(precision: PrecisionMatrix, transposed: bool = False) -> list:
-    """Where Q's upper entries lie, as (offset, k, region) for each offset of
-    ``precision.upper`` that has a pixel pair: with the lattice's pixels in
-    row-major order, or its transpose's with ``transposed``, the offset's
-    entries (transposed with the lattice) are Q[a, a + k] for the pixels a
-    of ``region``, a pair of slices of that grid."""
-    m1, m2 = (precision.n2, precision.n1) if transposed else (precision.n1, precision.n2)
-    layout = []
-    for offset, e in precision.upper.items():
-        di, dj = offset
-        # pixel (i, j) is pixel (j, i) of the transposed lattice, so an
-        # offset (di, dj) becomes (dj, di); the pairs of (1, -1) keep it
-        if transposed and dj >= 0:
-            di, dj = dj, di
-        if e.size:
-            layout.append((offset, di * m2 + dj,
-                           (slice(m1 - di), slice(max(0, -dj), m2 - max(0, dj)))))
-    return layout
-
-
 class SuperLUSolver:
     """Sparse direct solve of A x = b, A = kappa_l I + kappa_f Q, for any Q.
 
@@ -214,13 +194,14 @@ class SuperLUSolver:
     def solve(self, precision: PrecisionMatrix, noise: NoiseParams,
               b: np.ndarray) -> np.ndarray:
         n = precision.n
-        rows = {}  # k -> Q[a, a + k] for every pixel a
-        for offset, k, region in _diagonals(precision):
-            row = rows.setdefault(k, np.zeros(n)).reshape(precision.n1, precision.n2)
-            row[region] = precision.upper[offset]
-        diagonals = [noise.kappa_f * row[:n - k] for k, row in rows.items()]
-        diagonals[0] += noise.kappa_l  # k = 0 comes first
-        upper = list(rows)
+        rows = {}  # k -> kappa_f Q[a, a + k] for every pixel a
+        for (di, dj), e in precision.upper.items():
+            k = di * precision.n2 + dj
+            rows[k] = rows.get(k, 0.0) + noise.kappa_f * e.ravel()
+        rows[0] += noise.kappa_l
+        # on a lattice one or two pixels high, a k can pass the last pixel
+        upper = [k for k in rows if k < n]  # k = 0 comes first
+        diagonals = [rows[k][:n - k] for k in upper]
         a = sparse.diags(diagonals + diagonals[1:], upper + [-k for k in upper[1:]],
                          format="csc")
         try:
@@ -235,8 +216,9 @@ class SuperLUSolver:
 
 def _half_width(n1: int, n2: int) -> int:
     """Band half-width of Q with pixels ordered along the shorter side:
-    Q couples pixels up to two rows apart."""
-    return min(2 * min(n1, n2), n1 * n2 - 1)
+    Q couples pixels up to two rows apart.  On a lattice at most 2 pixels
+    on each side it is n or more, which ``dpbtrf`` accepts."""
+    return 2 * min(n1, n2)
 
 
 def _blas_thread_setters() -> list:
@@ -291,36 +273,34 @@ class BandedCholeskySolver:
     and no fill outside the band (Rue 2001; Rue & Held 2005, section 2.4).
     The lower band is one Fortran-ordered (kd + 1, n) array per chain, reused
     every sweep.  Row k of the band holds Q[a, a + k] at column a, so each
-    sweep writes kappa_f times each offset's entries of Q into a 2-D view of
-    its row, taken by slicing once per chain, and adds kappa_l on the
-    diagonal.
+    sweep adds kappa_f times each offset's grid of ``precision.upper``,
+    raveled, into row k = di n2 + dj, and kappa_l into row 0.  When n2 > n1
+    the sweep reads the grids of the transposed lattice, whose precision it
+    builds from the transposed weights, and permutes b and x to match.
     """
 
     def __init__(self, precision: PrecisionMatrix):
-        n1, n2 = precision.n1, precision.n2
-        self._transposed = n2 > n1
-        self._grid = (n2, n1) if self._transposed else (n1, n2)
-        self._ab = np.zeros((_half_width(n1, n2) + 1, precision.n), order="F")
-        self._rows = [(offset, self._ab[k].reshape(self._grid)[region])
-                      for offset, k, region in _diagonals(precision, self._transposed)]
+        self._transposed = precision.n2 > precision.n1
+        self._ab = np.zeros((_half_width(precision.n1, precision.n2) + 1, precision.n),
+                            order="F")
 
     def solve(self, precision: PrecisionMatrix, noise: NoiseParams,
               b: np.ndarray) -> np.ndarray:
+        if self._transposed:
+            b = b.reshape(precision.n1, precision.n2).T.ravel()
+            precision = PrecisionMatrix(precision.down.T, precision.across.T)
         # the last sweep's factor fills the whole band, pattern zeros included
         self._ab.fill(0.0)
-        for offset, row in self._rows:
-            e = precision.upper[offset]
-            np.multiply(e.T if self._transposed else e, noise.kappa_f, out=row)
+        for (di, dj), e in precision.upper.items():
+            self._ab[di * precision.n2 + dj] += noise.kappa_f * e.ravel()
         self._ab[0] += noise.kappa_l
-        if self._transposed:
-            b = b.reshape(self._grid[::-1]).T.ravel()
         chol, info = dpbtrf(self._ab, lower=1, overwrite_ab=1)
         if info > 0:
             raise SamplerNumericalError(
                 f"banded Cholesky failed at pivot {info} (n={precision.n}, "
                 f"kappa_l={noise.kappa_l}, kappa_f={noise.kappa_f})")
         x, _ = dpbtrs(chol, b, lower=1)
-        return x.reshape(self._grid).T.ravel() if self._transposed else x
+        return x.reshape(precision.n1, precision.n2).T.ravel() if self._transposed else x
 
 
 # The bound is about time and memory.  The band is (kd + 1) n 8 bytes: 34 MB

@@ -56,17 +56,19 @@ def draw_in_pixels(y, zg, noise, precision, rng, solver):
 
 def dense_q(n1, n2, precision):
     """Q in pixel space, dense, expanded from the closed-form entries that the
-    solvers read: entry [i, j] of offset (di, dj) couples pixel
-    (i, j + max(0, -dj)) with that pixel plus (di, dj).  A
-    ``SpectralPrecision`` is the homogeneous Q."""
+    solvers read: entry [i, j] of offset (di, dj)'s lattice grid couples
+    pixel (i, j) with pixel (i + di, j + dj), and is zero where that pixel
+    leaves the lattice.  A ``SpectralPrecision`` is the homogeneous Q."""
     if isinstance(precision, SpectralPrecision):
         precision = build_igmrf_precision(n1, n2)
     q = np.zeros((n1 * n2, n1 * n2))
+    i, j = np.indices((n1, n2))
     for (di, dj), e in precision.upper.items():
-        i, j = np.indices(e.shape)
-        j = j + max(0, -dj)
-        a, b = i * n2 + j, (i + di) * n2 + j + dj
-        q[a, b] = q[b, a] = e
+        assert e.shape == (n1, n2)
+        inside = (i + di < n1) & (0 <= j + dj) & (j + dj < n2)
+        assert not e[~inside].any()
+        a, b = i[inside] * n2 + j[inside], (i[inside] + di) * n2 + j[inside] + dj
+        q[a, b] = q[b, a] = e[inside]
     return q
 
 

@@ -43,6 +43,10 @@ class TestRaster:
         with pytest.raises(ValueError):
             Raster(1, 2, [1.0, np.nan])
 
+    def test_parses_numeric_strings(self):
+        # the finite check runs after the float cast, which parses them
+        np.testing.assert_array_equal(Raster(1, 2, ["1", "2"]).data, [1.0, 2.0])
+
     @GRIDS
     def test_rejects_bad_dims(self, grid):
         with pytest.raises(ValueError):
@@ -66,6 +70,12 @@ class TestSpotMask:
     def test_values_restricted_to_binary(self):
         with pytest.raises(ValueError):
             SpotMask(1, 2, [0, 2])
+
+    @pytest.mark.parametrize("values", [[0.5, 1.0, 1.9], [256, 1, 0]])
+    def test_values_checked_before_the_int8_cast(self, values):
+        # the cast would truncate 0.5 and 1.9 to 0 and 1, and 256 does not fit
+        with pytest.raises(ValueError, match="0 or 1"):
+            SpotMask(1, 3, values)
 
     def test_zeros_constructor(self):
         m = SpotMask.zeros(3, 4)
