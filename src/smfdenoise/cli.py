@@ -37,7 +37,7 @@ from .diagnostics import (
     TraceSet,
     convergence_report,
 )
-from .fileio import load_raster, write_raster_csv
+from .fileio import format_csv_rows, load_raster, write_raster_csv
 from .lattice import Raster
 from .metrics import MetricInstabilityError
 from .model import SamplerNumericalError
@@ -138,8 +138,8 @@ def cmd_denoise(args) -> int:
     echo = effective_config_lines(hp, fc, sc) + [f"variant={args.variant}"]
     trace_lines = [f"# {c}" for c in echo]
     trace_lines.append("iteration,kappa_l,kappa_f,gamma1,gamma2,gamma3")
-    for t, row in enumerate(np.hstack([result.theta_trace, result.gamma_trace]), start=1):
-        trace_lines.append(f"{t}," + ",".join(f"{v:.9g}" for v in row))
+    rows = format_csv_rows(np.hstack([result.theta_trace, result.gamma_trace]))
+    trace_lines += [f"{t},{row}" for t, row in enumerate(rows, start=1)]
     with _files("write outputs"):
         write_raster_csv(args.out_mean, result.posterior_mean, echo)
         write_raster_csv(args.out_mask, result.final_mask, echo)

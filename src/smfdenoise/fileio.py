@@ -15,6 +15,7 @@ import numpy as np
 from .lattice import Raster, SpotMask
 
 __all__ = [
+    "format_csv_rows",
     "write_raster_csv",
     "read_raster_csv",
     "read_pgm16",
@@ -29,14 +30,17 @@ _PGM_HEADER = re.compile(rb"P5" + _PGM_GAP + rb"(\d+)" + _PGM_GAP + rb"(\d+)" + 
                          + rb"(\d+)(?:#[^\r\n]*[\r\n])*\s")
 
 
+def format_csv_rows(rows: np.ndarray) -> list[str]:
+    """One CSV line per row of the 2-D array ``rows``, each value to 9
+    significant digits: one %-format per row, whose text equals
+    ``format(v, ".9g")`` value by value."""
+    line = ",".join(["%.9g"] * rows.shape[1])
+    return [line % tuple(row) for row in rows.tolist()]
+
+
 def write_raster_csv(path, raster: Raster | SpotMask, comments: list[str] | None = None):
-    path = Path(path)
-    lines = []
-    for c in comments or []:
-        lines.append(f"# {c}")
-    for row in raster.to_2d():
-        lines.append(",".join(format(v, ".9g") for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    lines = [f"# {c}" for c in comments or []] + format_csv_rows(raster.to_2d())
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_raster_csv(path) -> Raster:

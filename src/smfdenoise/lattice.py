@@ -175,10 +175,11 @@ class PrecisionMatrix:
         lf = self.laplacian(f)
         return float(lf @ lf)
 
-    def perturbation(self, noise: NoiseParams, xi1: np.ndarray, xi2: np.ndarray,
-                     ) -> np.ndarray:
-        """sqrt(kappa_l) xi1 + sqrt(kappa_f) D^T xi2, a draw from
-        N(0, kappa_l I + kappa_f Q) for standard normal ``xi1`` and ``xi2``."""
+    def perturbation(self, noise: NoiseParams, rng: np.random.Generator) -> np.ndarray:
+        """A draw from N(0, kappa_l I + kappa_f Q): sqrt(kappa_l) xi1 +
+        sqrt(kappa_f) D^T xi2 for standard normal xi1, then xi2, from ``rng``."""
+        xi1 = rng.standard_normal(self.n)
+        xi2 = rng.standard_normal(self.n)
         return np.sqrt(noise.kappa_l) * xi1 - np.sqrt(noise.kappa_f) * self.laplacian(xi2)
 
 

@@ -10,14 +10,16 @@ Both variants run one Gibbs loop.  An ``igmrf`` chain runs in the DCT-II
 eigenbasis of its homogeneous Q (``SpectralPrecision``), where Q and
 A = kappa_l I + kappa_f Q are diagonal: it transforms y and the three trend
 columns into the basis once, keeps its field as coefficients, and
-transforms back only the posterior mean.  A sweep transforms just its two
-noise draws, in one stacked product; the gamma and kappa draws read inner
-products, which the orthonormal basis keeps, so they run unchanged, and
-f^T Q f is sum q c^2.  A ``higmrf`` chain runs in pixel space and builds
-one field solver for its lattice (``field_solver``), which factors A afresh
-every sweep: with a banded LAPACK Cholesky when the band half-width
-kd = 2 min(n1, n2) is at most ``BAND_KD_MAX`` = 256 (any lattice up to 128
-pixels on its shorter side) and with symmetric-mode SuperLU otherwise.
+transforms back only the posterior mean.  A sweep makes no transform: there
+A is diag(a), a = kappa_l + kappa_f q, so the field draw's perturbation,
+N(0, A), is sqrt(a) times one standard normal per coefficient; the gamma
+and kappa draws read inner products, which the orthonormal basis keeps, so
+they run unchanged, and f^T Q f is sum q c^2.  A ``higmrf`` chain runs in
+pixel space and builds one field solver for its lattice (``field_solver``),
+which factors A afresh every sweep: with a banded LAPACK Cholesky when the
+band half-width kd = 2 min(n1, n2) is at most ``BAND_KD_MAX`` = 256 (any
+lattice up to 128 pixels on its shorter side) and with symmetric-mode
+SuperLU otherwise.
 Either factor failing raises ``SamplerNumericalError``.
 
 A sweep does only its arithmetic.  Per lattice size, and shared by every
@@ -147,9 +149,8 @@ class SpectralPrecision:
         l2, self._u2 = np.linalg.eigh(_path_laplacian(n2))
         self.n = n1 * n2
         self._grid = (n1, n2)
-        self._l = (l1[:, None] + l2[None, :]).ravel()
-        self._q = self._l ** 2
-        for arr in (self._u1, self._u2, self._l, self._q):
+        self._q = (l1[:, None] + l2[None, :]).ravel() ** 2
+        for arr in (self._u1, self._u2, self._q):
             arr.flags.writeable = False
 
     def to_basis(self, x: np.ndarray) -> np.ndarray:
@@ -166,12 +167,11 @@ class SpectralPrecision:
         """f^T Q f for the field with coefficients ``c``."""
         return float(self._q @ (c * c))
 
-    def perturbation(self, noise: NoiseParams, xi1: np.ndarray, xi2: np.ndarray,
-                     ) -> np.ndarray:
-        """U^T (sqrt(kappa_l) xi1 + sqrt(kappa_f) D^T xi2), in one stacked
-        transform of the two pixel-space draws; D = -L for unit weights."""
-        x1, x2 = self.to_basis(np.stack([xi1, xi2]))
-        return np.sqrt(noise.kappa_l) * x1 - np.sqrt(noise.kappa_f) * (self._l * x2)
+    def perturbation(self, noise: NoiseParams, rng: np.random.Generator) -> np.ndarray:
+        """A draw from N(0, A) in the basis, where A = diag(a) with
+        a = kappa_l + kappa_f q: sqrt(a) times one standard normal per
+        coefficient, from ``rng``."""
+        return np.sqrt(noise.kappa_l + noise.kappa_f * self._q) * rng.standard_normal(self.n)
 
     def solve(self, precision: SpectralPrecision, noise: NoiseParams,
               b: np.ndarray) -> np.ndarray:
@@ -328,16 +328,13 @@ def sample_field_given_gamma(y: np.ndarray, zg: np.ndarray, noise: NoiseParams,
 
     The Gaussian has precision A = kappa_l I + kappa_f Q and mean
     A^-1 kappa_l (y - Z gamma).  The draw is one solve of A with a
-    right-hand side perturbed by sqrt(kappa_l) xi1 + sqrt(kappa_f) D^T xi2,
-    for two standard normal draws xi1, xi2 (Papandreou & Yuille 2010);
-    ``solver`` is the chain's solver for this lattice.  With a
-    ``SpectralPrecision``, ``y``, ``zg`` and the draw are in its basis.
+    right-hand side perturbed by a draw from N(0, A), which the precision
+    makes from ``rng`` (Papandreou & Yuille 2010); ``solver`` is the chain's
+    solver for this lattice.  With a ``SpectralPrecision``, ``y``, ``zg``
+    and the draw are in its basis.
     """
-    n = precision.n
     resid = noise.kappa_l * (y - zg)
-    xi1 = rng.standard_normal(n)
-    xi2 = rng.standard_normal(n)
-    return solver.solve(precision, noise, resid + precision.perturbation(noise, xi1, xi2))
+    return solver.solve(precision, noise, resid + precision.perturbation(noise, rng))
 
 
 @lru_cache(maxsize=8)
@@ -390,6 +387,9 @@ def get_binary_image(x: np.ndarray, h: float, window: int) -> SpotMask:
 def _normalize(y: np.ndarray) -> tuple[np.ndarray, float, float]:
     lo = float(y.min())
     hi = float(y.max())
+    if np.isinf(hi - lo):
+        raise SamplerNumericalError(
+            f"input range [{lo:.9g}, {hi:.9g}] is wider than float64 can hold")
     if hi > lo:
         return (y - lo) / (hi - lo), lo, hi - lo
     return np.zeros_like(y), lo, 0.0
@@ -455,7 +455,16 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
             accum = solver.from_basis(accum)
 
     mean_norm = accum / (hp.n_iter - hp.burn_in)
-    posterior_mean = Raster(n1, n2, offset + mean_norm * scale)
+    # on an input range that nearly spans float64, a mean a little outside
+    # it overflows
+    try:
+        with np.errstate(over="raise"):
+            mean = offset + mean_norm * scale
+    except FloatingPointError:
+        raise SamplerNumericalError(
+            f"posterior mean overflows float64 on the input range "
+            f"[{offset:.9g}, {offset + scale:.9g}]") from None
+    posterior_mean = Raster(n1, n2, mean)
     return DenoiseResult(
         posterior_mean=posterior_mean,
         final_mask=mask,

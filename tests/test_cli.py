@@ -185,6 +185,33 @@ class TestDenoise:
         assert self.run(tmp_path, noisy_csv, str(cfg)) == EXIT_NUMERICAL
         assert one_error_line(capsys)
 
+    # a warning would reach the user's stderr next to the error line
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variant", ["igmrf", "higmrf"])
+    def test_input_range_past_float64_is_numerical_error(self, tmp_path, fast_cfg, variant,
+                                                        capsys):
+        # every value is finite, but max - min is not
+        wide = tmp_path / "wide.csv"
+        wide.write_text("-1.7e308,0,1\n2,3,1.7e308\n")
+        assert self.run(tmp_path, str(wide), fast_cfg, "--variant", variant) == EXIT_NUMERICAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("smfdenoise: input range [-1.7e+308, 1.7e+308]")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variant", ["igmrf", "higmrf"])
+    def test_posterior_mean_past_float64_is_numerical_error(self, tmp_path, fast_cfg, variant,
+                                                           capsys):
+        # max - min is finite, but a posterior mean a little outside the
+        # input range is not; most seeds draw one on this image
+        edge = tmp_path / "edge.csv"
+        edge.write_text("-1.7e308,0,0\n0,0,0\n")
+        codes = [self.run(tmp_path, str(edge), fast_cfg, "--variant", variant, "--seed", str(s))
+                 for s in range(10)]
+        assert set(codes) <= {EXIT_OK, EXIT_NUMERICAL} and EXIT_NUMERICAL in codes
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == codes.count(EXIT_NUMERICAL)
+        assert all(l.startswith("smfdenoise: posterior mean overflows float64") for l in err)
+
     def test_missing_input_is_io_error(self, tmp_path, fast_cfg):
         rc = self.run(tmp_path, str(tmp_path / "ghost.csv"), fast_cfg)
         assert rc == EXIT_IO

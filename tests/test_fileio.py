@@ -2,9 +2,33 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from smfdenoise.fileio import load_raster, read_pgm16, read_raster_csv, write_raster_csv
-from smfdenoise.lattice import Raster
+from smfdenoise.lattice import Raster, SpotMask
+
+SHAPES = st.tuples(st.integers(1, 6), st.integers(1, 6))
+# finite doubles, with the ones whose text is most likely to differ: signed
+# zero, subnormals, the ends of the range, and 9- and 10-digit values
+VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1.5e-320, 2.2250738585072009e-308,
+                     1.7e308, -1.7e308, 1.7976931348623157e308, 123456789.0,
+                     1234567890.0, 0.123456789, -9.87654321e-5, 0.1234567891]),
+    st.integers(-10**10, 10**10).map(float),
+)
+RASTERS = st.one_of(
+    arrays(np.float64, SHAPES, elements=VALUES).map(Raster.from_2d),
+    arrays(np.int8, SHAPES, elements=st.integers(0, 1)).map(SpotMask.from_2d),
+)
+
+
+def csv_value_by_value(raster, comments):
+    """The CSV text of ``raster`` with each value formatted on its own."""
+    rows = [",".join(format(v, ".9g") for v in row) for row in raster.to_2d()]
+    return "\n".join([f"# {c}" for c in comments] + rows) + "\n"
 
 
 def write_pgm16(path, x):
@@ -46,6 +70,21 @@ class TestCsv:
         path.write_text("# T=10\n1,2\n\n3,x\n")
         with pytest.raises(ValueError, match=rf"^{path}, line 4: .*'x'"):
             read_raster_csv(path)
+
+    @settings(max_examples=200, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(RASTERS)
+    def test_row_writer_bytes_equal_value_by_value_format(self, tmp_path, raster):
+        path = tmp_path / "r.csv"
+        write_raster_csv(path, raster, comments=["T=100"])
+        assert path.read_bytes() == csv_value_by_value(raster, ["T=100"]).encode()
+        back = read_raster_csv(path)
+        assert back.to_2d().shape == raster.to_2d().shape
+        # 9 digits hold a value to 5e-9 relative; parsing adds at most as much
+        np.testing.assert_allclose(back.data, raster.data, rtol=1e-8, atol=0)
+        again = tmp_path / "again.csv"
+        write_raster_csv(again, back, comments=["T=100"])
+        assert again.read_bytes() == path.read_bytes()
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -186,27 +186,57 @@ class TestSpectralPrecision:
         spectral = SpectralPrecision(n1, n2)
         precision = build_igmrf_precision(n1, n2)
         rng = np.random.default_rng(n)
-        f, xi1, xi2 = rng.standard_normal((3, n))
+        f, g = rng.standard_normal((2, n))
         c = spectral.to_basis(f)
         np.testing.assert_allclose(spectral.from_basis(c), f, rtol=0, atol=1e-13)
         np.testing.assert_allclose(np.linalg.norm(c), np.linalg.norm(f), rtol=1e-14)
         np.testing.assert_allclose(spectral.quad_form(c), precision.quad_form(f), rtol=1e-12)
-        noise = NoiseParams(kappa_l=2.0, kappa_f=0.5)
-        np.testing.assert_allclose(spectral.perturbation(noise, xi1, xi2),
-                                   spectral.to_basis(precision.perturbation(noise, xi1, xi2)),
-                                   rtol=0, atol=1e-12)
         # a stack of rows goes through row by row
-        rows = np.stack([f, xi1])
+        rows = np.stack([f, g])
         np.testing.assert_allclose(spectral.to_basis(rows),
-                                   [spectral.to_basis(f), spectral.to_basis(xi1)],
+                                   [spectral.to_basis(f), spectral.to_basis(g)],
                                    rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n1, n2", [(1, 6), (6, 1), (5, 7), (7, 7)])
+    def test_perturbation_covariance_is_the_system(self, n1, n2):
+        # Both perturbations are linear in their standard normal draws, so
+        # their covariances are exact: A in pixel space, and in the basis
+        # U^T A U, which is diag(kappa_l + kappa_f q)
+        n = n1 * n2
+        spectral = SpectralPrecision(n1, n2)
+        noise = NoiseParams(kappa_l=2.0, kappa_f=0.5)
+        a = noise.kappa_l * np.eye(n) + noise.kappa_f * dense_q(n1, n2, spectral)
+        u = spectral.to_basis(np.eye(n))  # row k is U^T e_k, so the array is U
+        m = perturbation_matrix(build_igmrf_precision(n1, n2), noise, 2)
+        np.testing.assert_allclose(m @ m.T, a, rtol=0, atol=1e-12 * np.abs(a).max())
+        m = perturbation_matrix(spectral, noise, 1)
+        cov = m @ m.T
+        assert not (cov - np.diag(np.diag(cov))).any()
+        np.testing.assert_allclose(cov, u.T @ a @ u, rtol=0, atol=1e-12 * np.abs(a).max())
+
+
+def perturbation_matrix(precision, noise, n_draws):
+    """M such that ``precision.perturbation`` is M eta, where eta stacks its
+    ``n_draws`` standard normal draws of n values each: column k is the
+    perturbation made from the k-th unit vector, cut into those draws."""
+    class UnitRng:
+        def __init__(self, e):
+            self._draws = iter(e.reshape(n_draws, precision.n))
+
+        def standard_normal(self, size):
+            return next(self._draws)
+
+    return np.column_stack([precision.perturbation(noise, UnitRng(e))
+                            for e in np.eye(n_draws * precision.n)])
 
 
 def pixel_igmrf_chain(y, hp):
-    """The ``igmrf`` chain in pixel space, with the solve that transforms its
-    right-hand side into the DCT-II basis and back every sweep: the
-    reference that the coefficient-space chain must agree with.  Returns the
-    posterior mean and the kappa and gamma traces."""
+    """The ``igmrf`` chain in pixel space, with the field draw made by dense
+    products with the DCT-II basis U every sweep: the right-hand side goes
+    into the basis, takes one standard normal per coefficient scaled by
+    sqrt(a), is divided by a and comes back.  It is the reference that the
+    coefficient-space chain must agree with.  Returns the posterior mean and
+    the kappa and gamma traces."""
     n1, n2, n = y.n1, y.n2, y.n1 * y.n2
     lo, hi = y.data.min(), y.data.max()
     yn = (y.data - lo) / (hi - lo)
@@ -215,7 +245,8 @@ def pixel_igmrf_chain(y, hp):
         adj = np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1)
         laplacians.append(np.linalg.eigh(np.diag(adj.sum(axis=1)) - adj))
     (l1, u1), (l2, u2) = laplacians
-    q_eigs = (l1[:, None] + l2[None, :]) ** 2
+    basis = np.kron(u1, u2)  # U, for pixels and coefficients in row-major order
+    q_eigs = ((l1[:, None] + l2[None, :]) ** 2).ravel()
     design = make_design(n1, n2)
     ztz = design.T @ design
     precision = build_igmrf_precision(n1, n2)
@@ -227,12 +258,9 @@ def pixel_igmrf_chain(y, hp):
         gamma = sample_gamma(yn, f, noise.kappa_l, design, ztz, hp.gamma_precision, rng)
         zg = design @ gamma
         noise = sample_kappas(yn, f, zg, precision, hp, rng)
-        xi1 = rng.standard_normal(n)
-        xi2 = rng.standard_normal(n)
-        b = (noise.kappa_l * (yn - zg) + np.sqrt(noise.kappa_l) * xi1
-             - np.sqrt(noise.kappa_f) * precision.laplacian(xi2))
-        c = u1.T @ b.reshape(n1, n2) @ u2 / (noise.kappa_l + noise.kappa_f * q_eigs)
-        f = (u1 @ c @ u2.T).ravel()
+        a = noise.kappa_l + noise.kappa_f * q_eigs
+        b = basis.T @ (noise.kappa_l * (yn - zg)) + np.sqrt(a) * rng.standard_normal(n)
+        f = basis @ (b / a)
         theta.append((noise.kappa_l, noise.kappa_f))
         gammas.append(gamma)
         if t > hp.burn_in:
