@@ -6,7 +6,10 @@ spot mask by local thresholding and rebuilds the field precision from it.
 The denoised image is the average of the post-burn-in noise-free
 reconstructions (trend plus field).
 
-Both variants run one Gibbs loop.  An ``igmrf`` chain runs in the DCT-II
+Both variants run one Gibbs loop, on a tall lattice (n1 >= n2): ``denoise``
+runs a wide raster's chain on its transpose and maps the mean, the mask and
+the gamma trace's row and column coefficients back (the mask's window is
+square, so its threshold commutes with the transpose).  An ``igmrf`` chain runs in the DCT-II
 eigenbasis of its homogeneous Q (``SpectralPrecision``), where Q and
 A = kappa_l I + kappa_f Q are diagonal: it transforms y and the three trend
 columns into the basis once, keeps its field as coefficients, and
@@ -17,10 +20,10 @@ and kappa draws read inner products, which the orthonormal basis keeps, so
 they run unchanged, and f^T Q f is sum q c^2.  A ``higmrf`` chain runs in
 pixel space and builds one field solver for its lattice (``field_solver``),
 which factors A afresh every sweep: with a banded LAPACK Cholesky when the
-band half-width kd = 2 min(n1, n2) is at most ``BAND_KD_MAX`` = 256 (any
-lattice up to 128 pixels on its shorter side) and with symmetric-mode
-SuperLU otherwise.
-Either factor failing raises ``SamplerNumericalError``.
+band half-width kd = 2 n2 of row-major order is at most ``BAND_KD_MAX`` =
+256 (any raster up to 128 pixels on its shorter side) and with
+symmetric-mode SuperLU otherwise; either failing raises
+``SamplerNumericalError``.
 
 A sweep does only its arithmetic.  Per lattice size, and shared by every
 chain on it, are cached: the eigenbasis (``_spectral_precision``) and the
@@ -214,13 +217,6 @@ class SuperLUSolver:
         return lu.solve(b)
 
 
-def _half_width(n1: int, n2: int) -> int:
-    """Band half-width of Q with pixels ordered along the shorter side:
-    Q couples pixels up to two rows apart.  On a lattice at most 2 pixels
-    on each side it is n or more, which ``dpbtrf`` accepts."""
-    return 2 * min(n1, n2)
-
-
 def _blas_thread_setters() -> list:
     """OpenBLAS's ``openblas_set_num_threads_local`` of each OpenBLAS that
     the sampler calls: scipy's, behind ``dpbtrf`` and the other LAPACK calls,
@@ -267,28 +263,24 @@ def _one_blas_thread():
 class BandedCholeskySolver:
     """Banded Cholesky solve of A x = b, A = kappa_l I + kappa_f Q, for any Q.
 
-    Ordered along the shorter lattice side (transposed when n2 > n1), A is a
-    band matrix of half-width kd = ``_half_width(n1, n2)``, so LAPACK's
+    With pixels in row-major order Q couples pixels up to two rows apart, so
+    A is a band matrix of half-width kd = 2 n2, and LAPACK's
     ``dpbtrf``/``dpbtrs`` factor and solve it in O(n kd^2) with no ordering
     and no fill outside the band (Rue 2001; Rue & Held 2005, section 2.4).
-    The lower band is one Fortran-ordered (kd + 1, n) array per chain, reused
-    every sweep.  Row k of the band holds Q[a, a + k] at column a, so each
-    sweep adds kappa_f times each offset's grid of ``precision.upper``,
-    raveled, into row k = di n2 + dj, and kappa_l into row 0.  When n2 > n1
-    the sweep reads the grids of the transposed lattice, whose precision it
-    builds from the transposed weights, and permutes b and x to match.
+    The band is exact on any lattice and narrowest on a tall one (n1 >= n2),
+    which is the only kind ``denoise`` runs a chain on; on a lattice at most
+    2 pixels high kd is n or more, which ``dpbtrf`` accepts.  The lower band
+    is one Fortran-ordered (kd + 1, n) array per chain, reused every sweep.
+    Row k of the band holds Q[a, a + k] at column a, so each sweep adds
+    kappa_f times each offset's grid of ``precision.upper``, raveled, into
+    row k = di n2 + dj, and kappa_l into row 0.
     """
 
     def __init__(self, precision: PrecisionMatrix):
-        self._transposed = precision.n2 > precision.n1
-        self._ab = np.zeros((_half_width(precision.n1, precision.n2) + 1, precision.n),
-                            order="F")
+        self._ab = np.zeros((2 * precision.n2 + 1, precision.n), order="F")
 
     def solve(self, precision: PrecisionMatrix, noise: NoiseParams,
               b: np.ndarray) -> np.ndarray:
-        if self._transposed:
-            b = b.reshape(precision.n1, precision.n2).T.ravel()
-            precision = PrecisionMatrix(precision.down.T, precision.across.T)
         # the last sweep's factor fills the whole band, pattern zeros included
         self._ab.fill(0.0)
         for (di, dj), e in precision.upper.items():
@@ -299,8 +291,7 @@ class BandedCholeskySolver:
             raise SamplerNumericalError(
                 f"banded Cholesky failed at pivot {info} (n={precision.n}, "
                 f"kappa_l={noise.kappa_l}, kappa_f={noise.kappa_f})")
-        x, _ = dpbtrs(chol, b, lower=1)
-        return x.reshape(precision.n1, precision.n2).T.ravel() if self._transposed else x
+        return dpbtrs(chol, b, lower=1)[0]
 
 
 # The bound is about time and memory.  The band is (kd + 1) n 8 bytes: 34 MB
@@ -311,9 +302,11 @@ BAND_KD_MAX = 256
 
 
 def field_solver(precision: PrecisionMatrix) -> BandedCholeskySolver | SuperLUSolver:
-    """The solver a ``higmrf`` chain builds for its lattice; ``precision`` is
-    any precision of the lattice."""
-    if _half_width(precision.n1, precision.n2) <= BAND_KD_MAX:
+    """The solver a ``higmrf`` chain builds for its lattice, from any
+    precision of it: banded while the band's half-width, kd = 2 n2, is at
+    most ``BAND_KD_MAX``, which a chain, run tall, is on any raster up to
+    128 pixels on its shorter side."""
+    if 2 * precision.n2 <= BAND_KD_MAX:
         return BandedCholeskySolver(precision)
     return SuperLUSolver()
 
@@ -413,8 +406,10 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
         raise ValueError(f"unknown variant {variant!r}")
     hp.validate()
     rng = np.random.default_rng(hp.seed)
-    n1, n2 = y.n1, y.n2
-    yn, offset, scale = _normalize(y.data)
+    wide = y.n2 > y.n1
+    grid = y.to_2d().T if wide else y.to_2d()
+    n1, n2 = grid.shape
+    yn, offset, scale = _normalize(grid.ravel())
 
     mask = SpotMask.zeros(n1, n2)
     noise = NoiseParams(kappa_l=hp.alpha_l * hp.beta_l, kappa_f=hp.alpha_f * hp.beta_f)
@@ -464,9 +459,12 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
         raise SamplerNumericalError(
             f"posterior mean overflows float64 on the input range "
             f"[{offset:.9g}, {offset + scale:.9g}]") from None
-    posterior_mean = Raster(n1, n2, mean)
+    if wide:
+        mean = mean.reshape(n1, n2).T
+        mask = SpotMask.from_2d(mask.to_2d().T == 1)  # boolean, so not scanned
+        gamma_trace = gamma_trace[:, [0, 2, 1]]
     return DenoiseResult(
-        posterior_mean=posterior_mean,
+        posterior_mean=Raster(y.n1, y.n2, mean),
         final_mask=mask,
         theta_trace=theta_trace,
         gamma_trace=gamma_trace,

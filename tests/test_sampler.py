@@ -12,7 +12,7 @@ from conftest import (
 )
 from scipy import sparse
 
-from smfdenoise import sampler
+from smfdenoise import lattice, sampler
 from smfdenoise.lattice import (
     Raster,
     SpotMask,
@@ -155,9 +155,10 @@ class TestSampleFieldGivenGamma:
             self.check_mean(n1, n2, precision, SuperLUSolver())
 
     def test_banded_mean_matches_dense_solve(self):
-        # band along the rows (n2 <= n1) and along the columns (transposed);
-        # kd = 68 at 34 x 40 is past 64, where dpbtrf's block updates outgrow
-        # 32 x 32; at 1 x 2, 2 x 1 and 2 x 2 the band is wider than the system
+        # the band is exact on tall and wide lattices, only wider on a wide
+        # one; kd = 68 at 40 x 34 and 80 at 34 x 40 are past 64, where
+        # dpbtrf's block updates outgrow 32 x 32; at 1 x 5, 1 x 2, 2 x 1 and
+        # 2 x 2 the band is wider than the system
         for n1, n2, seed in [(1, 5, 1), (5, 1, 5), (3, 40, 6), (40, 3, 7), (8, 8, 4),
                              (34, 40, 9), (40, 34, 10), (1, 2, 12), (2, 1, 13), (2, 2, 14)]:
             precision = random_mask_precision(n1, n2, seed)
@@ -276,22 +277,24 @@ class TestSpectralChain:
         y = Raster.from_2d(rng.standard_normal((n1, n2)))
         hp = HyperParams(n_iter=60, burn_in=20, seed=13)
         got = denoise(y, hp, IGMRF)
-        want = pixel_igmrf_chain(y, hp)
+        # a wide raster's chain runs on its transpose, and is mapped back
+        if n2 > n1:
+            mean, theta, gammas = pixel_igmrf_chain(Raster.from_2d(y.to_2d().T), hp)
+            want = mean.reshape(n2, n1).T.ravel(), theta, gammas[:, [0, 2, 1]]
+        else:
+            want = pixel_igmrf_chain(y, hp)
         for a, b in zip((got.posterior_mean.data, got.theta_trace, got.gamma_trace), want):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 def csr_band(q, n1, n2, noise):
     """The lower band of A = kappa_l I + kappa_f Q, scattered entry by entry
-    from Q's CSR form ``q``, with pixels ordered along the shorter side."""
+    from Q's CSR form ``q``, with pixels in row-major order (kd = 2 n2)."""
     n = n1 * n2
-    kd = 2 * min(n1, n2)
-    order = np.arange(n).reshape(n1, n2).T.ravel() if n2 > n1 else np.arange(n)
-    rank = np.argsort(order)
-    i = rank[np.repeat(np.arange(n), np.diff(q.indptr))]
-    j = rank[q.indices]
+    i = np.repeat(np.arange(n), np.diff(q.indptr))
+    j = q.indices
     lower = i >= j
-    band = np.zeros((kd + 1, n))
+    band = np.zeros((2 * n2 + 1, n))
     band[(i - j)[lower], j[lower]] = noise.kappa_f * q.data[lower]
     band[0] += noise.kappa_l
     return band
@@ -332,17 +335,17 @@ class TestBandAssembly:
     @pytest.mark.parametrize("n1, n2", [(20, 33), (33, 20)])
     def test_band_at_an_inexact_lam_matches_band_from_csr(self, monkeypatch, n1, n2):
         # at lam = 7.3 the sums round, in another order than the oracle's
-        # product, and a wide lattice adds its degrees on the transposed
-        # lattice; the largest relative difference measured was 4.3e-16
+        # product; the largest relative difference measured was 4.3e-16
         for band, oracle in self.bands(monkeypatch, n1, n2, 7.3):
             np.testing.assert_allclose(band, oracle, rtol=1e-14, atol=0)
 
 
 class TestFieldSolver:
     def test_band_half_width_selects_the_higmrf_solver(self):
-        # kd = 2 min(n1, n2): 256 at 128 x 300 stays banded, 258 at 129 x 129 does not
+        # kd = 2 n2: 256 at 300 x 128 stays banded, 258 at 129 x 129 and
+        # 600 at 128 x 300, which denoise runs as 300 x 128, do not
         for n1, n2, expected in [(4, 4, BandedCholeskySolver), (64, 64, BandedCholeskySolver),
-                                 (128, 300, BandedCholeskySolver),
+                                 (128, 300, SuperLUSolver),
                                  (300, 128, BandedCholeskySolver),
                                  (129, 129, SuperLUSolver)]:
             precision = build_igmrf_precision(n1, n2)
@@ -547,6 +550,52 @@ class TestDenoise:
             denoise(spot_input(), HyperParams(n_iter=5, burn_in=5))
 
 
+class TestOrientation:
+    @pytest.mark.parametrize("variant", [IGMRF, HIGMRF])
+    @pytest.mark.parametrize("n1, n2", [(1, 9), (2, 3), (5, 7), (12, 40)])
+    def test_wide_raster_runs_the_chain_of_its_transpose(self, variant, n1, n2):
+        # a wide raster's chain is its transpose's chain, mapped back: the
+        # mean and mask transposed, the row and column trend coefficients
+        # swapped
+        a = np.random.default_rng(n1 * n2).standard_normal((n1, n2))
+        hp = HyperParams(n_iter=20, burn_in=10, seed=5)
+        wide = denoise(Raster.from_2d(a), hp, variant)
+        tall = denoise(Raster.from_2d(a.T), hp, variant)
+        np.testing.assert_array_equal(wide.posterior_mean.to_2d(), tall.posterior_mean.to_2d().T)
+        np.testing.assert_array_equal(wide.final_mask.to_2d(), tall.final_mask.to_2d().T)
+        np.testing.assert_array_equal(wide.theta_trace, tall.theta_trace)
+        np.testing.assert_array_equal(wide.gamma_trace, tall.gamma_trace[:, [0, 2, 1]])
+
+    def test_field_solver_gets_a_tall_lattice(self, monkeypatch):
+        shapes = []
+        solver = sampler.field_solver
+        def spy(precision):
+            shapes.append((precision.n1, precision.n2))
+            return solver(precision)
+        monkeypatch.setattr(sampler, "field_solver", spy)
+        y = np.random.default_rng(3).standard_normal((3, 300))
+        denoise(Raster.from_2d(y), HyperParams(n_iter=2, burn_in=1), HIGMRF)
+        assert shapes == [(300, 3)]
+
+
+class TestOnePrecisionBuildPerSweep:
+    @pytest.mark.parametrize("n1, n2", [(12, 20), (20, 12)])
+    def test_higmrf_builds_one_precision_per_sweep(self, monkeypatch, n1, n2):
+        built = []
+        init = lattice.PrecisionMatrix.__init__
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(lattice.PrecisionMatrix, "__init__", counting_init)
+        y = Raster.from_2d(np.random.default_rng(4).standard_normal((n1, n2)))
+        counts = []
+        for n_iter in (4, 12):
+            built.clear()
+            denoise(y, HyperParams(n_iter=n_iter, burn_in=2), HIGMRF)
+            counts.append(len(built))
+        assert counts[1] - counts[0] == 8, counts
+
+
 class TestNoSparseMatrixPerSweep:
     @pytest.mark.parametrize("variant", [IGMRF, HIGMRF])
     def test_sparse_constructions_do_not_grow_with_sweeps(self, monkeypatch, variant):
@@ -590,36 +639,52 @@ class TestNoValueScanPerSweep:
 
 
 class TestSweepStationarity:
-    def test_sweep_preserves_stationary_moments(self):
-        """Run the sweep plus data resampling on a 2x2 lattice.
+    """Run a sweep plus data resampling on a small lattice.
 
-        Resampling y ~ N(Z gamma + f, kappa_l^-1 I) between sweeps makes the
-        chain stationary for the joint implied by the conditionals.  Under
-        that joint the marginal mean of kappa_l is alpha_l * beta_l; the
-        kappa_f conditional's N/2 shape term corresponds to a field
-        pseudo-prior with an extra kappa_f^(1/2) factor (Q has rank N-1), so
-        the stationary mean of kappa_f is (alpha_f + 1/2) * beta_f.
-        """
-        hp = HyperParams(alpha_l=2.0, beta_l=0.5, alpha_f=3.0, beta_f=0.25,
-                         gamma_precision=1.0)
+    Resampling y ~ N(Z gamma + f, kappa_l^-1 I) between sweeps makes the
+    chain stationary for the joint implied by the conditionals.  Under that
+    joint the marginal mean of kappa_l is alpha_l * beta_l; the kappa_f
+    conditional's N/2 shape term corresponds to a field pseudo-prior with an
+    extra kappa_f^(1/2) factor (Q has rank N-1), so the stationary mean of
+    kappa_f is (alpha_f + 1/2) * beta_f.
+    """
+
+    HP = HyperParams(alpha_l=2.0, beta_l=0.5, alpha_f=3.0, beta_f=0.25, gamma_precision=1.0)
+
+    def test_sweep_preserves_stationary_moments(self):
+        # the sweep igmrf chains run, in the DCT-II basis, on a 2x2 lattice;
+        # the basis is orthonormal, so y's noise is drawn there with the
+        # same law
         design = make_design(2, 2)
         ztz = design.T @ design
-        # the sweep igmrf chains run, in the DCT-II basis; the basis is
-        # orthonormal, so y's noise is drawn there with the same law
         precision = SpectralPrecision(2, 2)
-        design = precision.to_basis(design.T).T
+        self.check_stationary_moments(precision, precision, precision.to_basis(design.T).T, ztz)
+
+    def test_higmrf_sweep_with_a_fixed_mask_preserves_stationary_moments(self):
+        # the pixel-space sweep higmrf chains run, on a banded 3x3 lattice; a
+        # heterogeneous Q also has rank N-1, so the same holds with its mask
+        # fixed.  The full higmrf chain has no joint target, since its mask
+        # is a deterministic function of f.
+        design = make_design(3, 3)
+        mask = SpotMask.from_2d(np.random.default_rng(9).integers(0, 2, size=(3, 3)))
+        precision = build_higmrf_precision(mask, 50.0)
+        self.check_stationary_moments(precision, BandedCholeskySolver(precision), design,
+                                      design.T @ design)
+
+    def check_stationary_moments(self, precision, solver, design, ztz):
+        hp, n = self.HP, precision.n
         rng = np.random.default_rng(123)
         gamma = rng.standard_normal(3)
         noise = NoiseParams(rng.gamma(hp.alpha_l, hp.beta_l),
                             rng.gamma(hp.alpha_f, hp.beta_f))
-        f = rng.standard_normal(4) * 0.5
+        f = rng.standard_normal(n) * 0.5
         kl, kf = [], []
         for _ in range(15000):
-            y = design @ gamma + f + rng.standard_normal(4) / np.sqrt(noise.kappa_l)
+            y = design @ gamma + f + rng.standard_normal(n) / np.sqrt(noise.kappa_l)
             gamma = sample_gamma(y, f, noise.kappa_l, design, ztz, hp.gamma_precision, rng)
             zg = design @ gamma
             noise = sample_kappas(y, f, zg, precision, hp, rng)
-            f = sample_field_given_gamma(y, zg, noise, precision, rng, precision)
+            f = sample_field_given_gamma(y, zg, noise, precision, rng, solver)
             kl.append(noise.kappa_l)
             kf.append(noise.kappa_f)
         kl_mean = np.mean(kl[1000:])
