@@ -50,7 +50,7 @@ def read_raster_csv(path) -> Raster:
         if not line or line.startswith("#"):
             continue
         try:
-            rows.append([float(tok) for tok in line.split(",")])
+            rows.append(np.array(line.split(","), dtype=np.float64))
         except ValueError as exc:
             raise ValueError(f"{path}, line {lineno}: {exc}") from None
     if not rows:

@@ -40,21 +40,31 @@ which skips the 0/1 scan; only the chain's mean goes through the ``Raster``
 check.  The whole chain runs on one BLAS thread, in scipy's OpenBLAS and in
 NumPy's own, through OpenBLAS's ``openblas_set_num_threads_local`` where
 each provides it, and the caller's counts are restored afterwards.
+
+LAPACK is reached without importing scipy's packages: ``_load_flapack``
+loads scipy's own f2py extension, ``scipy.linalg._flapack``, from scipy's
+directory in 5-9 ms, and the module binds the five routines it calls.
+Importing them from ``scipy.linalg.lapack``, with ``scipy.sparse``, cost
+this module's import 405-490 ms on a 2-core x86 machine, 200-250 ms of it
+in scipy's array-API shim touching every lazy NumPy submodule: most of a
+CLI process's start-up.  ``SuperLUSolver`` and ``splu`` import
+``scipy.sparse`` on first use; only a lattice over 128 pixels on its
+shorter side reaches them, and its sweeps take seconds.
 """
 
 from __future__ import annotations
 
 import ctypes
-import importlib
+import importlib.util
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from pathlib import Path
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dtrtrs
-from scipy.sparse.linalg import splu
 
 from .lattice import (
     PrecisionMatrix,
@@ -80,6 +90,41 @@ __all__ = [
 
 IGMRF = "igmrf"
 HIGMRF = "higmrf"
+
+
+def _load_flapack():
+    """``scipy.linalg._flapack``, loaded from the directory that
+    ``find_spec`` gives for scipy without importing it.  The extension
+    enters itself in ``sys.modules`` as it loads (single-phase init), so a
+    later ``import scipy.linalg`` reuses it, as this reuses one loaded
+    before."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError(f"smfdenoise.sampler needs scipy's LAPACK extension {name}, "
+                          "and no scipy package was found", name=name)
+    where = str(Path(scipy.submodule_search_locations[0], "linalg"))
+    spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"smfdenoise.sampler needs scipy's LAPACK extension {name}, "
+                          f"and {where} holds none", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dpbtrf, dpbtrs, dpotrf, dpotrs, dtrtrs = (
+    _flapack.dpbtrf, _flapack.dpbtrs, _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs)
+
+
+def splu(a, **kwargs):
+    """``scipy.sparse.linalg.splu``, imported on the first call: only a
+    ``SuperLUSolver`` factors with it, and a SuperLU sweep takes seconds."""
+    from scipy.sparse.linalg import splu as superlu
+    return superlu(a, **kwargs)
 
 
 @dataclass
@@ -191,11 +236,13 @@ class SuperLUSolver:
 
     A is assembled in CSC form from Q's diagonals.  It is symmetric
     positive definite, so SuperLU orders on A + A^T and keeps the diagonal
-    pivots.
+    pivots.  ``scipy.sparse`` is imported on the first solve.
     """
 
     def solve(self, precision: PrecisionMatrix, noise: NoiseParams,
               b: np.ndarray) -> np.ndarray:
+        from scipy import sparse
+
         n = precision.n
         rows = {}  # k -> kappa_f Q[a, a + k] for every pixel a
         for (di, dj), e in precision.upper.items():
@@ -222,6 +269,9 @@ def _blas_thread_setters() -> list:
     the sampler calls: scipy's, behind ``dpbtrf`` and the other LAPACK calls,
     then NumPy's, behind ``@``.  NumPy 2 wheels bundle an OpenBLAS of their
     own, so the two counts are separate; NumPy 1 is not looked up.  Each
+    library is opened by the file of an extension already loaded: scipy's
+    through the ``_flapack`` this module loaded (importing it by name would
+    import ``scipy.linalg``), NumPy's through ``sys.modules``.  Each
     setter sets its library's BLAS thread count and returns the one it
     replaces.  The count is the calling thread's in OpenMP builds but the
     whole process's in pthreads builds, both wheels' among them.  A library
@@ -229,11 +279,10 @@ def _blas_thread_setters() -> list:
     dlsym on an extension module's handle also searches the libraries that
     the module links, which is where each OpenBLAS sits."""
     setters = []
-    for module in ("scipy.linalg._flapack", "numpy._core._multiarray_umath"):
+    for module in (_flapack, sys.modules.get("numpy._core._multiarray_umath")):
         try:
-            path = importlib.import_module(module).__file__
-            setter = ctypes.CDLL(path).openblas_set_num_threads_local
-        except (ImportError, OSError, AttributeError):
+            setter = ctypes.CDLL(module.__file__).openblas_set_num_threads_local
+        except (OSError, AttributeError):
             continue
         setter.argtypes = [ctypes.c_int]
         setter.restype = ctypes.c_int

@@ -1,10 +1,17 @@
 """Reference constructions shared by the lattice tests and the acceptance gate,
 field draws mapped to pixel space for the sampler tests and the gate, a
 small spot image and the BLAS thread counts for the chain and pool tests,
-and a fixture that gives each test its own chain pool."""
+a fresh interpreter for the import tests, and a fixture that gives each test
+its own chain pool."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from smfdenoise import pool, sampler
 from smfdenoise.lattice import Raster, build_igmrf_precision
@@ -42,6 +49,26 @@ def restore_blas_threads(counts):
     """Give each OpenBLAS back the count that ``set_blas_threads`` returned."""
     for setter, count in reversed(list(zip(sampler._blas_setters, counts))):
         setter(count)
+
+
+def openblas_in_scipy_and_numpy():
+    """Whether scipy and NumPy are both built on OpenBLAS, so that the
+    sampler finds a thread setter in each."""
+    return all("openblas" in lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
+               ["name"].lower() for lib in (scipy, np))
+
+
+def run_fresh(code, *args):
+    """The standard output of ``code`` run in a fresh interpreter, with
+    ``args`` as its arguments, that imports this package and, as
+    ``conftest``, this file.  A failed run fails the test with its stderr."""
+    paths = [str(Path(sampler.__file__).resolve().parents[1]), str(Path(__file__).parent),
+             os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def draw_in_pixels(y, zg, noise, precision, rng, solver):

@@ -2,16 +2,13 @@
 
 import os
 import signal
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_fresh
 from scipy.linalg import lapack
 
-import smfdenoise
 from smfdenoise import bench, cli, sampler
 from smfdenoise.cli import (
     EXIT_IO,
@@ -482,12 +479,45 @@ def test_cli_import_skips_ndimage_and_fft():
     # each costs start-up time on every CLI call; no CLI path needs scipy's
     # ndimage or fft, and only run_chains needs multiprocessing, so it
     # imports it when called
-    src = str(Path(smfdenoise.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, smfdenoise.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.startswith(('scipy.ndimage', 'scipy.fft', 'multiprocessing'))))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert run_fresh(code).strip() == "[]"
+
+
+def test_cli_and_chains_load_scipy_only_for_superlu():
+    # importing scipy's packages more than doubles a CLI process's start-up, so
+    # the chains of both variants run on scipy's LAPACK extension alone;
+    # only a SuperLU solve, past the band bound, imports scipy.sparse
+    code = """
+import sys
+import numpy as np
+import smfdenoise.cli
+from smfdenoise.lattice import Raster, SpotMask, build_higmrf_precision
+from smfdenoise.model import HyperParams, NoiseParams
+from smfdenoise.sampler import SuperLUSolver, denoise
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+y = Raster.from_2d(np.random.default_rng(3).standard_normal((12, 12)))
+for variant in ("igmrf", "higmrf"):
+    denoise(y, HyperParams(n_iter=4, burn_in=2), variant)
+print(scipy_modules())
+
+from conftest import dense_q
+rng = np.random.default_rng(5)
+precision = build_higmrf_precision(
+    SpotMask.from_2d(rng.integers(0, 2, size=(4, 4)).astype(np.int8)), 50.0)
+noise = NoiseParams(2.0, 0.5)
+b = rng.standard_normal(16)
+x = SuperLUSolver().solve(precision, noise, b)
+a = noise.kappa_l * np.eye(16) + noise.kappa_f * dense_q(4, 4, precision)
+expected = np.linalg.solve(a, b)
+print(np.abs(x - expected).max() / np.abs(expected).max())
+print("scipy.sparse.linalg" in sys.modules)
+"""
+    chains, error, superlu = run_fresh(code).splitlines()
+    assert chains == "['scipy.linalg._flapack']"
+    assert float(error) <= 1e-12
+    assert superlu == "True"

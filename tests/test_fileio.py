@@ -24,6 +24,20 @@ RASTERS = st.one_of(
     arrays(np.int8, SHAPES, elements=st.integers(0, 1)).map(SpotMask.from_2d),
 )
 
+# CSV cells as text: float reprs and 9-digit formats, the tokens where a
+# parser is most likely to part from float()'s rules (underscores, padding,
+# spelled-out and overflowing values, subnormals, non-ASCII digits, the
+# empty cell, Fortran exponents), and short strings of number characters
+TOKENS = st.one_of(
+    st.floats().map(repr),
+    VALUES.map(lambda v: format(v, ".9g")),
+    st.sampled_from(["1_0", " 1.5", "2.5 ", "infinity", "-Infinity", "1e400", "4.9e-324",
+                     "\u0661\u0662", "\u0663.\u0665", "", "1d5", "-0", "+.5", "5.", "nan"]),
+    st.text(alphabet="0123456789.-+eE_ \u0667x", max_size=6),
+)
+CSV_ROWS = st.integers(1, 4).flatmap(
+    lambda n2: st.lists(st.lists(TOKENS, min_size=n2, max_size=n2), min_size=1, max_size=4))
+
 
 def csv_value_by_value(raster, comments):
     """The CSV text of ``raster`` with each value formatted on its own."""
@@ -85,6 +99,26 @@ class TestCsv:
         again = tmp_path / "again.csv"
         write_raster_csv(again, back, comments=["T=100"])
         assert again.read_bytes() == path.read_bytes()
+
+    @settings(max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(CSV_ROWS)
+    def test_parse_equals_float_per_token(self, tmp_path, rows):
+        # the reader parses a line with one NumPy conversion, which must
+        # follow float()'s rules token by token, bit for bit, and reject
+        # what float() or the raster rejects
+        text = "".join(",".join(row) + "\n" for row in rows)
+        path = tmp_path / "r.csv"
+        path.write_text(text)
+        try:
+            expected = Raster.from_2d(np.array(
+                [[float(tok) for tok in line.split(",")]
+                 for line in map(str.strip, text.splitlines()) if line]))
+        except ValueError:
+            with pytest.raises(ValueError):
+                read_raster_csv(path)
+        else:
+            assert read_raster_csv(path).data.tobytes() == expected.data.tobytes()
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

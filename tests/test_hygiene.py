@@ -1,9 +1,10 @@
 """Static checks that keep the package surface small: every exported name
 and every dataclass field has a reader inside the package, no module
-imports what it never uses, the lattice loads no scipy, the sampler holds
-no process plumbing, every name the benchmark's tracer wraps still exists
-and runs as often as the tracer counts it, and the CLI has one error path
-whose exit codes the docs name."""
+imports what it never uses, the lattice loads no scipy, no module imports
+scipy outside the SuperLU path, the sampler holds no process plumbing,
+every name the benchmark's tracer wraps still exists and runs as often as
+the tracer counts it, and the CLI has one error path whose exit codes the
+docs name."""
 
 import ast
 import importlib
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
+from conftest import openblas_in_scipy_and_numpy
 
 from smfdenoise import cli, sampler
 from smfdenoise.lattice import Raster
@@ -110,8 +111,8 @@ def test_no_unused_imports(path):
 def test_lattice_loads_no_scipy():
     # a precision is its edge weights and Q's closed-form entries; a sparse
     # form of Q would load scipy with the lattice.  The package __init__
-    # re-exports the sampler, which loads scipy, so the module is imported
-    # into a bare package.
+    # re-exports the sampler, which loads scipy's LAPACK extension, so the
+    # module is imported into a bare package.
     code = ("import sys, types; pkg = types.ModuleType('smfdenoise'); "
             "pkg.__path__ = [sys.argv[1]]; sys.modules['smfdenoise'] = pkg; "
             "import smfdenoise.lattice; "
@@ -119,6 +120,40 @@ def test_lattice_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code, str(PACKAGE)], capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def scipy_imports(tree):
+    """The scope of each statement that imports scipy or a scipy module:
+    the dotted names of its enclosing classes and functions, "" at module
+    level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                modules = [child.module]
+            else:
+                modules = []
+            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                found.append(scope)
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_scipy_is_imported_only_on_the_superlu_path():
+    # importing scipy's packages more than doubles a CLI process's start-up;
+    # the sampler loads only scipy's LAPACK extension, and only a lattice
+    # past the band bound, whose sweeps take seconds, imports scipy.sparse
+    scopes = {f"{p.stem}:{scope}" for p in sorted(PACKAGE.glob("*.py"))
+              for scope in scipy_imports(parse(p))}
+    assert scopes <= {"sampler:splu", "sampler:SuperLUSolver.solve"}
 
 
 def test_sampler_holds_no_process_plumbing():
@@ -191,10 +226,8 @@ def test_openblas_thread_setter_resolves():
     # without them the banded factor silently goes back to threaded BLAS-3
     # calls past kd = 64, and the spectral solve to threaded matmuls, so a
     # build that renames the symbol must fail here
-    expected = [lib.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-                for lib in (scipy, np)]
-    if all("openblas" in blas.lower() for blas in expected):
-        assert len(sampler._blas_setters) == 2, expected
+    if openblas_in_scipy_and_numpy():
+        assert len(sampler._blas_setters) == 2
 
 
 def documented_exit_codes(text, start):

@@ -6,7 +6,9 @@ from conftest import (
     dense_difference_oracle,
     dense_q,
     draw_in_pixels,
+    openblas_in_scipy_and_numpy,
     restore_blas_threads,
+    run_fresh,
     set_blas_threads,
     spot_input,
 )
@@ -434,6 +436,56 @@ class TestOneBlasThread:
         precision = random_mask_precision(34, 40, 12)
         TestSampleFieldGivenGamma().check_mean(34, 40, precision,
                                                BandedCholeskySolver(precision))
+
+
+class TestLapackExtension:
+    """The sampler loads scipy's LAPACK extension without importing
+    ``scipy.linalg``, so either may be imported first."""
+
+    CHECK = """
+import numpy as np
+from conftest import dense_q
+from smfdenoise.lattice import SpotMask, build_higmrf_precision
+from smfdenoise.model import NoiseParams
+
+rng = np.random.default_rng(7)
+precision = build_higmrf_precision(
+    SpotMask.from_2d(rng.integers(0, 2, size=(30, 30)).astype(np.int8)), 50.0)
+noise = NoiseParams(2.0, 0.5)
+b = rng.standard_normal(900)
+x = sampler.BandedCholeskySolver(precision).solve(precision, noise, b)
+a = noise.kappa_l * np.eye(900) + noise.kappa_f * dense_q(30, 30, precision)
+ab = np.zeros((61, 900), order="F")
+for k in range(61):
+    ab[k, :900 - k] = np.diagonal(a, -k)
+chol, info = lapack.dpbtrf(ab, lower=1)
+print(x.tobytes() == lapack.dpbtrs(chol, b, lower=1)[0].tobytes())
+print(len(sampler._blas_setters))
+"""
+
+    @pytest.mark.parametrize("sampler_first", [True, False])
+    def test_either_import_order_runs_scipy_lapack(self, sampler_first):
+        imports = ["import smfdenoise.sampler as sampler", "from scipy.linalg import lapack"]
+        if not sampler_first:
+            imports.reverse()
+        same, setters = run_fresh("\n".join(imports) + self.CHECK).splitlines()
+        assert same == "True"
+        if openblas_in_scipy_and_numpy():
+            assert setters == "2"
+
+    @pytest.mark.parametrize("setup, message", [
+        ("sys.modules['scipy'] = None", "no scipy package was found"),
+        # a scipy with an empty linalg directory, ahead of the real one
+        ("sys.path.insert(0, sys.argv[1])", "linalg holds none"),
+    ])
+    def test_missing_extension_raises_import_error_naming_it(self, tmp_path, setup, message):
+        (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        code = (f"import sys; {setup}\n"
+                "try:\n    import smfdenoise.sampler\n"
+                "except ImportError as exc:\n    print(exc)")
+        out = run_fresh(code, str(tmp_path))
+        assert "scipy.linalg._flapack" in out and message in out
 
 
 def uncached_window_sums(x, half):
