@@ -46,55 +46,44 @@ def _check_odd(size: int, name: str = "size"):
 
 
 def gaussian_kernel(sigma: float, size: int) -> np.ndarray:
-    """Normalized sampled isotropic Gaussian on a size x size grid."""
+    """Normalized sampled 1-D Gaussian on ``size`` points.  The isotropic
+    size x size kernel is its outer product with itself."""
     _check_odd(size)
     if not (sigma > 0):
         raise ValueError(f"sigma must be positive, got {sigma}")
     half = size // 2
     ax = np.arange(-half, half + 1, dtype=np.float64)
-    g = np.exp(-(ax[:, None] ** 2 + ax[None, :] ** 2) / (2.0 * sigma ** 2))
+    g = np.exp(-ax ** 2 / (2.0 * sigma ** 2))
     return g / g.sum()
 
 
-def _weighted_window_sums(xp: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """sum over (a, b) of k[a, b] * xp[a:a + m1, b:b + m2] for every window of
-    xp that lies inside it.  For a symmetric k on an edge-padded image this is
-    the convolution with edge-replicated borders."""
-    m1 = xp.shape[0] - k.shape[0] + 1
-    m2 = xp.shape[1] - k.shape[1] + 1
-    out = np.zeros((m1, m2))
-    for a in range(k.shape[0]):
-        for b in range(k.shape[1]):
-            out += k[a, b] * xp[a:a + m1, b:b + m2]
-    return out
-
-
-def _box_sums(xp: np.ndarray, size: int) -> np.ndarray:
-    """Sums of xp over every size x size window that lies inside it."""
-    m1 = xp.shape[0] - size + 1
-    m2 = xp.shape[1] - size + 1
-    rows = xp[:m1].copy()
-    for a in range(1, size):
-        rows += xp[a:a + m1]
-    out = rows[:, :m2].copy()
-    for b in range(1, size):
-        out += rows[:, b:b + m2]
+def _window_sums(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum over (a, b) of w[a] * w[b] * xp[a:a + m1, b:b + m2] for every
+    len(w)-square window of xp that lies inside it, summed along rows, then
+    along columns.  For a symmetric w on an edge-padded image this is the
+    convolution with the kernel outer(w, w) and edge-replicated borders."""
+    m1 = xp.shape[0] - w.size + 1
+    m2 = xp.shape[1] - w.size + 1
+    rows = w[0] * xp[:m1]
+    for a in range(1, w.size):
+        rows += w[a] * xp[a:a + m1]
+    out = w[0] * rows[:, :m2]
+    for b in range(1, w.size):
+        out += w[b] * rows[:, b:b + m2]
     return out
 
 
 def gaussian_filter(y: Raster, sigma: float, size: int) -> Raster:
     """Convolution with a normalized Gaussian kernel, edge-replicated borders."""
-    k = gaussian_kernel(sigma, size)
-    out = _weighted_window_sums(np.pad(y.to_2d(), size // 2, mode="edge"), k)
-    return Raster.from_2d(out)
+    g = gaussian_kernel(sigma, size)
+    return Raster.from_2d(_window_sums(np.pad(y.to_2d(), size // 2, mode="edge"), g))
 
 
 def average_filter(y: Raster, size: int) -> Raster:
     """Convolution with a uniform kernel, edge-replicated borders."""
     _check_odd(size)
-    k = np.full((size, size), 1.0 / (size * size))
-    out = _weighted_window_sums(np.pad(y.to_2d(), size // 2, mode="edge"), k)
-    return Raster.from_2d(out)
+    sums = _window_sums(np.pad(y.to_2d(), size // 2, mode="edge"), np.ones(size))
+    return Raster.from_2d(sums / (size * size))
 
 
 def wiener_filter(y: Raster, size: int) -> Raster:
@@ -108,8 +97,8 @@ def wiener_filter(y: Raster, size: int) -> Raster:
     _check_odd(size)
     x = y.to_2d()
     xp = np.pad(x, size // 2, mode="edge")
-    mu = _box_sums(xp, size) / (size * size)
-    m2 = _box_sums(xp * xp, size) / (size * size)
+    mu = _window_sums(xp, np.ones(size)) / (size * size)
+    m2 = _window_sums(xp * xp, np.ones(size)) / (size * size)
     var = np.maximum(m2 - mu * mu, 0.0)
     floor = var.mean()
     denom = np.maximum(var, floor)
@@ -140,13 +129,14 @@ def nlm_filter(y: Raster, patch: int, search: int, h: float) -> Raster:
     num = np.zeros((n1, n2))
     den = np.zeros((n1, n2))
     h2 = h * h
+    ones = np.ones(patch)
     # center block of xp, with a ph-halo for the patch box sums
     base = xp[sh:sh + n1 + 2 * ph, sh:sh + n2 + 2 * ph]
     for dr in range(-sh, sh + 1):
         for dc in range(-sh, sh + 1):
             shifted = xp[sh + dr:sh + dr + n1 + 2 * ph, sh + dc:sh + dc + n2 + 2 * ph]
             diff2 = (base - shifted) ** 2
-            ssd = _box_sums(diff2, patch)
+            ssd = _window_sums(diff2, ones)
             w = np.exp(-ssd / h2)
             num += w * shifted[ph:ph + n1, ph:ph + n2]
             den += w

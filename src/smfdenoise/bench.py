@@ -74,20 +74,30 @@ def write_corpus(out_dir, pairs: list[SynthPair], config_lines: list[str]):
 
 def read_corpus(corpus_dir) -> list[tuple[Raster, Raster]]:
     """(truth, noisy) pairs per the manifest in corpus_dir, each pair on one
-    lattice."""
+    lattice.  The manifest lists images 0..N-1, each once: the k-th pair is
+    image k to ``run_bench``, ``read_external`` and the report."""
     corpus_dir = Path(corpus_dir)
     manifest = corpus_dir / "manifest.csv"
     if not manifest.exists():
         raise FileNotFoundError(f"no manifest.csv in {corpus_dir}")
     indices = []
-    for line in manifest.read_text().splitlines():
+    for number, line in enumerate(manifest.read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#") or line.startswith("index,"):
             continue
-        indices.append(int(line.split(",", 1)[0]))
+        field = line.split(",", 1)[0]
+        try:
+            indices.append(int(field))
+        except ValueError:
+            raise ValueError(f"{manifest}, line {number}: image index {field!r} "
+                             "is not an integer") from None
     if not indices:
         raise ValueError(f"{manifest} lists no images")
     indices.sort()
+    for k, index in enumerate(indices):
+        if index != k:
+            raise ValueError(f"{manifest} lists image {index} where image {k} belongs: "
+                             f"its indices must be 0..{len(indices) - 1}, each once")
     pairs = [(read_raster_csv(corpus_dir / f"truth_{k}.csv"),
               read_raster_csv(corpus_dir / f"noisy_{k}.csv")) for k in indices]
     for k, (truth, noisy) in zip(indices, pairs):

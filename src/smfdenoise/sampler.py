@@ -9,21 +9,19 @@ reconstructions (trend plus field).
 Both variants run one Gibbs loop, on a tall lattice (n1 >= n2): ``denoise``
 runs a wide raster's chain on its transpose and maps the mean, the mask and
 the gamma trace's row and column coefficients back (the mask's window is
-square, so its threshold commutes with the transpose).  An ``igmrf`` chain runs in the DCT-II
-eigenbasis of its homogeneous Q (``SpectralPrecision``), where Q and
-A = kappa_l I + kappa_f Q are diagonal: it transforms y and the three trend
-columns into the basis once, keeps its field as coefficients, and
-transforms back only the posterior mean.  A sweep makes no transform: there
-A is diag(a), a = kappa_l + kappa_f q, so the field draw's perturbation,
-N(0, A), is sqrt(a) times one standard normal per coefficient; the gamma
-and kappa draws read inner products, which the orthonormal basis keeps, so
-they run unchanged, and f^T Q f is sum q c^2.  A ``higmrf`` chain runs in
-pixel space and builds one field solver for its lattice (``field_solver``),
-which factors A afresh every sweep: with a banded LAPACK Cholesky when the
-band half-width kd = 2 n2 of row-major order is at most ``BAND_KD_MAX`` =
-256 (any raster up to 128 pixels on its shorter side) and with
-symmetric-mode SuperLU otherwise; either failing raises
-``SamplerNumericalError``.
+square, so its threshold commutes with the transpose).  An ``igmrf`` chain
+runs where Q and A = kappa_l I + kappa_f Q are diagonal, in Q's eigenbasis
+(``SpectralPrecision``): the DCT-II basis, taken from its formula with each
+column's sign fixed, so seeded outputs no longer hang on the LAPACK build,
+as they did on a basis from ``eigh``.  The chain transforms y and the three
+trend columns into it once, keeps its field as coefficients, and transforms
+back only the posterior mean, so a sweep makes no transform.  A
+``higmrf`` chain runs in pixel space and builds one field solver for its
+lattice (``field_solver``), which factors A afresh every sweep: with a
+banded LAPACK Cholesky when the band half-width kd = 2 n2 of row-major
+order is at most ``BAND_KD_MAX`` = 256 (any raster up to 128 pixels on its
+shorter side) and with symmetric-mode SuperLU otherwise; either failing
+raises ``SamplerNumericalError``.
 
 A sweep does only its arithmetic.  Per lattice size, and shared by every
 chain on it, are cached: the eigenbasis (``_spectral_precision``) and the
@@ -41,15 +39,12 @@ check.  The whole chain runs on one BLAS thread, in scipy's OpenBLAS and in
 NumPy's own, through OpenBLAS's ``openblas_set_num_threads_local`` where
 each provides it, and the caller's counts are restored afterwards.
 
-LAPACK is reached without importing scipy's packages: ``_load_flapack``
-loads scipy's own f2py extension, ``scipy.linalg._flapack``, from scipy's
-directory in 5-9 ms, and the module binds the five routines it calls.
-Importing them from ``scipy.linalg.lapack``, with ``scipy.sparse``, cost
-this module's import 405-490 ms on a 2-core x86 machine, 200-250 ms of it
-in scipy's array-API shim touching every lazy NumPy submodule: most of a
-CLI process's start-up.  ``SuperLUSolver`` and ``splu`` import
-``scipy.sparse`` on first use; only a lattice over 128 pixels on its
-shorter side reaches them, and its sweeps take seconds.
+LAPACK is reached without importing scipy's packages (README, Start-up):
+``_load_flapack`` loads scipy's own f2py extension, ``scipy.linalg._flapack``,
+from scipy's directory, and the module binds the five routines it calls.
+``SuperLUSolver`` and ``splu`` import ``scipy.sparse`` on first use; only a
+lattice over 128 pixels on its shorter side reaches them, and its sweeps
+take seconds.
 """
 
 from __future__ import annotations
@@ -170,11 +165,13 @@ def sample_kappas(y: np.ndarray, f: np.ndarray, zg: np.ndarray,
     return NoiseParams(kappa_l=kappa_l, kappa_f=kappa_f)
 
 
-def _path_laplacian(n: int) -> np.ndarray:
-    """Graph Laplacian of a path of n pixels (free ends)."""
-    adj = np.diag(np.ones(n - 1), 1)
-    adj += adj.T
-    return np.diag(adj.sum(axis=1)) - adj
+def _path_eigenbasis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``SpectralPrecision``'s l_k and u_k for a path of n pixels, k ascending,
+    each cosine's angle reduced modulo 2 pi in integers."""
+    k = np.arange(n)
+    m = np.outer(2 * k + 1, k) % (4 * n)
+    u = np.cos(np.pi / (2 * n) * m) * np.where(k == 0, np.sqrt(1 / n), np.sqrt(2 / n))
+    return 4 * np.sin(np.pi / (2 * n) * k) ** 2, u
 
 
 class SpectralPrecision:
@@ -182,19 +179,23 @@ class SpectralPrecision:
 
     That Q is L^2, where L = L1 (x) I + I (x) L2 is the free-boundary grid
     Laplacian and L1, L2 are the Laplacians of the lattice's two paths.  The
-    product U of their eigenbases U1, U2 (the DCT-II basis; Rue & Held 2005,
-    section 2.6) diagonalizes L with eigenvalues l = l1_i + l2_j, and so Q
-    with q = l^2.  A chain in this basis keeps its field as the coefficients
-    c = U^T f.  U is orthonormal, so the inner products that the gamma and
-    kappa draws read are unchanged, f^T Q f is sum q c^2, and A = kappa_l I +
-    kappa_f Q is diagonal: the object is the chain's precision and its
-    solver both.  It is shared by every chain on its lattice, so its arrays
-    are read-only.
+    product U of their eigenbases U1, U2 diagonalizes L with eigenvalues
+    l = l1_i + l2_j, and so Q with q = l^2.  On a path of n pixels that basis
+    is the DCT-II basis (Strang 1999; Rue & Held 2005, section 2.6), taken
+    from its formula: l_k = 4 sin^2(pi k / 2n) and u_k(j) = c_k cos(pi k
+    (2j + 1) / 2n), with c_0 = sqrt(1/n), else c_k = sqrt(2/n).  So
+    u_k(0) > 0 fixes each column's sign, which ``eigh`` leaves to the LAPACK
+    build; seeded outputs of chains on an ``eigh`` basis differ from these.
+    A chain keeps its field as c = U^T f.  U is orthonormal, so the inner
+    products that the gamma and kappa draws read are unchanged, f^T Q f is
+    sum q c^2, and A = kappa_l I + kappa_f Q is diagonal: the object is the
+    chain's precision and its solver both.  It is shared by every chain on
+    its lattice, so its arrays are read-only.
     """
 
     def __init__(self, n1: int, n2: int):
-        l1, self._u1 = np.linalg.eigh(_path_laplacian(n1))
-        l2, self._u2 = np.linalg.eigh(_path_laplacian(n2))
+        l1, self._u1 = _path_eigenbasis(n1)
+        l2, self._u2 = _path_eigenbasis(n2)
         self.n = n1 * n2
         self._grid = (n1, n2)
         self._q = (l1[:, None] + l2[None, :]).ravel() ** 2
@@ -467,11 +468,9 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
     accum = np.zeros(n1 * n2)
 
     # Waking a second BLAS thread costs more than it saves on these small
-    # products and solves: on a 2-core machine a 30 x 30 eigh took 0.05 ms
-    # on one thread, and up to 16 ms on two.  Past kd = 64, dpbtrf's BLAS-3
-    # calls on its 32-wide blocks go threaded; at 64^2 a banded solve
-    # measured 9.7-12.1 ms on two threads (cpu/wall 2.0) against 7.0-9.5 ms
-    # on one.
+    # products and solves.  Past kd = 64, dpbtrf's BLAS-3 calls on its
+    # 32-wide blocks go threaded; at 64^2 a banded solve measured
+    # 9.7-12.1 ms on two threads (cpu/wall 2.0) against 7.0-9.5 ms on one.
     with _one_blas_thread():
         design = make_design(n1, n2)
         ztz = design.T @ design

@@ -39,15 +39,30 @@ def nlm_oracle(x, patch, search, h):
     return out
 
 
+def convolution_oracle(x, k):
+    """Literal 2-D convolution of ``x`` with the symmetric square kernel
+    ``k``, edge-replicated borders: a sum over every kernel entry."""
+    size = k.shape[0]
+    xp = np.pad(x, size // 2, mode="edge")
+    out = np.zeros_like(x)
+    for a in range(size):
+        for b in range(size):
+            out += k[a, b] * xp[a:a + x.shape[0], b:b + x.shape[1]]
+    return out
+
+
 class TestGaussianKernel:
+    # the kernel is the 1-D factor; the isotropic 2-D kernel is its outer product
     def test_normalized_and_symmetric(self):
-        k = gaussian_kernel(1.0, 5)
+        g = gaussian_kernel(1.0, 5)
+        k = np.outer(g, g)
         assert abs(k.sum() - 1.0) < 1e-12
         np.testing.assert_allclose(k, k.T)
         np.testing.assert_allclose(k, k[::-1, ::-1])
 
     def test_peak_at_center(self):
-        k = gaussian_kernel(0.8, 5)
+        g = gaussian_kernel(0.8, 5)
+        k = np.outer(g, g)
         assert k[2, 2] == k.max()
 
     def test_validation(self):
@@ -58,6 +73,18 @@ class TestGaussianKernel:
 
 
 class TestLinearFilters:
+    @pytest.mark.parametrize("shape, size, sigma", [((9, 11), 5, 1.0), ((30, 30), 3, 0.8),
+                                                    ((1, 7), 7, 1.7), ((6, 2), 3, 2.5)])
+    def test_equal_the_2d_convolution(self, shape, size, sigma):
+        rng = np.random.default_rng(size)
+        x = rng.standard_normal(shape) + 3.0
+        y = Raster.from_2d(x)
+        g = gaussian_kernel(sigma, size)
+        for got, k in [(gaussian_filter(y, sigma, size), np.outer(g, g)),
+                       (average_filter(y, size), np.full((size, size), 1.0 / size ** 2))]:
+            want = convolution_oracle(x, k)
+            assert np.abs(got.to_2d() - want).max() <= 1e-15 * np.abs(want).max()
+
     def test_constant_preserved(self):
         y = Raster.from_2d(np.full((7, 7), 4.2))
         np.testing.assert_allclose(gaussian_filter(y, sigma=1.0, size=5).data, y.data, atol=1e-12)

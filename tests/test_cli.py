@@ -310,14 +310,24 @@ class TestBench:
         assert rc == EXIT_IO
 
     def test_manifest_without_images_is_io_error(self, tmp_path, fast_cfg, capsys):
-        corpus = tmp_path / "corpus"
-        corpus.mkdir()
-        (corpus / "manifest.csv").write_text(
-            "index,spot_count,centers,amplitudes,target_snr_db,realized_snr_db,seed\n")
-        rc = main(["bench", "--corpus", str(corpus), "--methods", "ga",
-                   "--config", fast_cfg, "--report", str(tmp_path / "r.csv")])
-        assert rc == EXIT_IO
-        assert one_error_line(capsys)
+        # a bench numbers its pairs 0..N-1, so a manifest must list those
+        # images, each once, whatever rasters the corpus holds
+        corpus = self.make_corpus(tmp_path, fast_cfg)
+        for name in ("truth", "noisy"):
+            (corpus / f"{name}_2.csv").write_bytes((corpus / f"{name}_1.csv").read_bytes())
+        header = "index,spot_count,centers,amplitudes,target_snr_db,realized_snr_db,seed\n"
+        for rows, message in [("", "lists no images"),
+                              ("1\n2\n", "lists image 1 where image 0 belongs"),
+                              ("0\n1\n1\n", "lists image 1 where image 2 belongs"),
+                              ("0\n1.0\n", "line 3: image index '1.0' is not an integer")]:
+            (corpus / "manifest.csv").write_text(header + rows)
+            capsys.readouterr()
+            rc = main(["bench", "--corpus", str(corpus), "--methods", "ga",
+                       "--config", fast_cfg, "--report", str(tmp_path / "r.csv")])
+            assert rc == EXIT_IO
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("smfdenoise: ")
+            assert str(corpus / "manifest.csv") in err[0] and message in err[0]
 
     def test_pair_on_two_lattices_is_io_error(self, tmp_path, fast_cfg, capsys, monkeypatch):
         corpus = self.make_corpus(tmp_path, fast_cfg)

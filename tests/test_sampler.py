@@ -183,10 +183,18 @@ class TestSampleFieldGivenGamma:
 class TestSpectralPrecision:
     """The homogeneous Q in the DCT-II basis against its pixel-space form."""
 
-    @pytest.mark.parametrize("n1, n2", [(1, 6), (6, 1), (5, 7), (12, 12)])
+    # together the lattices cover the path lengths 1, 2, 3, 7, 30, 64 and 128
+    @pytest.mark.parametrize("n1, n2", [(1, 6), (6, 1), (5, 7), (12, 12), (2, 3), (30, 7),
+                                        (128, 64)])
     def test_basis_forms_match_pixel_forms(self, n1, n2):
         n = n1 * n2
         spectral = SpectralPrecision(n1, n2)
+        # the factors and Q's eigenvalues against an eigensolver's, signs fixed
+        (l1, u1), (l2, u2) = path_eigenbasis(n1), path_eigenbasis(n2)
+        np.testing.assert_allclose(spectral._u1, u1, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(spectral._u2, u2, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(spectral._q, ((l1[:, None] + l2[None, :]) ** 2).ravel(),
+                                   rtol=0, atol=1e-12)
         precision = build_igmrf_precision(n1, n2)
         rng = np.random.default_rng(n)
         f, g = rng.standard_normal((2, n))
@@ -233,6 +241,16 @@ def perturbation_matrix(precision, noise, n_draws):
                             for e in np.eye(n_draws * precision.n)])
 
 
+def path_eigenbasis(m):
+    """The eigenvalues and eigenvectors of the Laplacian of a path of m
+    pixels with free ends, from ``np.linalg.eigh``, with each column's sign
+    flipped so that u_k(0) > 0, as in the sampler's DCT-II basis: LAPACK
+    fixes no sign."""
+    adj = np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1)
+    l, u = np.linalg.eigh(np.diag(adj.sum(axis=1)) - adj)
+    return l, u * np.sign(u[0])
+
+
 def pixel_igmrf_chain(y, hp):
     """The ``igmrf`` chain in pixel space, with the field draw made by dense
     products with the DCT-II basis U every sweep: the right-hand side goes
@@ -243,11 +261,7 @@ def pixel_igmrf_chain(y, hp):
     n1, n2, n = y.n1, y.n2, y.n1 * y.n2
     lo, hi = y.data.min(), y.data.max()
     yn = (y.data - lo) / (hi - lo)
-    laplacians = []
-    for m in (n1, n2):
-        adj = np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1)
-        laplacians.append(np.linalg.eigh(np.diag(adj.sum(axis=1)) - adj))
-    (l1, u1), (l2, u2) = laplacians
+    (l1, u1), (l2, u2) = path_eigenbasis(n1), path_eigenbasis(n2)
     basis = np.kron(u1, u2)  # U, for pixels and coefficients in row-major order
     q_eigs = ((l1[:, None] + l2[None, :]) ** 2).ravel()
     design = make_design(n1, n2)
