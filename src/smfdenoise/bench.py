@@ -11,7 +11,7 @@ import numpy as np
 
 from . import baselines, metrics
 from .baselines import FilterConfig
-from .fileio import read_raster_csv, write_raster_csv
+from .fileio import csv_text, format_csv_rows, format_number, read_raster_csv, write_raster_csv
 from .lattice import Raster
 from .model import HyperParams
 from .pool import run_jobs
@@ -60,16 +60,13 @@ def write_corpus(out_dir, pairs: list[SynthPair], config_lines: list[str]):
     for k, pair in enumerate(pairs):
         write_raster_csv(out_dir / f"truth_{k}.csv", pair.truth, config_lines)
         write_raster_csv(out_dir / f"noisy_{k}.csv", pair.noisy, config_lines)
-    lines = [f"# {c}" for c in config_lines]
-    lines.append("index,spot_count,centers,amplitudes,target_snr_db,realized_snr_db,seed")
+    lines = ["index,spot_count,centers,amplitudes,target_snr_db,realized_snr_db,seed"]
     for k, pair in enumerate(pairs):
-        centers = ";".join(f"{s.row:.9g}:{s.col:.9g}" for s in pair.spots)
-        amps = ";".join(f"{s.amplitude:.9g}" for s in pair.spots)
-        lines.append(
-            f"{k},{len(pair.spots)},{centers},{amps},"
-            f"{pair.target_snr_db:.9g},{pair.realized_snr_db:.9g},{pair.image_seed}"
-        )
-    (out_dir / "manifest.csv").write_text("\n".join(lines) + "\n")
+        centers = ";".join(f"{format_number(s.row)}:{format_number(s.col)}" for s in pair.spots)
+        amps = ";".join(format_number(s.amplitude) for s in pair.spots)
+        lines.append(f"{k},{len(pair.spots)},{centers},{amps},{format_number(pair.target_snr_db)},"
+                     f"{format_number(pair.realized_snr_db)},{pair.image_seed}")
+    (out_dir / "manifest.csv").write_text(csv_text(config_lines, lines))
 
 
 def read_corpus(corpus_dir) -> list[tuple[Raster, Raster]]:
@@ -177,40 +174,29 @@ def run_bench(pairs: list[tuple[Raster, Raster]], methods: list[str],
     return rows
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".9g")
-
-
 def write_report(path, rows: list[BenchRow], methods: list[str],
                  config_lines: list[str]):
     """Per-image rows, then one mean row per method; standard deviations go
-    into structured comment lines so the column contract stays fixed.
+    into structured comment lines so the column contract stays fixed.  All
+    three come from one table, a row of numbers per image and method.
 
     A PSNR is infinite when an estimate equals its truth.  Its method's mean
     PSNR is then ``inf``, and its standard deviation, undefined, is ``nan``.
     """
-    lines = [f"# {c}" for c in config_lines]
-    lines.append(",".join(REPORT_COLUMNS))
-    for row in sorted(rows, key=lambda r: (r.image, methods.index(r.method))):
-        m = row.report
-        lines.append(
-            f"{row.image},{row.method},{_fmt(m.rmse)},{_fmt(m.psnr_db)},"
-            f"{_fmt(m.kld)},{_fmt(m.ssim)},{_fmt(row.wall_ms)}"
-        )
-    std_lines = []
+    rows = sorted(rows, key=lambda r: (r.image, methods.index(r.method)))
+    table = np.array([[r.report.rmse, r.report.psnr_db, r.report.kld, r.report.ssim, r.wall_ms]
+                      for r in rows])
+    means, stds = [], []
     for method in methods:
-        sub = [r for r in rows if r.method == method]
-        cols = np.array([
-            [r.report.rmse, r.report.psnr_db, r.report.kld, r.report.ssim, r.wall_ms]
-            for r in sub
-        ])
-        mean = cols.mean(axis=0)
+        cols = table[[r.method == method for r in rows]]
+        means.append(cols.mean(axis=0))
         # std would subtract inf from inf and warn; such a column is nan here
         finite = np.isfinite(cols).all(axis=0)
         std = np.full(cols.shape[1], np.nan)
         std[finite] = cols[:, finite].std(axis=0)
-        lines.append("mean," + method + "," + ",".join(_fmt(v) for v in mean))
-        std_lines.append("# std," + method + "," + ",".join(_fmt(v) for v in std[:4]))
-    lines.extend(std_lines)
-    Path(path).write_text("\n".join(lines) + "\n")
-
+        stds.append(std[:4])
+    lines = [",".join(REPORT_COLUMNS)]
+    lines += [f"{r.image},{r.method},{t}" for r, t in zip(rows, format_csv_rows(table))]
+    lines += [f"mean,{m},{t}" for m, t in zip(methods, format_csv_rows(np.array(means)))]
+    lines += [f"# std,{m},{t}" for m, t in zip(methods, format_csv_rows(np.array(stds)))]
+    Path(path).write_text(csv_text(config_lines, lines))

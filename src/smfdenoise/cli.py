@@ -37,7 +37,7 @@ from .diagnostics import (
     TraceSet,
     convergence_report,
 )
-from .fileio import format_csv_rows, load_raster, write_raster_csv
+from .fileio import csv_text, format_csv_rows, format_number, load_raster, write_raster_csv
 from .lattice import Raster
 from .metrics import MetricInstabilityError
 from .model import SamplerNumericalError
@@ -136,14 +136,13 @@ def cmd_denoise(args) -> int:
     y = _read_input(args.input, args.crop)
     result = denoise(y, hp, variant=args.variant)
     echo = effective_config_lines(hp, fc, sc) + [f"variant={args.variant}"]
-    trace_lines = [f"# {c}" for c in echo]
-    trace_lines.append("iteration,kappa_l,kappa_f,gamma1,gamma2,gamma3")
     rows = format_csv_rows(np.hstack([result.theta_trace, result.gamma_trace]))
-    trace_lines += [f"{t},{row}" for t, row in enumerate(rows, start=1)]
+    trace = ["iteration,kappa_l,kappa_f,gamma1,gamma2,gamma3"]
+    trace += [f"{t},{row}" for t, row in enumerate(rows, start=1)]
     with _files("write outputs"):
         write_raster_csv(args.out_mean, result.posterior_mean, echo)
         write_raster_csv(args.out_mask, result.final_mask, echo)
-        Path(args.out_trace).write_text("\n".join(trace_lines) + "\n")
+        Path(args.out_trace).write_text(csv_text(echo, trace))
     return EXIT_OK
 
 
@@ -179,13 +178,13 @@ def cmd_diagnose(args) -> int:
                      for result in run_chains(y, hp, args.variant, args.chains)])
     report = convergence_report({"kappa_l": TraceSet(post[:, 0]),
                                  "kappa_f": TraceSet(post[:, 1])})
-    lines = [f"# {c}" for c in effective_config_lines(hp, fc, sc)]
-    lines.append(f"# chains={args.chains} variant={args.variant} threshold={PSRF_THRESHOLD}")
-    lines.append("parameter,psrf,converged")
-    for name, value in report.psrf_values.items():
-        lines.append(f"{name},{value:.9g},{int(report.passed[name])}")
+    echo = effective_config_lines(hp, fc, sc)
+    echo.append(f"chains={args.chains} variant={args.variant} threshold={PSRF_THRESHOLD}")
+    lines = ["parameter,psrf,converged"]
+    lines += [f"{name},{format_number(value)},{int(report.passed[name])}"
+              for name, value in report.psrf_values.items()]
     with _files("write report"):
-        Path(args.report).write_text("\n".join(lines) + "\n")
+        Path(args.report).write_text(csv_text(echo, lines))
     for name, value in report.psrf_values.items():
         print(f"{name}: PSRF={value:.4f} ({'ok' if report.passed[name] else 'NOT CONVERGED'})")
     return EXIT_OK if report.all_converged else EXIT_NOT_CONVERGED

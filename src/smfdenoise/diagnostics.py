@@ -22,7 +22,7 @@ class DegenerateTraceError(ValueError):
     """All chains constant: within-chain variance is zero."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceSet:
     """m parallel scalar chains of common length L, as an (m, L) array."""
 

@@ -1,8 +1,8 @@
-"""Raster persistence: plain-text CSV and 16-bit big-endian binary PGM.
-
-CSV rasters are one lattice row per line, '.' decimal separator, values
-formatted to 9 significant digits; lines starting with '#' carry the
-configuration echo and are ignored on read.
+"""Raster persistence (plain-text CSV and 16-bit big-endian binary PGM) and
+the CSV dialect of every file the CLI writes: "# " echo lines (the
+configuration echo), then comma-separated data lines, floats to 9
+significant digits, '\n' after every line.  A CSV raster is one lattice row
+per line; its '#' lines are ignored on read.
 """
 
 from __future__ import annotations
@@ -15,13 +15,17 @@ import numpy as np
 from .lattice import Raster, SpotMask
 
 __all__ = [
+    "format_number",
     "format_csv_rows",
+    "csv_text",
     "write_raster_csv",
     "read_raster_csv",
     "read_pgm16",
     "load_raster",
 ]
 
+# every float in a CSV file, to 9 significant digits
+_NUMBER = "%.9g"
 PGM_MAXVAL = 65535
 # Netpbm allows a comment, from '#' to the end of its line, anywhere in the
 # header.  One whitespace byte after maxval, past any comment there, ends it.
@@ -30,17 +34,25 @@ _PGM_HEADER = re.compile(rb"P5" + _PGM_GAP + rb"(\d+)" + _PGM_GAP + rb"(\d+)" + 
                          + rb"(\d+)(?:#[^\r\n]*[\r\n])*\s")
 
 
+def format_number(v: float) -> str:
+    """The text of one number, to 9 significant digits."""
+    return _NUMBER % v
+
+
 def format_csv_rows(rows: np.ndarray) -> list[str]:
-    """One CSV line per row of the 2-D array ``rows``, each value to 9
-    significant digits: one %-format per row, whose text equals
-    ``format(v, ".9g")`` value by value."""
-    line = ",".join(["%.9g"] * rows.shape[1])
+    """One CSV line per row of the 2-D array ``rows``, each value as
+    ``format_number`` writes it: one %-format per row."""
+    line = ",".join([_NUMBER] * rows.shape[1])
     return [line % tuple(row) for row in rows.tolist()]
 
 
+def csv_text(echo: list[str], lines: list[str]) -> str:
+    """A file's text: one "# " line per ``echo`` entry, then ``lines``."""
+    return "\n".join([f"# {c}" for c in echo] + lines) + "\n"
+
+
 def write_raster_csv(path, raster: Raster | SpotMask, comments: list[str] | None = None):
-    lines = [f"# {c}" for c in comments or []] + format_csv_rows(raster.to_2d())
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(csv_text(comments or [], format_csv_rows(raster.to_2d())))
 
 
 def read_raster_csv(path) -> Raster:

@@ -28,11 +28,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Grid:
     """A rectangular grid, row-major in a read-only 1-D vector that the
     subclass's ``_values`` checks and casts: the one constructor of
-    ``Raster`` and ``SpotMask``."""
+    ``Raster`` and ``SpotMask``.  Grids compare by identity, as an array
+    has no single truth value to give a field-by-field ``==``."""
 
     n1: int
     n2: int

@@ -12,16 +12,15 @@ the gamma trace's row and column coefficients back (the mask's window is
 square, so its threshold commutes with the transpose).  An ``igmrf`` chain
 runs where Q and A = kappa_l I + kappa_f Q are diagonal, in Q's eigenbasis
 (``SpectralPrecision``): the DCT-II basis, taken from its formula with each
-column's sign fixed, so seeded outputs no longer hang on the LAPACK build,
-as they did on a basis from ``eigh``.  The chain transforms y and the three
-trend columns into it once, keeps its field as coefficients, and transforms
-back only the posterior mean, so a sweep makes no transform.  A
-``higmrf`` chain runs in pixel space and builds one field solver for its
-lattice (``field_solver``), which factors A afresh every sweep: with a
-banded LAPACK Cholesky when the band half-width kd = 2 n2 of row-major
-order is at most ``BAND_KD_MAX`` = 256 (any raster up to 128 pixels on its
-shorter side) and with symmetric-mode SuperLU otherwise; either failing
-raises ``SamplerNumericalError``.
+column's sign fixed.  The chain transforms y and the three trend columns
+into it once, keeps its field as coefficients, and transforms back only the
+posterior mean, so a sweep makes no transform.  A ``higmrf`` chain runs in
+pixel space and builds one field solver for its lattice (``field_solver``),
+which factors A afresh every sweep: with a banded LAPACK Cholesky when the
+band half-width kd = 2 n2 of row-major order is at most ``BAND_KD_MAX`` =
+256 (any raster up to 128 pixels on its shorter side) and with
+symmetric-mode SuperLU otherwise; either failing raises
+``SamplerNumericalError``.
 
 A sweep does only its arithmetic.  Per lattice size, and shared by every
 chain on it, are cached: the eigenbasis (``_spectral_precision``) and the
@@ -122,7 +121,7 @@ def splu(a, **kwargs):
     return superlu(a, **kwargs)
 
 
-@dataclass
+@dataclass(eq=False)
 class DenoiseResult:
     posterior_mean: Raster
     final_mask: SpotMask
@@ -184,8 +183,8 @@ class SpectralPrecision:
     is the DCT-II basis (Strang 1999; Rue & Held 2005, section 2.6), taken
     from its formula: l_k = 4 sin^2(pi k / 2n) and u_k(j) = c_k cos(pi k
     (2j + 1) / 2n), with c_0 = sqrt(1/n), else c_k = sqrt(2/n).  So
-    u_k(0) > 0 fixes each column's sign, which ``eigh`` leaves to the LAPACK
-    build; seeded outputs of chains on an ``eigh`` basis differ from these.
+    u_k(0) > 0 fixes each column's sign, which an eigensolver leaves to the
+    LAPACK build.
     A chain keeps its field as c = U^T f.  U is orthonormal, so the inner
     products that the gamma and kappa draws read are unchanged, f^T Q f is
     sum q c^2, and A = kappa_l I + kappa_f Q is diagonal: the object is the

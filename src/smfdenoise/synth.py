@@ -69,7 +69,7 @@ class Spot:
     amplitude: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthPair:
     truth: Raster
     noisy: Raster

@@ -268,6 +268,13 @@ class TestBench:
                    "--config", fast_cfg, "--report", str(tmp_path / "r.csv")])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("methods", [",", " , ,"])
+    def test_no_methods_is_usage_error(self, tmp_path, fast_cfg, methods, capsys):
+        rc = main(["bench", "--corpus", str(tmp_path), "--methods", methods,
+                   "--config", fast_cfg, "--report", str(tmp_path / "r.csv")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == "smfdenoise: no methods requested\n"
+
     @pytest.mark.parametrize("methods", ["ga,ga,higmrf,higmrf", "igmrf, ga,igmrf"])
     def test_repeated_method_is_usage_error(self, tmp_path, fast_cfg, methods, capsys,
                                             monkeypatch):

@@ -3,8 +3,9 @@ and every dataclass field has a reader inside the package, no module
 imports what it never uses, the lattice loads no scipy, no module imports
 scipy outside the SuperLU path, the sampler holds no process plumbing,
 every name the benchmark's tracer wraps still exists and runs as often as
-the tracer counts it, and the CLI has one error path whose exit codes the
-docs name."""
+the tracer counts it, the CLI has one error path whose exit codes the
+docs name, and only ``fileio`` spells the CSV dialect of the files the CLI
+writes."""
 
 import ast
 import importlib
@@ -269,3 +270,32 @@ def test_commands_raise_rather_than_report_failures():
     assert set(returned) == {"cmd_synth", "cmd_denoise", "cmd_bench", "cmd_diagnose"}
     stray = {name: r - {"EXIT_OK", "EXIT_NOT_CONVERGED"} for name, r in returned.items()}
     assert not any(stray.values()), stray
+
+
+def dialect_spellings(tree):
+    """Lines that spell the CSV dialect outside the text of a ``raise``: a
+    string that holds the 9-digit number format, or an f-string that opens
+    with "# " and a value, as an echo line does."""
+    raised = {id(node) for r in ast.walk(tree) if isinstance(r, ast.Raise)
+              for node in ast.walk(r)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in raised:
+            continue
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and ".9g" in node.value:
+            found.append(node.lineno)
+        elif (isinstance(node, ast.JoinedStr) and len(node.values) > 1
+              and getattr(node.values[0], "value", None) == "# "
+              and isinstance(node.values[1], ast.FormattedValue)):
+            found.append(node.lineno)
+    return found
+
+
+def test_only_fileio_spells_the_csv_dialect():
+    # every file the CLI writes frames its lines and formats its numbers
+    # through fileio, so a change to the dialect is made in one place; an
+    # error message may still show a number to 9 digits
+    assert "fileio" in {p.stem for p in MODULES}
+    spellings = {p.stem: dialect_spellings(parse(p)) for p in MODULES if p.stem != "fileio"}
+    assert {name: lines for name, lines in spellings.items() if lines} == {}
+    assert dialect_spellings(parse(PACKAGE / "fileio.py")) != []

@@ -7,6 +7,7 @@ import pytest
 from conftest import dense_d, dense_difference_oracle, dense_q, neighbors
 from scipy import sparse
 
+from smfdenoise.diagnostics import TraceSet
 from smfdenoise.lattice import (
     Raster,
     SpotMask,
@@ -14,11 +15,34 @@ from smfdenoise.lattice import (
     build_igmrf_precision,
 )
 from smfdenoise.model import HyperParams
-from smfdenoise.sampler import denoise
+from smfdenoise.sampler import DenoiseResult, denoise
+from smfdenoise.synth import SynthPair
 
 
 # each test of the constructor both grids share runs on each, on values it holds
 GRIDS = pytest.mark.parametrize("grid", [Raster, SpotMask])
+
+# the value types that hold arrays, each made afresh on every call
+ARRAY_HOLDERS = {
+    "Raster": lambda: Raster(2, 2, np.arange(4.0)),
+    "SpotMask": lambda: SpotMask(2, 2, [0, 1, 1, 0]),
+    "TraceSet": lambda: TraceSet(np.arange(6.0).reshape(2, 3)),
+    "DenoiseResult": lambda: DenoiseResult(Raster(2, 2, np.arange(4.0)),
+                                           SpotMask(2, 2, [0, 1, 1, 0]),
+                                           np.ones((3, 2)), np.ones((3, 3)), 1.0),
+    "SynthPair": lambda: SynthPair(Raster(2, 2, np.arange(4.0)), Raster(2, 2, np.ones(4)),
+                                   (), 5.0, 5.0, 1),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS)
+def test_array_holders_compare_by_identity(make):
+    # a generated __eq__ would compare the arrays, whose truth value raises
+    # on 2 or more entries, and leave the type unhashable
+    a, b = make(), make()
+    assert a == a and a != b
+    assert a in [b, a] and make() not in [a, b]
+    assert len({a, b, a}) == 2
 
 
 class TestRaster:
@@ -46,6 +70,12 @@ class TestRaster:
     def test_parses_numeric_strings(self):
         # the finite check runs after the float cast, which parses them
         np.testing.assert_array_equal(Raster(1, 2, ["1", "2"]).data, [1.0, 2.0])
+
+    @GRIDS
+    @pytest.mark.parametrize("shape", [(4,), (1, 2, 2)])
+    def test_from_2d_rejects_other_ranks(self, grid, shape):
+        with pytest.raises(ValueError, match="expected a 2-D array"):
+            grid.from_2d(np.zeros(shape))
 
     @GRIDS
     def test_rejects_bad_dims(self, grid):

@@ -643,6 +643,25 @@ class TestOrientation:
         denoise(Raster.from_2d(y), HyperParams(n_iter=2, burn_in=1), HIGMRF)
         assert shapes == [(300, 3)]
 
+    def test_chain_past_the_band_bound_runs_on_superlu(self, monkeypatch):
+        # 129 x 130 runs as 130 x 129, so kd = 258 > BAND_KD_MAX
+        solvers = []
+        solver = sampler.field_solver
+        def spy(precision):
+            solvers.append(solver(precision))
+            return solvers[-1]
+        monkeypatch.setattr(sampler, "field_solver", spy)
+        a = np.random.default_rng(12).standard_normal((129, 130))
+        hp = HyperParams(n_iter=2, burn_in=1, seed=5)
+        wide = denoise(Raster.from_2d(a), hp, HIGMRF)
+        tall = denoise(Raster.from_2d(a.T), hp, HIGMRF)
+        assert [type(s) for s in solvers] == [SuperLUSolver, SuperLUSolver]
+        assert np.all(np.isfinite(wide.theta_trace)) and np.all(np.isfinite(wide.gamma_trace))
+        np.testing.assert_array_equal(wide.posterior_mean.to_2d(), tall.posterior_mean.to_2d().T)
+        np.testing.assert_array_equal(wide.final_mask.to_2d(), tall.final_mask.to_2d().T)
+        np.testing.assert_array_equal(wide.theta_trace, tall.theta_trace)
+        np.testing.assert_array_equal(wide.gamma_trace, tall.gamma_trace[:, [0, 2, 1]])
+
 
 class TestOnePrecisionBuildPerSweep:
     @pytest.mark.parametrize("n1, n2", [(12, 20), (20, 12)])
