@@ -190,10 +190,13 @@ def write_report(path, rows: list[BenchRow], methods: list[str],
     for method in methods:
         cols = table[[r.method == method for r in rows]]
         means.append(cols.mean(axis=0))
-        # std would subtract inf from inf and warn; such a column is nan here
+        # std would subtract inf from inf and warn; such a column is nan here.
+        # It squares deviations, so each column is divided by a power of two
+        # near its largest |value| first: exactly, and with no overflow
         finite = np.isfinite(cols).all(axis=0)
         std = np.full(cols.shape[1], np.nan)
-        std[finite] = cols[:, finite].std(axis=0)
+        e = np.frexp(np.abs(cols[:, finite]).max(axis=0))[1]
+        std[finite] = np.ldexp(np.ldexp(cols[:, finite], -e).std(axis=0), e)
         stds.append(std[:4])
     lines = [",".join(REPORT_COLUMNS)]
     lines += [f"{r.image},{r.method},{t}" for r, t in zip(rows, format_csv_rows(table))]

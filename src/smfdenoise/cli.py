@@ -22,7 +22,6 @@ table and prints one "smfdenoise:" line on stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -66,7 +65,8 @@ class FileError(Exception):
 
 
 # The exit code of each failure a command lets propagate; it is reported as
-# one "smfdenoise:" line.  No class here subclasses another.
+# one "smfdenoise:" line.  No class here subclasses another.  A pool's
+# BrokenExecutor is looked up by ``_exit_code``.
 _EXIT_CODES = {
     UsageError: EXIT_USAGE,
     ConfigError: EXIT_USAGE,
@@ -77,10 +77,19 @@ _EXIT_CODES = {
     DegenerateTraceError: EXIT_DEGENERATE,
     SamplerNumericalError: EXIT_NUMERICAL,
     MetricInstabilityError: EXIT_METRIC,
-    # the base class of BrokenProcessPool, which would load multiprocessing
-    concurrent.futures.BrokenExecutor: EXIT_WORKER_LOST,
     MemoryError: EXIT_MEMORY,
 }
+
+
+def _exit_code(exc: BaseException) -> int | None:
+    """The exit code of ``exc``, or None for a failure that has none.  A
+    chain pool that lost a worker raises a BrokenExecutor, which can exist
+    only once the pool has imported ``concurrent.futures``, so start-up need
+    not import it (with ``logging``) to name the class."""
+    futures = sys.modules.get("concurrent.futures")
+    if futures is not None and isinstance(exc, futures.BrokenExecutor):
+        return EXIT_WORKER_LOST
+    return next((code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls)), None)
 
 
 @contextmanager
@@ -89,9 +98,9 @@ def _files(action: str):
     own exit code (a bad config key, missing external outputs) passes."""
     try:
         yield
-    except tuple(_EXIT_CODES):
-        raise
     except (OSError, ValueError) as exc:
+        if _exit_code(exc) is not None:
+            raise
         raise FileError(f"cannot {action}: {exc}") from exc
 
 
@@ -232,9 +241,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except tuple(_EXIT_CODES) as exc:
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
         print(f"smfdenoise: {exc}", file=sys.stderr)
-        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+        return code
 
 
 if __name__ == "__main__":

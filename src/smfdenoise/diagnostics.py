@@ -48,9 +48,13 @@ def psrf(traces: TraceSet) -> float:
     """Potential scale reduction factor (1 - 1/L) + B / (L W).
 
     W is the mean within-chain variance (divisor L-1), B the between-chain
-    term L/(m-1) * sum of squared deviations of the chain means.
+    term L/(m-1) * sum of squared deviations of the chain means.  The ratio
+    is scale-invariant, so it is computed on the traces divided by 2^e, e
+    the exponent of their largest |value|: the division is exact, so traces
+    in range keep their bits, and no square of a trace near float64's top
+    overflows.
     """
-    v = traces.values
+    v = np.ldexp(traces.values, -np.frexp(np.abs(traces.values).max())[1])
     m, length = v.shape
     s = v.var(axis=1, ddof=1)
     w = s.mean()

@@ -37,18 +37,30 @@ class MetricsReport:
     ssim: float
 
 
-def _pair(estimate: Raster, truth: Raster) -> tuple[np.ndarray, np.ndarray]:
+def _pair(estimate: Raster, truth: Raster) -> tuple[np.ndarray, np.ndarray, int]:
+    """The two images' values divided by 2^e, and e, the exponent of their
+    largest |value|.  Every measure is computed on them: the division is
+    exact, so images in range give the bits they would unscaled, and no
+    square of a value near float64's top overflows."""
     if (estimate.n1, estimate.n2) != (truth.n1, truth.n2):
         raise ValueError(
             f"shape mismatch: estimate {estimate.n1}x{estimate.n2} "
             f"vs truth {truth.n1}x{truth.n2}"
         )
-    return estimate.data, truth.data
+    a, b = estimate.data, truth.data
+    e = int(np.frexp(max(np.abs(a).max(), np.abs(b).max()))[1])
+    return np.ldexp(a, -e), np.ldexp(b, -e), e
+
+
+def _rms(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
 def rmse(estimate: Raster, truth: Raster) -> float:
-    a, b = _pair(estimate, truth)
-    return float(np.sqrt(np.mean((a - b) ** 2)))
+    a, b, e = _pair(estimate, truth)
+    # only a pair whose values differ by more than float64 holds overflows
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(_rms(a, b), e))
 
 
 def psnr(estimate: Raster, truth: Raster) -> float:
@@ -57,13 +69,14 @@ def psnr(estimate: Raster, truth: Raster) -> float:
     The peak is the estimated image's maximum.  Identical images give
     +infinity as a distinguished value.
     """
-    a, _ = _pair(estimate, truth)
-    err = rmse(estimate, truth)
+    a, b, _ = _pair(estimate, truth)
+    err = _rms(a, b)
     peak = float(a.max())
     if err == 0.0:
         return math.inf
     if peak <= 0.0:
-        raise MetricInstabilityError(f"maximum of estimate must be positive, got {peak}")
+        raise MetricInstabilityError(
+            f"maximum of estimate must be positive, got {float(estimate.data.max())}")
     return 20.0 * math.log10(peak / err)
 
 
@@ -74,7 +87,7 @@ def kld(estimate: Raster, truth: Raster) -> float:
     range; every bin mass is smoothed by one pixel's worth (1/N) before
     normalization so the divergence stays finite.
     """
-    a, b = _pair(estimate, truth)
+    a, b, _ = _pair(estimate, truth)
     lo = min(a.min(), b.min())
     hi = max(a.max(), b.max())
     if hi == lo:
@@ -94,16 +107,19 @@ def ssim(estimate: Raster, truth: Raster) -> float:
     Population statistics over the whole image; raises when the denominator
     is within UQI_DENOM_TOL of zero, where the index is unstable.
     """
-    a, b = _pair(estimate, truth)
+    a, b, e = _pair(estimate, truth)
     mu_a = a.mean()
     mu_b = b.mean()
     var_a = ((a - mu_a) ** 2).mean()
     var_b = ((b - mu_b) ** 2).mean()
     cov = ((a - mu_a) * (b - mu_b)).mean()
     denom = (mu_a ** 2 + mu_b ** 2) * (var_a + var_b)
-    if abs(denom) <= UQI_DENOM_TOL:
+    # the denominator is 2^-4e times the unscaled one, and so is the bound
+    # it is held to; past 2^1000 that bound is above any denominator of
+    # values under 1 in size, so the cap keeps the verdict
+    if abs(denom) <= math.ldexp(UQI_DENOM_TOL, min(-4 * e, 1000)):
         raise MetricInstabilityError(
-            f"UQI denominator {denom} within {UQI_DENOM_TOL} of zero"
+            f"UQI denominator {math.ldexp(denom, 4 * e)} within {UQI_DENOM_TOL} of zero"
         )
     return float((2 * mu_a * mu_b) * (2 * cov) / denom)
 

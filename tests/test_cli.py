@@ -494,11 +494,12 @@ def test_worker_killed_mid_run_is_one_line(tmp_path, noisy_csv, fast_cfg, capsys
 
 def test_cli_import_skips_ndimage_and_fft():
     # each costs start-up time on every CLI call; no CLI path needs scipy's
-    # ndimage or fft, and only run_chains needs multiprocessing, so it
-    # imports it when called
+    # ndimage or fft, and only run_chains needs multiprocessing and
+    # concurrent.futures (which imports logging), so it imports them when
+    # called
     code = ("import sys, smfdenoise.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.ndimage', 'scipy.fft', 'multiprocessing'))))")
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.ndimage', "
+            "'scipy.fft', 'multiprocessing', 'concurrent.futures', 'logging'))))")
     assert run_fresh(code).strip() == "[]"
 
 

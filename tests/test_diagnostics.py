@@ -71,6 +71,13 @@ class TestPsrf:
         with pytest.raises(DegenerateTraceError):
             psrf(TraceSet(np.ones((2, 10))))
 
+    @pytest.mark.parametrize("k", [-1000, 0, 1000])
+    def test_power_of_two_scale_keeps_every_bit(self, k):
+        # traces of kappa near float64's top or bottom get the PSRF of the
+        # same traces in range, with no overflow or underflow on the way
+        v = np.random.default_rng(11).gamma(3.0, size=(3, 40))
+        assert psrf(TraceSet(np.ldexp(v, k))) == psrf(TraceSet(v))
+
 
 class TestConvergenceReport:
     def test_mixed_verdicts(self):

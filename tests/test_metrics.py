@@ -126,6 +126,38 @@ class TestSsim:
             ssim(r([0.0, 0.0]), r([0.0, 0.0]))
 
 
+class TestScale:
+    """Each measure is computed on the pair divided by one power of two, so
+    a pair scaled by 2^k gives the same bits, RMSE scaled by 2^k, while its
+    squares would pass float64's range."""
+
+    def pair(self, k):
+        rng = np.random.default_rng(25)
+        truth = np.abs(rng.standard_normal(64)) + 0.5
+        estimate = truth + 0.1 * rng.standard_normal(64)
+        return r(np.ldexp(estimate, k)), r(np.ldexp(truth, k))
+
+    @pytest.mark.parametrize("k", [-1000, 0, 1000])
+    def test_rmse_psnr_kld_keep_their_bits(self, k):
+        assert rmse(*self.pair(k)) == math.ldexp(rmse(*self.pair(0)), k)
+        assert psnr(*self.pair(k)) == psnr(*self.pair(0))
+        assert kld(*self.pair(k)) == kld(*self.pair(0))
+
+    def test_ssim_keeps_its_bits(self):
+        # at 2^-1000 the unscaled UQI denominator is far below UQI_DENOM_TOL
+        assert ssim(*self.pair(1000)) == ssim(*self.pair(0))
+        with pytest.raises(MetricInstabilityError, match="UQI denominator 0.0 within"):
+            ssim(*self.pair(-1000))
+
+    def test_finite_at_1e160(self):
+        estimate, truth = self.pair(0)
+        report = evaluate(r(estimate.data * 1e160), r(truth.data * 1e160))
+        assert np.isfinite([report.rmse, report.psnr_db, report.kld, report.ssim]).all()
+
+    def test_rmse_past_float64_is_inf(self):
+        assert rmse(r([1e308, -1e308]), r([-1e308, 1e308])) == math.inf
+
+
 class TestEvaluate:
     def test_bundles_all_four(self):
         rng = np.random.default_rng(24)
