@@ -60,16 +60,17 @@ def gaussian_kernel(sigma: float, size: int) -> np.ndarray:
 def _window_sums(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum over (a, b) of w[a] * w[b] * xp[a:a + m1, b:b + m2] for every
     len(w)-square window of xp that lies inside it, summed along rows, then
-    along columns.  For a symmetric w on an edge-padded image this is the
+    along columns; a stack of images, on the last two axes, goes through
+    image by image.  For a symmetric w on an edge-padded image this is the
     convolution with the kernel outer(w, w) and edge-replicated borders."""
-    m1 = xp.shape[0] - w.size + 1
-    m2 = xp.shape[1] - w.size + 1
-    rows = w[0] * xp[:m1]
+    m1 = xp.shape[-2] - w.size + 1
+    m2 = xp.shape[-1] - w.size + 1
+    rows = w[0] * xp[..., :m1, :]
     for a in range(1, w.size):
-        rows += w[a] * xp[a:a + m1]
-    out = w[0] * rows[:, :m2]
+        rows += w[a] * xp[..., a:a + m1, :]
+    out = w[0] * rows[..., :m2]
     for b in range(1, w.size):
-        out += w[b] * rows[:, b:b + m2]
+        out += w[b] * rows[..., b:b + m2]
     return out
 
 
@@ -114,7 +115,10 @@ def nlm_filter(y: Raster, patch: int, search: int, h: float) -> Raster:
     offset within the search window the patch SSD map is computed by a box
     sum of the squared shifted difference, and the output is the
     weight-normalized average exp(-SSD / h^2) over all offsets (the zero
-    offset included with weight 1).
+    offset included with weight 1).  The offsets of one row offset go
+    through as one stack, so a search window of s x s offsets takes s
+    rounds of array calls, not s^2; the weighted sums still add offset by
+    offset in row-major order.
     """
     _check_odd(patch, "patch")
     _check_odd(search, "search")
@@ -132,12 +136,18 @@ def nlm_filter(y: Raster, patch: int, search: int, h: float) -> Raster:
     ones = np.ones(patch)
     # center block of xp, with a ph-halo for the patch box sums
     base = xp[sh:sh + n1 + 2 * ph, sh:sh + n2 + 2 * ph]
-    for dr in range(-sh, sh + 1):
-        for dc in range(-sh, sh + 1):
-            shifted = xp[sh + dr:sh + dr + n1 + 2 * ph, sh + dc:sh + dc + n2 + 2 * ph]
-            diff2 = (base - shifted) ** 2
-            ssd = _window_sums(diff2, ones)
-            w = np.exp(-ssd / h2)
-            num += w * shifted[ph:ph + n1, ph:ph + n2]
-            den += w
+    # shifted[sh + dr, sh + dc] is that block shifted by (dr, dc)
+    shifted = np.lib.stride_tricks.sliding_window_view(xp, base.shape)
+    # row 0 carries the running sum, rows 1.. one term per column offset:
+    # a sum over axis 0 adds them one by one, in order
+    terms = np.empty((search + 1, n1, n2))
+    for row in shifted:
+        ssd = _window_sums((base - row) ** 2, ones)
+        w = np.exp(-ssd / h2)
+        terms[0] = num
+        np.multiply(w, row[:, ph:ph + n1, ph:ph + n2], out=terms[1:])
+        num = terms.sum(axis=0)
+        terms[0] = den
+        terms[1:] = w
+        den = terms.sum(axis=0)
     return Raster.from_2d(num / den)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,9 +79,10 @@ class NoiseParams:
     kappa_f: float
 
     def __post_init__(self):
-        for name in ("kappa_l", "kappa_f"):
-            v = getattr(self, name)
-            if not (v > 0 and np.isfinite(v)):
+        # a chain builds one per sweep, so the check compares scalars: a NaN
+        # fails both bounds
+        for name, v in (("kappa_l", self.kappa_l), ("kappa_f", self.kappa_f)):
+            if not 0.0 < v < math.inf:
                 raise SamplerNumericalError(f"{name} must be positive and finite, got {v}")
 
 

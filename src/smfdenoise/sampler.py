@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import ctypes
 import importlib.util
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -110,8 +111,7 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-dpbtrf, dpbtrs, dpotrf, dpotrs, dtrtrs = (
-    _flapack.dpbtrf, _flapack.dpbtrs, _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs)
+dpbtrf, dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
 
 
 def splu(a, **kwargs):
@@ -130,33 +130,51 @@ class DenoiseResult:
     wall_ms: float  # the whole denoise call, in the process that ran it
 
 
+def _pivot_root(d: float) -> float:
+    """The square root of a Cholesky pivot of the trend system, which must
+    be positive (a NaN is not)."""
+    if not d > 0.0:
+        raise SamplerNumericalError("trend posterior system not positive definite")
+    return math.sqrt(d)
+
+
 def sample_gamma(y: np.ndarray, f: np.ndarray, kappa_l: float, z: np.ndarray,
                  ztz: np.ndarray, gamma_precision: float,
                  rng: np.random.Generator) -> np.ndarray:
     """Draw the trend coefficients from N(m, C) with
     C = (kappa_l Z^T Z + Q_gamma)^-1 and m = kappa_l C Z^T (y - f); ``ztz``
-    is Z^T Z, which a chain computes once.  The LAPACK routines are called
-    directly: on a 3 x 3 system the checks of the scipy.linalg wrappers cost
-    more than the arithmetic."""
-    a = kappa_l * ztz
-    a.flat[::4] += gamma_precision  # the diagonal of the 3 x 3 system
-    c, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
-    if info > 0:
-        raise SamplerNumericalError("trend posterior system not positive definite")
-    m = kappa_l * dpotrs(c, z.T @ (y - f), lower=1)[0]
-    # x = m + L^-T xi has covariance (L L^T)^-1 = C
-    xi = rng.standard_normal(3)
-    return m + dtrtrs(c, xi, lower=1, trans=1)[0]
+    is Z^T Z, which a chain computes once.
+
+    The 3 x 3 system A = kappa_l Z^T Z + Q_gamma is factored as L L^T in
+    closed form, on Python floats, from its lower triangle: on a system this
+    small any array call costs more than the arithmetic.  m + L^-T xi, for
+    xi standard normal, has covariance (L L^T)^-1 = C, and it is
+    L^-T (u + xi) with u = L^-1 kappa_l Z^T (y - f): one forward and one
+    back substitution."""
+    (s00, _, _), (s10, s11, _), (s20, s21, s22) = ztz.tolist()
+    b0, b1, b2 = (z.T @ (y - f)).tolist()
+    l00 = _pivot_root(kappa_l * s00 + gamma_precision)
+    l10 = kappa_l * s10 / l00
+    l20 = kappa_l * s20 / l00
+    l11 = _pivot_root(kappa_l * s11 + gamma_precision - l10 * l10)
+    l21 = (kappa_l * s21 - l20 * l10) / l11
+    l22 = _pivot_root(kappa_l * s22 + gamma_precision - l20 * l20 - l21 * l21)
+    u0 = kappa_l * b0 / l00
+    u1 = (kappa_l * b1 - l10 * u0) / l11
+    u2 = (kappa_l * b2 - l20 * u0 - l21 * u1) / l22
+    xi0, xi1, xi2 = rng.standard_normal(3).tolist()
+    g2 = (u2 + xi2) / l22
+    g1 = (u1 + xi1 - l21 * g2) / l11
+    g0 = (u0 + xi0 - l10 * g1 - l20 * g2) / l00
+    return np.array([g0, g1, g2])
 
 
-def sample_kappas(y: np.ndarray, f: np.ndarray, zg: np.ndarray,
-                  precision: PrecisionMatrix, hp: HyperParams,
-                  rng: np.random.Generator) -> NoiseParams:
+def sample_kappas(r: np.ndarray, f: np.ndarray, precision: PrecisionMatrix,
+                  hp: HyperParams, rng: np.random.Generator) -> NoiseParams:
     """Draw the two precisions from their conjugate gamma conditionals
-    (shape-scale convention, mean alpha * beta); ``zg`` is the trend
-    Z gamma of the current draw."""
-    n = y.size
-    r = y - zg - f
+    (shape-scale convention, mean alpha * beta); ``r`` is the residual
+    y - Z gamma - f of the current draws."""
+    n = r.size
     beta_l_star = 1.0 / (0.5 * float(r @ r) + 1.0 / hp.beta_l)
     beta_f_star = 1.0 / (0.5 * precision.quad_form(f) + 1.0 / hp.beta_f)
     kappa_l = rng.gamma(shape=0.5 * n + hp.alpha_l, scale=beta_l_star)
@@ -164,13 +182,18 @@ def sample_kappas(y: np.ndarray, f: np.ndarray, zg: np.ndarray,
     return NoiseParams(kappa_l=kappa_l, kappa_f=kappa_f)
 
 
+@lru_cache(maxsize=16)
 def _path_eigenbasis(n: int) -> tuple[np.ndarray, np.ndarray]:
     """``SpectralPrecision``'s l_k and u_k for a path of n pixels, k ascending,
-    each cosine's angle reduced modulo 2 pi in integers."""
+    each cosine's angle reduced modulo 2 pi in integers; read-only, as every
+    chain with a path of n pixels shares them."""
     k = np.arange(n)
     m = np.outer(2 * k + 1, k) % (4 * n)
     u = np.cos(np.pi / (2 * n) * m) * np.where(k == 0, np.sqrt(1 / n), np.sqrt(2 / n))
-    return 4 * np.sin(np.pi / (2 * n) * k) ** 2, u
+    l = 4 * np.sin(np.pi / (2 * n) * k) ** 2
+    for arr in (l, u):
+        arr.flags.writeable = False
+    return l, u
 
 
 class SpectralPrecision:
@@ -187,9 +210,12 @@ class SpectralPrecision:
     LAPACK build.
     A chain keeps its field as c = U^T f.  U is orthonormal, so the inner
     products that the gamma and kappa draws read are unchanged, f^T Q f is
-    sum q c^2, and A = kappa_l I + kappa_f Q is diagonal: the object is the
-    chain's precision and its solver both.  It is shared by every chain on
-    its lattice, so its arrays are read-only.
+    sum q c^2, and A = kappa_l I + kappa_f Q is diag(a), a = kappa_l +
+    kappa_f q: the object is the chain's precision and its solver both.
+    Each chain builds its own, on path bases that every chain shares.  It
+    holds a and sqrt(a) for one precision draw, formed in place by the first
+    of ``perturbation`` and ``solve`` to see that draw, so a field draw
+    forms them once and allocates only its standard normals.
     """
 
     def __init__(self, n1: int, n2: int):
@@ -198,8 +224,9 @@ class SpectralPrecision:
         self.n = n1 * n2
         self._grid = (n1, n2)
         self._q = (l1[:, None] + l2[None, :]).ravel() ** 2
-        for arr in (self._u1, self._u2, self._q):
-            arr.flags.writeable = False
+        self._a = np.empty(self.n)
+        self._root_a = np.empty(self.n)
+        self._noise = None  # the precision draw that _a and _root_a hold
 
     def to_basis(self, x: np.ndarray) -> np.ndarray:
         """U^T x for each row of ``x``, of shape (n,) or (k, n)."""
@@ -215,20 +242,28 @@ class SpectralPrecision:
         """f^T Q f for the field with coefficients ``c``."""
         return float(self._q @ (c * c))
 
+    def _diagonal(self, noise: NoiseParams) -> tuple[np.ndarray, np.ndarray]:
+        """a and sqrt(a) for the precision draw ``noise``."""
+        if noise is not self._noise:
+            np.multiply(self._q, noise.kappa_f, out=self._a)
+            self._a += noise.kappa_l
+            np.sqrt(self._a, out=self._root_a)
+            self._noise = noise
+        return self._a, self._root_a
+
     def perturbation(self, noise: NoiseParams, rng: np.random.Generator) -> np.ndarray:
-        """A draw from N(0, A) in the basis, where A = diag(a) with
-        a = kappa_l + kappa_f q: sqrt(a) times one standard normal per
-        coefficient, from ``rng``."""
-        return np.sqrt(noise.kappa_l + noise.kappa_f * self._q) * rng.standard_normal(self.n)
+        """A draw from N(0, A) in the basis: sqrt(a) times one standard
+        normal per coefficient, from ``rng``."""
+        xi = rng.standard_normal(self.n)
+        xi *= self._diagonal(noise)[1]
+        return xi
 
     def solve(self, precision: SpectralPrecision, noise: NoiseParams,
               b: np.ndarray) -> np.ndarray:
-        """Solve A c = b in the basis, where A is diagonal."""
-        return b / (noise.kappa_l + noise.kappa_f * self._q)
-
-
-# an igmrf chain's basis, shared by every chain on its lattice
-_spectral_precision = lru_cache(maxsize=8)(SpectralPrecision)
+        """Solve A c = b in the basis, where A is diagonal, in place: ``b``
+        becomes c."""
+        b /= self._diagonal(noise)[0]
+        return b
 
 
 class SuperLUSolver:
@@ -360,23 +395,23 @@ def field_solver(precision: PrecisionMatrix) -> BandedCholeskySolver | SuperLUSo
     return SuperLUSolver()
 
 
-def sample_field_given_gamma(y: np.ndarray, zg: np.ndarray, noise: NoiseParams,
+def sample_field_given_gamma(b: np.ndarray, noise: NoiseParams,
                              precision: PrecisionMatrix | SpectralPrecision,
                              rng: np.random.Generator,
                              solver: BandedCholeskySolver | SuperLUSolver | SpectralPrecision,
                              ) -> np.ndarray:
-    """Draw the field conditional on the current trend draw, whose trend
-    Z gamma is ``zg``.
+    """Draw the field conditional on the current trend draw, given
+    b = kappa_l (y - Z gamma).
 
-    The Gaussian has precision A = kappa_l I + kappa_f Q and mean
-    A^-1 kappa_l (y - Z gamma).  The draw is one solve of A with a
-    right-hand side perturbed by a draw from N(0, A), which the precision
-    makes from ``rng`` (Papandreou & Yuille 2010); ``solver`` is the chain's
-    solver for this lattice.  With a ``SpectralPrecision``, ``y``, ``zg``
-    and the draw are in its basis.
+    The Gaussian has precision A = kappa_l I + kappa_f Q and mean A^-1 b.
+    The draw is one solve of A with b perturbed by a draw from N(0, A),
+    which the precision makes from ``rng`` (Papandreou & Yuille 2010);
+    ``solver`` is the chain's solver for this lattice.  With a
+    ``SpectralPrecision``, ``b`` and the draw are in its basis.
     """
-    resid = noise.kappa_l * (y - zg)
-    return solver.solve(precision, noise, resid + precision.perturbation(noise, rng))
+    x = precision.perturbation(noise, rng)
+    x += b
+    return solver.solve(precision, noise, x)
 
 
 @lru_cache(maxsize=8)
@@ -475,7 +510,7 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
         ztz = design.T @ design
         if variant == IGMRF:
             # the chain runs in Q's eigenbasis, where Z^T Z is the same
-            precision = solver = _spectral_precision(n1, n2)
+            precision = solver = SpectralPrecision(n1, n2)
             yn, design = precision.to_basis(yn), precision.to_basis(design.T).T
         else:
             precision = build_igmrf_precision(n1, n2)
@@ -484,15 +519,18 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
         for t in range(1, hp.n_iter + 1):
             gamma = sample_gamma(yn, f, noise.kappa_l, design, ztz, hp.gamma_precision, rng)
             zg = design @ gamma
-            noise = sample_kappas(yn, f, zg, precision, hp, rng)
-            f = sample_field_given_gamma(yn, zg, noise, precision, rng, solver)
+            yz = yn - zg
+            noise = sample_kappas(yz - f, f, precision, hp, rng)
+            yz *= noise.kappa_l
+            f = sample_field_given_gamma(yz, noise, precision, rng, solver)
             if variant == HIGMRF:
                 mask = get_binary_image(f.reshape(n1, n2), hp.h, hp.window)
                 precision = build_higmrf_precision(mask, hp.lam)
             theta_trace[t - 1] = (noise.kappa_l, noise.kappa_f)
             gamma_trace[t - 1] = gamma
             if t > hp.burn_in:
-                accum += zg + f
+                accum += zg
+                accum += f
         if variant == IGMRF:
             accum = solver.from_basis(accum)
 

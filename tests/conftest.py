@@ -74,10 +74,10 @@ def run_fresh(code, *args):
 def draw_in_pixels(y, zg, noise, precision, rng, solver):
     """A field draw as a chain on ``precision`` makes it, in pixel space: a
     ``SpectralPrecision`` chain draws in its basis."""
+    b = noise.kappa_l * (y - zg)
     if not isinstance(precision, SpectralPrecision):
-        return sample_field_given_gamma(y, zg, noise, precision, rng, solver)
-    c = sample_field_given_gamma(precision.to_basis(y), precision.to_basis(zg), noise,
-                                 precision, rng, solver)
+        return sample_field_given_gamma(b, noise, precision, rng, solver)
+    c = sample_field_given_gamma(precision.to_basis(b), noise, precision, rng, solver)
     return precision.from_basis(c)
 
 

@@ -188,7 +188,7 @@ class TestCriterion4ConditionalOracle:
         rss = float((y - f) @ (y - f))
         exp_kl = (n / 2 + hp.alpha_l) / (rss / 2 + 1 / hp.beta_l)
         exp_kf = (n / 2 + hp.alpha_f) / (precision.quad_form(f) / 2 + 1 / hp.beta_f)
-        kdraws = [sample_kappas(y, f, zg, precision, hp, rng)
+        kdraws = [sample_kappas(y - zg - f, f, precision, hp, rng)
                   for _ in range(m_draws)]
         kl_err = abs(np.mean([k.kappa_l for k in kdraws]) - exp_kl) / exp_kl
         kf_err = abs(np.mean([k.kappa_f for k in kdraws]) - exp_kf) / exp_kf

@@ -5,6 +5,7 @@ import pytest
 
 from smfdenoise.baselines import (
     FilterConfig,
+    _window_sums,
     average_filter,
     gaussian_filter,
     gaussian_kernel,
@@ -142,6 +143,27 @@ class TestNlm:
         x = rng.standard_normal((6, 7)) * 0.2
         got = nlm_filter(Raster.from_2d(x), patch=3, search=5, h=0.4).to_2d()
         np.testing.assert_allclose(got, nlm_oracle(x, 3, 5, 0.4), atol=1e-10)
+
+    @pytest.mark.parametrize("shape, patch, search", [((30, 30), 5, 11), ((7, 13), 3, 5),
+                                                       ((1, 9), 7, 3), ((12, 5), 5, 7)])
+    def test_stacked_offsets_match_the_offset_loop_bit_for_bit(self, shape, patch, search):
+        # the filter stacks the column offsets of each row offset; one
+        # offset at a time, with the same array operations, gives the same
+        # bits, as long as the weighted sums add the offsets in the same order
+        x = np.random.default_rng(36).standard_normal(shape)
+        n1, n2 = shape
+        ph, sh = patch // 2, search // 2
+        xp = np.pad(x, ph + sh, mode="edge")
+        base = xp[sh:sh + n1 + 2 * ph, sh:sh + n2 + 2 * ph]
+        num, den = np.zeros(shape), np.zeros(shape)
+        for dr in range(-sh, sh + 1):
+            for dc in range(-sh, sh + 1):
+                shifted = xp[sh + dr:sh + dr + n1 + 2 * ph, sh + dc:sh + dc + n2 + 2 * ph]
+                w = np.exp(-_window_sums((base - shifted) ** 2, np.ones(patch)) / (0.3 * 0.3))
+                num += w * shifted[ph:ph + n1, ph:ph + n2]
+                den += w
+        got = nlm_filter(Raster.from_2d(x), patch=patch, search=search, h=0.3).to_2d()
+        assert np.array_equal(got, num / den)
 
     def test_constant_preserved(self):
         y = Raster.from_2d(np.full((8, 8), 2.5))

@@ -12,7 +12,7 @@ from conftest import (
     set_blas_threads,
     spot_input,
 )
-from scipy import sparse
+from scipy import linalg, sparse
 
 from smfdenoise import lattice, sampler
 from smfdenoise.lattice import (
@@ -44,6 +44,17 @@ class ZeroRng:
         return np.zeros(n)
 
 
+class FixedRng:
+    """Stands in for a Generator; returns the given standard normals."""
+
+    def __init__(self, xi):
+        self._xi = xi
+
+    def standard_normal(self, n):
+        assert n == self._xi.size
+        return self._xi.copy()
+
+
 class TestSampleGamma:
     def setup_method(self):
         self.design = make_design(3, 3)
@@ -71,9 +82,48 @@ class TestSampleGamma:
         np.testing.assert_allclose(np.cov(draws.T), c, atol=5e-3)
 
     def test_not_positive_definite_is_numerical_error(self):
-        # a negative definite Z^T Z stands in for any system dpotrf rejects
+        # a negative definite Z^T Z stands in for any system with a pivot
+        # that is not positive
         with pytest.raises(SamplerNumericalError, match="trend posterior"):
             sample_gamma(self.y, self.f, 4.0, self.design, -np.eye(3), 0.5, ZeroRng())
+
+    def test_nan_precision_is_numerical_error(self):
+        # a NaN fails every pivot check, as it fails LAPACK's
+        ztz = self.design.T @ self.design
+        with pytest.raises(SamplerNumericalError, match="trend posterior"):
+            sample_gamma(self.y, self.f, np.nan, self.design, ztz, 0.5, ZeroRng())
+
+    @staticmethod
+    def cholesky_draw(y, f, kappa_l, z, ztz, gp, xi):
+        """m + L^-T xi from scipy.linalg's Cholesky factor L of the system."""
+        c = linalg.cholesky(kappa_l * ztz + gp * np.eye(3), lower=True)
+        m = kappa_l * linalg.cho_solve((c, True), z.T @ (y - f))
+        return m + linalg.solve_triangular(c, xi, lower=True, trans="T")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_closed_form_equals_a_cholesky_draw(self, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((3, 3))
+        ztz = m @ m.T + 0.05 * np.eye(3)  # a random SPD Z^T Z
+        z = rng.standard_normal((9, 3))
+        kappa_l, gp = rng.gamma(2.0, 5.0), rng.gamma(1.0, 1e-2)
+        xi = rng.standard_normal(3)
+        expected = self.cholesky_draw(self.y, self.f, kappa_l, z, ztz, gp, xi)
+        got = sample_gamma(self.y, self.f, kappa_l, z, ztz, gp, FixedRng(xi))
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [2, 7, 30])
+    def test_closed_form_on_a_singular_row_lattice(self, n):
+        # on a 1 x n lattice the row coordinate is 0, so Z^T Z is singular
+        # and only gamma_precision = 1e-3 makes the system definite
+        design = make_design(1, n)
+        rng = np.random.default_rng(n)
+        y, f, xi = rng.standard_normal(n), 0.1 * rng.standard_normal(n), rng.standard_normal(3)
+        ztz = design.T @ design
+        assert np.linalg.matrix_rank(ztz) == 2
+        expected = self.cholesky_draw(y, f, 40.0, design, ztz, 1e-3, xi)
+        got = sample_gamma(y, f, 40.0, design, ztz, 1e-3, FixedRng(xi))
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
 class TestSampleKappas:
@@ -87,7 +137,7 @@ class TestSampleKappas:
         y = np.array([1.0, -1.0, 0.0, 0.0]) * np.sqrt(1.0)  # RSS = 2
         rng = np.random.default_rng(4)
         draws = np.array([
-            sample_kappas(y, f, design @ gamma, precision, hp, rng).kappa_l
+            sample_kappas(y - design @ gamma - f, f, precision, hp, rng).kappa_l
             for _ in range(50000)
         ])
         expected_mean = 3.0 / 1.1
@@ -103,7 +153,7 @@ class TestSampleKappas:
         y = f.copy()
         rng = np.random.default_rng(5)
         draws = np.array([
-            sample_kappas(y, f, design @ np.zeros(3), precision, hp, rng).kappa_f
+            sample_kappas(y - design @ np.zeros(3) - f, f, precision, hp, rng).kappa_f
             for _ in range(50000)
         ])
         expected = (2.0 + 10.0) * 0.01
@@ -274,7 +324,7 @@ def pixel_igmrf_chain(y, hp):
     for t in range(1, hp.n_iter + 1):
         gamma = sample_gamma(yn, f, noise.kappa_l, design, ztz, hp.gamma_precision, rng)
         zg = design @ gamma
-        noise = sample_kappas(yn, f, zg, precision, hp, rng)
+        noise = sample_kappas(yn - zg - f, f, precision, hp, rng)
         a = noise.kappa_l + noise.kappa_f * q_eigs
         b = basis.T @ (noise.kappa_l * (yn - zg)) + np.sqrt(a) * rng.standard_normal(n)
         f = basis @ (b / a)
@@ -768,8 +818,8 @@ class TestSweepStationarity:
             y = design @ gamma + f + rng.standard_normal(n) / np.sqrt(noise.kappa_l)
             gamma = sample_gamma(y, f, noise.kappa_l, design, ztz, hp.gamma_precision, rng)
             zg = design @ gamma
-            noise = sample_kappas(y, f, zg, precision, hp, rng)
-            f = sample_field_given_gamma(y, zg, noise, precision, rng, solver)
+            noise = sample_kappas(y - zg - f, f, precision, hp, rng)
+            f = sample_field_given_gamma(noise.kappa_l * (y - zg), noise, precision, rng, solver)
             kl.append(noise.kappa_l)
             kf.append(noise.kappa_f)
         kl_mean = np.mean(kl[1000:])
