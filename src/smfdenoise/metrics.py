@@ -58,7 +58,7 @@ def _rms(a: np.ndarray, b: np.ndarray) -> float:
 
 def rmse(estimate: Raster, truth: Raster) -> float:
     a, b, e = _pair(estimate, truth)
-    # only a pair whose values differ by more than float64 holds overflows
+    # an RMSE past float64's top, from values near it of opposite sign, is inf
     with np.errstate(over="ignore"):
         return float(np.ldexp(_rms(a, b), e))
 

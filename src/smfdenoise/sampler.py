@@ -22,12 +22,18 @@ band half-width kd = 2 n2 of row-major order is at most ``BAND_KD_MAX`` =
 symmetric-mode SuperLU otherwise; either failing raises
 ``SamplerNumericalError``.
 
-A sweep does only its arithmetic.  Per lattice size, and shared by every
-chain on it, are cached: the eigenbasis (``_spectral_precision``) and the
-mask's window bounds (``_windows``).  Per chain are computed once: Z^T Z and
-the band buffer.  Each sweep forms the trend Z gamma once.  A ``higmrf``
-precision is its two edge-weight arrays and Q's closed-form entries on seven
-offsets, one lattice grid each (``lattice``); a sweep reads D^T x and
+A sweep does only its arithmetic.  It draws gamma from Z^T (y - f), with the
+3 x 3 system factored in closed form on Python floats; forms Z gamma and
+y - Z gamma once each; draws (kappa_l, kappa_f) from (y - Z gamma) - f and
+f^T Q f; draws f given b = kappa_l (y - Z gamma), scaled in place; for
+``higmrf``, thresholds the mask and rebuilds Q; and after burn-in adds
+Z gamma and f to the running sum in place.  Per path length, and shared by
+every chain, the DCT-II bases are cached (``_path_eigenbasis``), and per
+lattice size the mask's window bounds (``_windows``).  Per chain are
+computed once: Z^T Z, the ``SpectralPrecision`` with its buffers for a and
+sqrt(a), and the band buffer.  A ``higmrf`` precision is its two
+edge-weight arrays and Q's closed-form entries on seven offsets, one
+lattice grid each (``lattice``); a sweep reads D^T x and
 f^T Q f from the weights and adds each grid, raveled, into the band's row
 k = di n2 + dj, so no banded sweep builds a scipy sparse matrix.  Past the
 band bound, SuperLU gets A as a CSC matrix assembled from the same
@@ -40,7 +46,8 @@ each provides it, and the caller's counts are restored afterwards.
 
 LAPACK is reached without importing scipy's packages (README, Start-up):
 ``_load_flapack`` loads scipy's own f2py extension, ``scipy.linalg._flapack``,
-from scipy's directory, and the module binds the five routines it calls.
+from scipy's directory, and the module binds the two routines it calls, the
+band factor and solve ``dpbtrf`` and ``dpbtrs``.
 ``SuperLUSolver`` and ``splu`` import ``scipy.sparse`` on first use; only a
 lattice over 128 pixels on its shorter side reaches them, and its sweeps
 take seconds.
