@@ -1,4 +1,7 @@
-"""Classical comparison filters: Gaussian, average, adaptive Wiener, non-local means."""
+"""Classical comparison filters: Gaussian, average, adaptive Wiener, non-local means.
+
+The last three run on the image divided by 2^e (``lattice.pow2_scaled``),
+so none of their sums or squares overflows, and scale their output back."""
 
 from __future__ import annotations
 
@@ -6,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Raster
+from .lattice import Raster, pow2_scaled
 
 __all__ = [
     "FilterConfig",
@@ -32,11 +35,7 @@ class FilterConfig:
         for name in ("gaussian_size", "average_size", "wiener_size", "nlm_patch", "nlm_search"):
             _check_odd(getattr(self, name), name)
         for name in ("gaussian_sigma", "nlm_h"):
-            v = getattr(self, name)
-            if not (v > 0):
-                raise ValueError(f"{name} must be positive, got {v}")
-            if not np.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
+            _check_positive(getattr(self, name), name)
         return self
 
 
@@ -45,12 +44,16 @@ def _check_odd(size: int, name: str = "size"):
         raise ValueError(f"{name} must be odd and >= 3, got {size}")
 
 
+def _check_positive(value: float, name: str):
+    if not (0 < value < np.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def gaussian_kernel(sigma: float, size: int) -> np.ndarray:
     """Normalized sampled 1-D Gaussian on ``size`` points.  The isotropic
     size x size kernel is its outer product with itself."""
     _check_odd(size)
-    if not (sigma > 0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_positive(sigma, "sigma")
     half = size // 2
     ax = np.arange(-half, half + 1, dtype=np.float64)
     g = np.exp(-ax ** 2 / (2.0 * sigma ** 2))
@@ -83,8 +86,9 @@ def gaussian_filter(y: Raster, sigma: float, size: int) -> Raster:
 def average_filter(y: Raster, size: int) -> Raster:
     """Convolution with a uniform kernel, edge-replicated borders."""
     _check_odd(size)
-    sums = _window_sums(np.pad(y.to_2d(), size // 2, mode="edge"), np.ones(size))
-    return Raster.from_2d(sums / (size * size))
+    x, e = pow2_scaled(y.to_2d())
+    sums = _window_sums(np.pad(x, size // 2, mode="edge"), np.ones(size))
+    return Raster.from_2d(np.ldexp(sums / (size * size), e))
 
 
 def wiener_filter(y: Raster, size: int) -> Raster:
@@ -96,7 +100,7 @@ def wiener_filter(y: Raster, size: int) -> Raster:
     max(var, floor); fully degenerate windows pass the local mean through.
     """
     _check_odd(size)
-    x = y.to_2d()
+    x, e = pow2_scaled(y.to_2d())
     xp = np.pad(x, size // 2, mode="edge")
     mu = _window_sums(xp, np.ones(size)) / (size * size)
     m2 = _window_sums(xp * xp, np.ones(size)) / (size * size)
@@ -105,7 +109,7 @@ def wiener_filter(y: Raster, size: int) -> Raster:
     denom = np.maximum(var, floor)
     safe = np.where(denom > 0.0, denom, 1.0)
     gain = np.where(denom > 0.0, np.maximum(var - floor, 0.0) / safe, 0.0)
-    return Raster.from_2d(mu + gain * (x - mu))
+    return Raster.from_2d(np.ldexp(mu + gain * (x - mu), e))
 
 
 def nlm_filter(y: Raster, patch: int, search: int, h: float) -> Raster:
@@ -118,13 +122,13 @@ def nlm_filter(y: Raster, patch: int, search: int, h: float) -> Raster:
     offset included with weight 1).  The offsets of one row offset go
     through as one stack, so a search window of s x s offsets takes s
     rounds of array calls, not s^2; the weighted sums still add offset by
-    offset in row-major order.
+    offset in row-major order.  An SSD / h^2 past float64's top gives
+    weight exp(-inf) = 0, its limit.
     """
     _check_odd(patch, "patch")
     _check_odd(search, "search")
-    if not (h > 0):
-        raise ValueError(f"h must be positive, got {h}")
-    x = y.to_2d()
+    _check_positive(h, "h")
+    x, e = pow2_scaled(y.to_2d())
     n1, n2 = x.shape
     ph = patch // 2
     sh = search // 2
@@ -143,11 +147,12 @@ def nlm_filter(y: Raster, patch: int, search: int, h: float) -> Raster:
     terms = np.empty((search + 1, n1, n2))
     for row in shifted:
         ssd = _window_sums((base - row) ** 2, ones)
-        w = np.exp(-ssd / h2)
+        with np.errstate(over="ignore"):
+            w = np.exp(-np.ldexp(ssd / h2, 2 * e))
         terms[0] = num
         np.multiply(w, row[:, ph:ph + n1, ph:ph + n2], out=terms[1:])
         num = terms.sum(axis=0)
         terms[0] = den
         terms[1:] = w
         den = terms.sum(axis=0)
-    return Raster.from_2d(num / den)
+    return Raster.from_2d(np.ldexp(num / den, e))

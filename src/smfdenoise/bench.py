@@ -12,7 +12,7 @@ import numpy as np
 from . import baselines, metrics
 from .baselines import FilterConfig
 from .fileio import csv_text, format_csv_rows, format_number, read_raster_csv, write_raster_csv
-from .lattice import Raster
+from .lattice import Raster, pow2_scaled
 from .model import HyperParams
 from .pool import run_jobs
 from .sampler import HIGMRF, IGMRF
@@ -191,12 +191,12 @@ def write_report(path, rows: list[BenchRow], methods: list[str],
         cols = table[[r.method == method for r in rows]]
         means.append(cols.mean(axis=0))
         # std would subtract inf from inf and warn; such a column is nan here.
-        # It squares deviations, so each column is divided by a power of two
-        # near its largest |value| first: exactly, and with no overflow
+        # It squares deviations, so it runs on each column divided by its
+        # own power of two and is scaled back
         finite = np.isfinite(cols).all(axis=0)
         std = np.full(cols.shape[1], np.nan)
-        e = np.frexp(np.abs(cols[:, finite]).max(axis=0))[1]
-        std[finite] = np.ldexp(np.ldexp(cols[:, finite], -e).std(axis=0), e)
+        scaled, e = pow2_scaled(cols[:, finite], axis=0)
+        std[finite] = np.ldexp(scaled.std(axis=0), e)
         stds.append(std[:4])
     lines = [",".join(REPORT_COLUMNS)]
     lines += [f"{r.image},{r.method},{t}" for r, t in zip(rows, format_csv_rows(table))]

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import pow2_scaled
+
 __all__ = [
     "TraceSet",
     "ConvergenceReport",
@@ -49,12 +51,9 @@ def psrf(traces: TraceSet) -> float:
 
     W is the mean within-chain variance (divisor L-1), B the between-chain
     term L/(m-1) * sum of squared deviations of the chain means.  The ratio
-    is scale-invariant, so it is computed on the traces divided by 2^e, e
-    the exponent of their largest |value|: the division is exact, so traces
-    in range keep their bits, and no square of a trace near float64's top
-    overflows.
+    is scale-invariant, so it is computed on the traces ``pow2_scaled``.
     """
-    v = np.ldexp(traces.values, -np.frexp(np.abs(traces.values).max())[1])
+    v, _ = pow2_scaled(traces.values)
     m, length = v.shape
     s = v.var(axis=1, ddof=1)
     w = s.mean()

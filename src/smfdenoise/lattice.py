@@ -25,7 +25,17 @@ __all__ = [
     "PrecisionMatrix",
     "build_igmrf_precision",
     "build_higmrf_precision",
+    "pow2_scaled",
 ]
+
+
+def pow2_scaled(x: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` divided by 2^e, and e, the frexp exponent of its largest |value|
+    (per column, for ``axis=0``).  The division is exact (Higham 2002,
+    section 2.1), so scale-equivariant arithmetic on the result, scaled
+    back, keeps its bits in range, and no sum or square of it overflows."""
+    e = np.frexp(np.abs(x).max(axis=axis))[1]
+    return np.ldexp(x, -e), e
 
 
 @dataclass(frozen=True, eq=False)

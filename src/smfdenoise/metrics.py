@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Raster
+from .lattice import Raster, pow2_scaled
 
 __all__ = [
     "MetricsReport",
@@ -38,18 +38,15 @@ class MetricsReport:
 
 
 def _pair(estimate: Raster, truth: Raster) -> tuple[np.ndarray, np.ndarray, int]:
-    """The two images' values divided by 2^e, and e, the exponent of their
-    largest |value|.  Every measure is computed on them: the division is
-    exact, so images in range give the bits they would unscaled, and no
-    square of a value near float64's top overflows."""
+    """The two images' values divided by one 2^e (``pow2_scaled``), and e.
+    Every measure is computed on them."""
     if (estimate.n1, estimate.n2) != (truth.n1, truth.n2):
         raise ValueError(
             f"shape mismatch: estimate {estimate.n1}x{estimate.n2} "
             f"vs truth {truth.n1}x{truth.n2}"
         )
-    a, b = estimate.data, truth.data
-    e = int(np.frexp(max(np.abs(a).max(), np.abs(b).max()))[1])
-    return np.ldexp(a, -e), np.ldexp(b, -e), e
+    (a, b), e = pow2_scaled(np.stack((estimate.data, truth.data)))
+    return a, b, int(e)
 
 
 def _rms(a: np.ndarray, b: np.ndarray) -> float:

@@ -74,6 +74,7 @@ from .lattice import (
     SpotMask,
     build_higmrf_precision,
     build_igmrf_precision,
+    pow2_scaled,
 )
 from .model import HyperParams, NoiseParams, SamplerNumericalError, make_design
 
@@ -468,26 +469,23 @@ def get_binary_image(x: np.ndarray, h: float, window: int) -> SpotMask:
     return SpotMask(*x.shape, x >= thresh)
 
 
-def _normalize(y: np.ndarray) -> tuple[np.ndarray, float, float]:
-    lo = float(y.min())
-    hi = float(y.max())
-    if np.isinf(hi - lo):
-        raise SamplerNumericalError(
-            f"input range [{lo:.9g}, {hi:.9g}] is wider than float64 can hold")
+def _normalize(y: np.ndarray) -> tuple[np.ndarray, float, float, int]:
+    y, e = pow2_scaled(y)  # so that hi - lo cannot overflow
+    lo, hi = float(y.min()), float(y.max())
     if hi > lo:
-        return (y - lo) / (hi - lo), lo, hi - lo
-    return np.zeros_like(y), lo, 0.0
+        return (y - lo) / (hi - lo), lo, hi - lo, e
+    return np.zeros_like(y), lo, 0.0, e
 
 
 def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
     """Run the full Gibbs chain on an observed raster.
 
-    The input is affinely mapped to [0, 1] (the threshold h is calibrated on
-    that scale) and the posterior mean is mapped back on output.  The field
-    draw conditions on the current trend draw rather than marginalizing it
-    out: with the weak trend prior, the marginalized conditional is hugely
-    diffuse along the trend span and the averaged draws would be dominated
-    by that component.  The posterior mean averages the full noise-free
+    The input is divided by 2^e (``pow2_scaled``) and affinely mapped to
+    [0, 1] (the threshold h is calibrated on that scale), and the posterior
+    mean is mapped back on output.  The field draw conditions on the
+    current trend draw rather than marginalizing it out: with the weak
+    trend prior, the marginalized conditional is hugely diffuse along the
+    trend span and the averaged draws would be dominated by that component.  The posterior mean averages the full noise-free
     reconstruction Z gamma + f; the split between trend and field is only
     weakly identified (a flat field absorbs any trend), so each alone mixes
     far more slowly than their sum.
@@ -500,7 +498,7 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
     wide = y.n2 > y.n1
     grid = y.to_2d().T if wide else y.to_2d()
     n1, n2 = grid.shape
-    yn, offset, scale = _normalize(grid.ravel())
+    yn, offset, scale, e = _normalize(grid.ravel())
 
     mask = SpotMask.zeros(n1, n2)
     noise = NoiseParams(kappa_l=hp.alpha_l * hp.beta_l, kappa_f=hp.alpha_f * hp.beta_f)
@@ -546,11 +544,11 @@ def denoise(y: Raster, hp: HyperParams, variant: str = HIGMRF) -> DenoiseResult:
     # it overflows
     try:
         with np.errstate(over="raise"):
-            mean = offset + mean_norm * scale
+            mean = np.ldexp(offset + mean_norm * scale, e)
     except FloatingPointError:
         raise SamplerNumericalError(
             f"posterior mean overflows float64 on the input range "
-            f"[{offset:.9g}, {offset + scale:.9g}]") from None
+            f"[{grid.min():.9g}, {grid.max():.9g}]") from None
     if wide:
         mean = mean.reshape(n1, n2).T
         mask = SpotMask.from_2d(mask.to_2d().T == 1)  # boolean, so not scanned

@@ -197,3 +197,16 @@ class TestFilterConfig:
     def test_rejects_non_positive_h(self):
         with pytest.raises(ValueError):
             FilterConfig(nlm_h=0.0).validate()
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
+def test_config_and_filters_share_one_rule_for_sigma_and_h(value):
+    # a filter called directly rejects what the config rejects: an infinite
+    # sigma would give a uniform kernel, an infinite h weight 1 everywhere
+    y = Raster.from_2d(np.zeros((6, 6)))
+    for call in (lambda: FilterConfig(gaussian_sigma=value).validate(),
+                 lambda: FilterConfig(nlm_h=value).validate(),
+                 lambda: gaussian_kernel(value, 5),
+                 lambda: nlm_filter(y, patch=5, search=11, h=value)):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            call()

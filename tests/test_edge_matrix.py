@@ -55,8 +55,8 @@ CONFIGS = [
 
 
 def run_cli(argv, capsys):
-    """The exit code of ``cli.main(argv)``, checked: documented, at most one
-    stderr line, and no warning raised."""
+    """The exit code of ``cli.main(argv)`` and its stderr lines, checked:
+    a documented code, at most one stderr line, and no warning raised."""
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -65,7 +65,7 @@ def run_cli(argv, capsys):
     assert rc in DOCUMENTED, (argv, rc)
     assert len(err) <= 1, (argv, err)
     assert [str(w.message) for w in caught] == [], argv
-    return rc
+    return rc, err
 
 
 def write_config(path, values):
@@ -88,19 +88,46 @@ def test_denoise_and_diagnose(tmp_path, capsys, name):
             run_cli(["diagnose", *common, "--chains", "2", "--report", out], capsys)
 
 
-@pytest.mark.parametrize("scale", [1e150, 1e160])
-def test_bench_on_large_intensities(tmp_path, capsys, scale):
-    # a finite corpus gets finite measures, whatever its scale
-    pairs = [SynthPair(Raster(p.truth.n1, p.truth.n2, p.truth.data * scale),
-                       Raster(p.noisy.n1, p.noisy.n2, p.noisy.data * scale),
+def bench_scaled(tmp_path, capsys, scale, methods):
+    """``bench`` over a small corpus whose pairs are each multiplied by
+    ``scale(noisy)``: its exit code, stderr lines and report rows."""
+    pairs = [SynthPair(Raster(p.truth.n1, p.truth.n2, p.truth.data * scale(p.noisy)),
+                       Raster(p.noisy.n1, p.noisy.n2, p.noisy.data * scale(p.noisy)),
                        p.spots, p.target_snr_db, p.realized_snr_db, p.image_seed)
              for p in generate_corpus(SynthConfig(n1=10, n2=10, n_images=2, seed=1))]
     write_corpus(tmp_path, pairs, [])
     report = tmp_path / "report.csv"
-    rc = run_cli(["bench", "--corpus", str(tmp_path), "--methods", "ga,av,igmrf,higmrf",
-                  "--config", write_config(tmp_path / "short.cfg", {}),
-                  "--report", str(report)], capsys)
-    assert rc == cli.EXIT_OK
+    rc, err = run_cli(["bench", "--corpus", str(tmp_path), "--methods", methods,
+                       "--config", write_config(tmp_path / "short.cfg", {}),
+                       "--report", str(report)], capsys)
     rows = [line.split(",") for line in report.read_text().splitlines()
-            if line and not line.startswith("#")][1:]
-    assert rows and all(np.isfinite(float(v)) for row in rows for v in row[2:6]), rows
+            if line and not line.startswith("#")][1:] if rc == cli.EXIT_OK else []
+    return rc, err, rows
+
+
+def all_finite(rows):
+    return rows and all(np.isfinite(float(v)) for row in rows for v in row[2:6])
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e160])
+def test_bench_on_large_intensities(tmp_path, capsys, scale):
+    # a finite corpus gets finite measures from every method, whatever its scale
+    rc, _, rows = bench_scaled(tmp_path, capsys, lambda noisy: scale,
+                               "ga,av,wi,nlm,igmrf,higmrf")
+    assert rc == cli.EXIT_OK
+    assert all_finite(rows), rows
+
+
+def test_bench_at_the_top_of_float64(tmp_path, capsys):
+    # each pair scaled so that max |noisy| is 1.5e308: the filters give
+    # finite measures, and a chain, whose input range max - min is past
+    # float64's top, fails at most on a posterior mean past it
+    def scale(noisy):
+        return 1.5e308 / np.abs(noisy.data).max()
+
+    rc, _, rows = bench_scaled(tmp_path, capsys, scale, "ga,av,wi,nlm")
+    assert rc == cli.EXIT_OK
+    assert all_finite(rows), rows
+    for method in (cli.IGMRF, cli.HIGMRF):
+        _, err, _ = bench_scaled(tmp_path, capsys, scale, method)
+        assert not any("wider than float64" in line for line in err), err

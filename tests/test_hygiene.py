@@ -4,8 +4,9 @@ imports what it never uses, the lattice loads no scipy, no module imports
 scipy outside the SuperLU path, the sampler holds no process plumbing,
 every name the benchmark's tracer wraps still exists and runs as often as
 the tracer counts it, the CLI has one error path whose exit codes the
-docs name, and only ``fileio`` spells the CSV dialect of the files the CLI
-writes."""
+docs name, only ``fileio`` spells the CSV dialect of the files the CLI
+writes, and only ``lattice.pow2_scaled`` spells the power-of-two scale
+rule."""
 
 import ast
 import importlib
@@ -123,10 +124,9 @@ def test_lattice_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def scipy_imports(tree):
-    """The scope of each statement that imports scipy or a scipy module:
-    the dotted names of its enclosing classes and functions, "" at module
-    level."""
+def scopes_where(tree, matches):
+    """The scope of each node for which ``matches`` holds: the dotted names
+    of its enclosing classes and functions, "" at module level."""
     found = []
 
     def visit(node, scope):
@@ -134,13 +134,7 @@ def scipy_imports(tree):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}".lstrip("."))
                 continue
-            if isinstance(child, ast.Import):
-                modules = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom) and not child.level:
-                modules = [child.module]
-            else:
-                modules = []
-            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+            if matches(child):
                 found.append(scope)
             visit(child, scope)
 
@@ -148,12 +142,22 @@ def scipy_imports(tree):
     return found
 
 
+def imports_scipy(node):
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and not node.level:
+        modules = [node.module]
+    else:
+        modules = []
+    return any(m == "scipy" or m.startswith("scipy.") for m in modules)
+
+
 def test_scipy_is_imported_only_on_the_superlu_path():
     # importing scipy's packages more than doubles a CLI process's start-up;
     # the sampler loads only scipy's LAPACK extension, and only a lattice
     # past the band bound, whose sweeps take seconds, imports scipy.sparse
     scopes = {f"{p.stem}:{scope}" for p in sorted(PACKAGE.glob("*.py"))
-              for scope in scipy_imports(parse(p))}
+              for scope in scopes_where(parse(p), imports_scipy)}
     assert scopes <= {"sampler:splu", "sampler:SuperLUSolver.solve"}
 
 
@@ -299,3 +303,17 @@ def test_only_fileio_spells_the_csv_dialect():
     spellings = {p.stem: dialect_spellings(parse(p)) for p in MODULES if p.stem != "fileio"}
     assert {name: lines for name, lines in spellings.items() if lines} == {}
     assert dialect_spellings(parse(PACKAGE / "fileio.py")) != []
+
+
+def spells_frexp(node):
+    return ((isinstance(node, ast.Attribute) and node.attr == "frexp")
+            or (isinstance(node, ast.Name) and node.id == "frexp"))
+
+
+def test_only_pow2_scaled_spells_the_scale_rule():
+    # every sum or square of intensities or traces runs on them divided by
+    # one power of two, taken in one helper; a second frexp would be a
+    # second copy of the rule
+    found = {p.stem: scopes_where(parse(p), spells_frexp) for p in MODULES}
+    assert {name: where for name, where in found.items() if where} == {
+        "lattice": ["pow2_scaled"]}

@@ -137,7 +137,7 @@ class TestScale:
         estimate = truth + 0.1 * rng.standard_normal(64)
         return r(np.ldexp(estimate, k)), r(np.ldexp(truth, k))
 
-    @pytest.mark.parametrize("k", [-1000, 0, 1000])
+    @pytest.mark.parametrize("k", [-1000, -900, 0, 900, 1000])
     def test_rmse_psnr_kld_keep_their_bits(self, k):
         assert rmse(*self.pair(k)) == math.ldexp(rmse(*self.pair(0)), k)
         assert psnr(*self.pair(k)) == psnr(*self.pair(0))
@@ -145,6 +145,7 @@ class TestScale:
 
     def test_ssim_keeps_its_bits(self):
         # at 2^-1000 the unscaled UQI denominator is far below UQI_DENOM_TOL
+        assert ssim(*self.pair(900)) == ssim(*self.pair(0))
         assert ssim(*self.pair(1000)) == ssim(*self.pair(0))
         with pytest.raises(MetricInstabilityError, match="UQI denominator 0.0 within"):
             ssim(*self.pair(-1000))
