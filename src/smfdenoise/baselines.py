@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Raster, pow2_scaled
+from .model import check_positive, check_window
 
 __all__ = [
     "FilterConfig",
@@ -33,30 +34,22 @@ class FilterConfig:
 
     def validate(self):
         for name in ("gaussian_size", "average_size", "wiener_size", "nlm_patch", "nlm_search"):
-            _check_odd(getattr(self, name), name)
+            check_window(getattr(self, name), name)
         for name in ("gaussian_sigma", "nlm_h"):
-            _check_positive(getattr(self, name), name)
+            check_positive(getattr(self, name), name)
         return self
-
-
-def _check_odd(size: int, name: str = "size"):
-    if size < 3 or size % 2 == 0:
-        raise ValueError(f"{name} must be odd and >= 3, got {size}")
-
-
-def _check_positive(value: float, name: str):
-    if not (0 < value < np.inf):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def gaussian_kernel(sigma: float, size: int) -> np.ndarray:
     """Normalized sampled 1-D Gaussian on ``size`` points.  The isotropic
     size x size kernel is its outer product with itself."""
-    _check_odd(size)
-    _check_positive(sigma, "sigma")
+    check_window(size, "size")
+    check_positive(sigma, "sigma")
+    s, k = pow2_scaled(np.float64(sigma))  # so that sigma^2 is never formed
     half = size // 2
     ax = np.arange(-half, half + 1, dtype=np.float64)
-    g = np.exp(-ax ** 2 / (2.0 * sigma ** 2))
+    with np.errstate(over="ignore"):
+        g = np.exp(-np.ldexp(ax ** 2 / (2.0 * s ** 2), -2 * k))
     return g / g.sum()
 
 
@@ -85,7 +78,7 @@ def gaussian_filter(y: Raster, sigma: float, size: int) -> Raster:
 
 def average_filter(y: Raster, size: int) -> Raster:
     """Convolution with a uniform kernel, edge-replicated borders."""
-    _check_odd(size)
+    check_window(size, "size")
     x, e = pow2_scaled(y.to_2d())
     sums = _window_sums(np.pad(x, size // 2, mode="edge"), np.ones(size))
     return Raster.from_2d(np.ldexp(sums / (size * size), e))
@@ -99,7 +92,7 @@ def wiener_filter(y: Raster, size: int) -> Raster:
     Output is mu + gain * (y - mu) with gain = max(var - floor, 0) /
     max(var, floor); fully degenerate windows pass the local mean through.
     """
-    _check_odd(size)
+    check_window(size, "size")
     x, e = pow2_scaled(y.to_2d())
     xp = np.pad(x, size // 2, mode="edge")
     mu = _window_sums(xp, np.ones(size)) / (size * size)
@@ -122,13 +115,14 @@ def nlm_filter(y: Raster, patch: int, search: int, h: float) -> Raster:
     offset included with weight 1).  The offsets of one row offset go
     through as one stack, so a search window of s x s offsets takes s
     rounds of array calls, not s^2; the weighted sums still add offset by
-    offset in row-major order.  An SSD / h^2 past float64's top gives
-    weight exp(-inf) = 0, its limit.
+    offset in row-major order.  h is scaled as the image is, and an
+    SSD / h^2 past float64's top gives weight exp(-inf) = 0, its limit.
     """
-    _check_odd(patch, "patch")
-    _check_odd(search, "search")
-    _check_positive(h, "h")
+    check_window(patch, "patch")
+    check_window(search, "search")
+    check_positive(h, "h")
     x, e = pow2_scaled(y.to_2d())
+    hs, k = pow2_scaled(np.float64(h))
     n1, n2 = x.shape
     ph = patch // 2
     sh = search // 2
@@ -136,7 +130,7 @@ def nlm_filter(y: Raster, patch: int, search: int, h: float) -> Raster:
     xp = np.pad(x, pad, mode="edge")
     num = np.zeros((n1, n2))
     den = np.zeros((n1, n2))
-    h2 = h * h
+    hs2 = hs * hs
     ones = np.ones(patch)
     # center block of xp, with a ph-halo for the patch box sums
     base = xp[sh:sh + n1 + 2 * ph, sh:sh + n2 + 2 * ph]
@@ -148,7 +142,7 @@ def nlm_filter(y: Raster, patch: int, search: int, h: float) -> Raster:
     for row in shifted:
         ssd = _window_sums((base - row) ** 2, ones)
         with np.errstate(over="ignore"):
-            w = np.exp(-np.ldexp(ssd / h2, 2 * e))
+            w = np.exp(-np.ldexp(ssd / hs2, 2 * (e - k)))
         terms[0] = num
         np.multiply(w, row[:, ph:ph + n1, ph:ph + n2], out=terms[1:])
         num = terms.sum(axis=0)

@@ -14,11 +14,26 @@ __all__ = [
     "make_design",
 ]
 
+# NLM's edge pad, patch // 2 + search // 2, is at most 2^28, so an image with
+# sides under 2^29 pads to under 2^63 bytes: NumPy sizes it, then allocates or
+# raises MemoryError.  A pixel index +- window // 2 stays inside int64.
+WINDOW_MAX = 2 ** 28 + 1
+
 
 class SamplerNumericalError(RuntimeError):
     """The chain left the numerically valid range: a field precision that
     overflows, a precision draw that is not positive and finite, or a linear
     system that cannot be factored."""
+
+
+def check_window(size: int, name: str):
+    if not (3 <= size <= WINDOW_MAX and size % 2 == 1):
+        raise ValueError(f"{name} must be odd and lie in [3, {WINDOW_MAX}], got {size}")
+
+
+def check_positive(value: float, name: str, error: type[Exception] = ValueError):
+    if not 0.0 < value < math.inf:
+        raise error(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass
@@ -48,9 +63,7 @@ class HyperParams:
 
     def validate(self):
         for name in ("alpha_l", "beta_l", "alpha_f", "beta_f", "gamma_precision"):
-            v = getattr(self, name)
-            if not (v > 0 and np.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
+            check_positive(getattr(self, name), name)
         if not (self.lam > 1.0 and np.isfinite(self.lam)):
             need = "finite" if self.lam > 1.0 else "> 1"
             raise ValueError(f"lam must be {need}, got {self.lam}")
@@ -64,8 +77,7 @@ class HyperParams:
             raise ValueError(
                 f"burn_in must lie in (0, n_iter), got {self.burn_in} with n_iter={self.n_iter}"
             )
-        if self.window < 3 or self.window % 2 == 0:
-            raise ValueError(f"window must be odd and >= 3, got {self.window}")
+        check_window(self.window, "window")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         return self
@@ -79,11 +91,10 @@ class NoiseParams:
     kappa_f: float
 
     def __post_init__(self):
-        # a chain builds one per sweep, so the check compares scalars: a NaN
+        # a chain builds one per sweep, so the rule compares scalars: a NaN
         # fails both bounds
-        for name, v in (("kappa_l", self.kappa_l), ("kappa_f", self.kappa_f)):
-            if not 0.0 < v < math.inf:
-                raise SamplerNumericalError(f"{name} must be positive and finite, got {v}")
+        check_positive(self.kappa_l, "kappa_l", SamplerNumericalError)
+        check_positive(self.kappa_f, "kappa_f", SamplerNumericalError)
 
 
 def make_design(n1: int, n2: int) -> np.ndarray:

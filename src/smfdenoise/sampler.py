@@ -459,8 +459,8 @@ def get_binary_image(x: np.ndarray, h: float, window: int) -> SpotMask:
 
     Pixel (i, j) is a spot iff x >= mu_local + h * sigma_local over the
     window x window patch centred there (clipped at boundaries; population
-    standard deviation).  ``window`` is odd, as ``HyperParams.validate``
-    checks.
+    standard deviation).  ``window`` passes the window rule,
+    ``model.check_window``, as ``HyperParams.validate`` checks.
     """
     s1, s2, cnt = _clipped_window_sums(x, window // 2)
     mu = s1 / cnt

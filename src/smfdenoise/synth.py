@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Raster
+from .model import check_positive
 
 __all__ = [
     "CorpusError",
@@ -51,11 +52,10 @@ class SynthConfig:
             raise ValueError("spots_max must be at least 1")
         if self.amplitude_min > self.amplitude_max:
             raise ValueError("need amplitude_min <= amplitude_max")
-        if self.psf_sigma <= 0:
-            raise ValueError("psf_sigma must be positive")
+        check_positive(self.psf_sigma, "psf_sigma")
         if self.snr_db_min > self.snr_db_max:
             raise ValueError("need snr_db_min <= snr_db_max")
-        for name in ("amplitude_min", "amplitude_max", "psf_sigma", "snr_db_min", "snr_db_max"):
+        for name in ("amplitude_min", "amplitude_max", "snr_db_min", "snr_db_max"):
             v = getattr(self, name)
             if not np.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")

@@ -13,6 +13,10 @@ from smfdenoise.baselines import (
     wiener_filter,
 )
 from smfdenoise.lattice import Raster
+from smfdenoise.model import WINDOW_MAX
+from smfdenoise.synth import SynthConfig
+
+WINDOW_KEYS = ("gaussian_size", "average_size", "wiener_size", "nlm_patch", "nlm_search")
 
 
 def nlm_oracle(x, patch, search, h):
@@ -189,10 +193,14 @@ class TestNlm:
 class TestFilterConfig:
     def test_defaults_validate(self):
         FilterConfig().validate()
+        for key in WINDOW_KEYS:
+            FilterConfig(**{key: WINDOW_MAX}).validate()
 
-    def test_rejects_even_window(self):
-        with pytest.raises(ValueError):
-            FilterConfig(wiener_size=4).validate()
+    def test_rejects_bad_window(self):
+        for key in WINDOW_KEYS:
+            for size in (1, 4, WINDOW_MAX + 2, 10 ** 30 + 1):
+                with pytest.raises(ValueError, match=key):
+                    FilterConfig(**{key: size}).validate()
 
     def test_rejects_non_positive_h(self):
         with pytest.raises(ValueError):
@@ -206,6 +214,7 @@ def test_config_and_filters_share_one_rule_for_sigma_and_h(value):
     y = Raster.from_2d(np.zeros((6, 6)))
     for call in (lambda: FilterConfig(gaussian_sigma=value).validate(),
                  lambda: FilterConfig(nlm_h=value).validate(),
+                 lambda: SynthConfig(psf_sigma=value).validate(),
                  lambda: gaussian_kernel(value, 5),
                  lambda: nlm_filter(y, patch=5, search=11, h=value)):
         with pytest.raises(ValueError, match="must be positive and finite"):

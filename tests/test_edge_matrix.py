@@ -14,6 +14,7 @@ from smfdenoise import cli
 from smfdenoise.bench import write_corpus
 from smfdenoise.fileio import write_raster_csv
 from smfdenoise.lattice import Raster
+from smfdenoise.model import WINDOW_MAX
 from smfdenoise.synth import SynthConfig, SynthPair, generate_corpus
 
 # the cli's EXIT_ constants, which test_hygiene ties to README's list
@@ -88,9 +89,10 @@ def test_denoise_and_diagnose(tmp_path, capsys, name):
             run_cli(["diagnose", *common, "--chains", "2", "--report", out], capsys)
 
 
-def bench_scaled(tmp_path, capsys, scale, methods):
+def bench_scaled(tmp_path, capsys, scale, methods, values=None):
     """``bench`` over a small corpus whose pairs are each multiplied by
-    ``scale(noisy)``: its exit code, stderr lines and report rows."""
+    ``scale(noisy)``, with the configuration ``values``: its exit code,
+    stderr lines and report rows."""
     pairs = [SynthPair(Raster(p.truth.n1, p.truth.n2, p.truth.data * scale(p.noisy)),
                        Raster(p.noisy.n1, p.noisy.n2, p.noisy.data * scale(p.noisy)),
                        p.spots, p.target_snr_db, p.realized_snr_db, p.image_seed)
@@ -98,7 +100,7 @@ def bench_scaled(tmp_path, capsys, scale, methods):
     write_corpus(tmp_path, pairs, [])
     report = tmp_path / "report.csv"
     rc, err = run_cli(["bench", "--corpus", str(tmp_path), "--methods", methods,
-                       "--config", write_config(tmp_path / "short.cfg", {}),
+                       "--config", write_config(tmp_path / "short.cfg", values or {}),
                        "--report", str(report)], capsys)
     rows = [line.split(",") for line in report.read_text().splitlines()
             if line and not line.startswith("#")][1:] if rc == cli.EXIT_OK else []
@@ -131,3 +133,47 @@ def test_bench_at_the_top_of_float64(tmp_path, capsys):
     for method in (cli.IGMRF, cli.HIGMRF):
         _, err, _ = bench_scaled(tmp_path, capsys, scale, method)
         assert not any("wider than float64" in line for line in err), err
+
+
+def unscaled(noisy):
+    return 1.0
+
+
+@pytest.mark.parametrize("variant", [cli.IGMRF, cli.HIGMRF])
+def test_window_past_its_bound_is_a_usage_error(tmp_path, capsys, variant):
+    # an odd window too wide for int64 arithmetic on pixel indices
+    path = tmp_path / "input.csv"
+    write_raster_csv(path, Raster.from_2d(INPUTS["normal"]))
+    out = str(tmp_path / "out.csv")
+    common = ["--input", str(path), "--variant", variant,
+              "--config", write_config(tmp_path / "wide.cfg", {"window": 10 ** 30 + 1})]
+    for argv in (["denoise", *common, "--out-mean", out, "--out-mask", out, "--out-trace", out],
+                 ["diagnose", *common, "--chains", "2", "--report", out]):
+        assert run_cli(argv, capsys)[0] == cli.EXIT_USAGE
+    rc, err, _ = bench_scaled(tmp_path, capsys, unscaled, variant, {"window": 10 ** 30 + 1})
+    assert rc == cli.EXIT_USAGE and "window" in err[0], err
+
+
+@pytest.mark.parametrize("key", ["gaussian_size", "average_size", "wiener_size",
+                                 "nlm_patch", "nlm_search"])
+def test_filter_window_past_its_bound_is_a_usage_error(tmp_path, capsys, key):
+    rc, err, _ = bench_scaled(tmp_path, capsys, unscaled, "ga,av,wi,nlm", {key: 10 ** 21 + 1})
+    assert rc == cli.EXIT_USAGE and key in err[0], err
+
+
+@pytest.mark.parametrize("method,key", [("av", "average_size"), ("wi", "wiener_size")])
+def test_widest_filter_window_runs_out_of_memory(tmp_path, capsys, method, key):
+    # in bound, so NumPy sizes the padded image, and its allocation fails;
+    # the Gaussian's is not run here, as its kernel alone takes gigabytes
+    rc, _, _ = bench_scaled(tmp_path, capsys, unscaled, method, {key: WINDOW_MAX})
+    assert rc == cli.EXIT_MEMORY
+
+
+@pytest.mark.parametrize("method,values", [("ga", {"gaussian_sigma": 1e-200}),
+                                           ("ga", {"gaussian_sigma": 1e300}),
+                                           ("nlm", {"nlm_h": 1e-170}),
+                                           ("nlm", {"nlm_h": 1e300})])
+def test_sigma_and_h_whose_squares_leave_float64(tmp_path, capsys, method, values):
+    rc, _, rows = bench_scaled(tmp_path, capsys, unscaled, method, values)
+    assert rc == cli.EXIT_OK
+    assert all_finite(rows), rows

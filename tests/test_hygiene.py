@@ -5,8 +5,9 @@ scipy outside the SuperLU path, the sampler holds no process plumbing,
 every name the benchmark's tracer wraps still exists and runs as often as
 the tracer counts it, the CLI has one error path whose exit codes the
 docs name, only ``fileio`` spells the CSV dialect of the files the CLI
-writes, and only ``lattice.pow2_scaled`` spells the power-of-two scale
-rule."""
+writes, only ``lattice.pow2_scaled`` spells the power-of-two scale rule,
+and only ``model.check_window`` and ``model.check_positive`` spell the
+window and positive-and-finite rules."""
 
 import ast
 import importlib
@@ -317,3 +318,18 @@ def test_only_pow2_scaled_spells_the_scale_rule():
     found = {p.stem: scopes_where(parse(p), spells_frexp) for p in MODULES}
     assert {name: where for name, where in found.items() if where} == {
         "lattice": ["pow2_scaled"]}
+
+
+def spells(phrase):
+    def matches(node):
+        return isinstance(node, ast.Constant) and isinstance(node.value, str) and phrase in node.value
+    return matches
+
+
+@pytest.mark.parametrize("phrase,owner", [("must be odd", "check_window"),
+                                          ("must be positive and finite", "check_positive")])
+def test_only_model_spells_the_parameter_rules(phrase, owner):
+    # a window and a scale are each checked by one helper; a second message
+    # would be a second copy of the rule
+    found = {p.stem: scopes_where(parse(p), spells(phrase)) for p in MODULES}
+    assert {name: where for name, where in found.items() if where} == {"model": [owner]}

@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 
-from smfdenoise.model import HyperParams, NoiseParams, SamplerNumericalError, make_design
+from smfdenoise.model import (
+    WINDOW_MAX,
+    HyperParams,
+    NoiseParams,
+    SamplerNumericalError,
+    make_design,
+)
 
 
 class TestHyperParams:
     def test_defaults_validate(self):
         HyperParams().validate()
+        HyperParams(window=WINDOW_MAX).validate()
 
     @pytest.mark.parametrize("field,value", [
         ("alpha_l", 0.0),
@@ -21,6 +28,8 @@ class TestHyperParams:
         ("n_iter", 0),
         ("window", 4),
         ("window", 1),
+        ("window", WINDOW_MAX + 2),
+        ("window", 10 ** 30 + 1),
         ("seed", -1),
     ])
     def test_rejects_bad_values(self, field, value):

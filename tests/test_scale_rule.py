@@ -1,6 +1,6 @@
 """The one power-of-two scale rule (``lattice.pow2_scaled``), bit for bit:
-every computation that sums or squares intensities runs on them divided by
-2^e, so scaling an input by 2^k scales an equivariant output by exactly 2^k
+every computation that sums or squares intensities, or a filter's sigma or
+h, runs on them divided by 2^e, so scaling an input by 2^k scales an equivariant output by exactly 2^k
 and leaves an invariant one as it is, until float64's range ends.  The
 quality measures are checked the same way in test_metrics.py, TestScale."""
 
@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from smfdenoise.baselines import average_filter, nlm_filter, wiener_filter
+from smfdenoise.baselines import average_filter, gaussian_kernel, nlm_filter, wiener_filter
 from smfdenoise.lattice import Raster, pow2_scaled
 from smfdenoise.model import HyperParams
 from smfdenoise.sampler import HIGMRF, IGMRF, denoise
@@ -39,9 +39,9 @@ def test_filter_scales_by_the_power_of_two(filt, k):
     assert np.array_equal(filt(image(k)).data, np.ldexp(filt(image()).data, k))
 
 
-@pytest.mark.parametrize("k", [-400, 400])
+@pytest.mark.parametrize("k", [-400, 400, -900, 900])
 def test_nlm_scales_with_its_h(k):
-    # past about |k| = 500, h^2 itself leaves float64
+    # h is scaled too, so h^2 is never formed and cannot leave float64
     out = nlm_filter(image(k), 5, 11, math.ldexp(0.5, k)).data
     assert np.array_equal(out, np.ldexp(nlm_filter(image(), 5, 11, 0.5).data, k))
 
@@ -53,6 +53,20 @@ def test_nlm_at_the_top_of_float64_is_finite():
         warnings.simplefilter("error")
         out = nlm_filter(y, 5, 11, 0.1)
     assert np.isfinite(out.data).all()
+
+
+def test_sigma_and_h_whose_squares_leave_float64():
+    # sigma^2 and h^2 would be 0, and the weights 0/0: the limits are a delta
+    # kernel and weight 0 for every patch that differs from the pixel's own.
+    # A sigma^2 past float64's top would give a flat kernel, or an
+    # OverflowError from Python's float power.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernels = gaussian_kernel(1e-200, 5), gaussian_kernel(1e300, 5)
+        out = nlm_filter(image(), 5, 11, 1e-170)
+    assert np.array_equal(kernels[0], [0.0, 0.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(kernels[1], np.full(5, 0.2))
+    assert np.array_equal(out.data, image().data)
 
 
 @pytest.mark.parametrize("k", [-900, 900])
